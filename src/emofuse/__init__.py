@@ -18,6 +18,7 @@ from .model import (
     FusionModel,
     ModelConfig,
     load_checkpoint,
+    predict_dataset,
     predict_video,
     save_checkpoint,
 )

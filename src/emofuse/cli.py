@@ -27,11 +27,11 @@ from .dataset import (
     write_dataset,
     write_frame_features,
 )
-from .errors import EmofuseError
+from .errors import EmofuseError, ParseError
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
-from .model import load_checkpoint, predict_video
+from .model import load_checkpoint, predict_dataset
 from .sequencing import align_modalities, cut_windows, parse_annotations
-from .training import TrainConfig, dataset_metrics, run_training
+from .training import TrainConfig, run_training, standardize_dataset
 
 logger = logging.getLogger(__name__)
 
@@ -80,15 +80,7 @@ def cmd_extract_audio(args) -> int:
             "source_wav": os.path.basename(args.wav),
             "sample_rate": signal.sample_rate,
             "n_chunks": n_chunks,
-            "dsp": {
-                "n_fft": cfg.n_fft,
-                "hop_length": cfg.hop_length,
-                "n_mels": cfg.n_mels,
-                "n_mfcc": cfg.n_mfcc,
-                "fmin": cfg.fmin,
-                "fmax": cfg.fmax,
-                "log_floor": cfg.log_floor,
-            },
+            "dsp": asdict(cfg),
         },
     )
     print(f"wrote {matrix.shape[0]} x {matrix.shape[1]} audio features to {args.out}")
@@ -256,7 +248,7 @@ def _parse_weights(text: str) -> tuple[float, float]:
     try:
         w_f1, w_acc = (float(p) for p in text.split(","))
     except ValueError:
-        raise EmofuseError(f"weights must be 'w_f1,w_acc', got {text!r}") from None
+        raise ParseError(f"weights must be 'w_f1,w_acc', got {text!r}") from None
     return w_f1, w_acc
 
 
@@ -266,8 +258,6 @@ def cmd_evaluate(args) -> int:
     dataset = read_dataset(args.dataset)
     w_f1, w_acc = _parse_weights(args.weights)
 
-    from .training import standardize_dataset
-
     if model.feature_stats is not None:
         dataset = standardize_dataset(dataset, model.feature_stats)
 
@@ -276,17 +266,11 @@ def cmd_evaluate(args) -> int:
     os.makedirs(pred_dir, exist_ok=True)
 
     all_preds, all_truth = [], []
-    for entry in dataset.videos:
-        windows = dataset.video_windows(entry)
-        labels, probs = predict_video(model, windows, entry.n_frames)
-        truth = np.zeros(entry.n_frames, dtype=np.int64)
-        for w in windows:
-            real = dataset.window_len - w.pad_count
-            truth[w.start_frame : w.start_frame + real] = w.labels[:real]
+    for video_id, labels, probs, truth in predict_dataset(model, dataset):
         all_preds.append(labels)
         all_truth.append(truth)
-        with open(os.path.join(pred_dir, f"{entry.video_id}.txt"), "w") as fh:
-            for i in range(entry.n_frames):
+        with open(os.path.join(pred_dir, f"{video_id}.txt"), "w") as fh:
+            for i in range(len(labels)):
                 row = ",".join(f"{p:.6f}" for p in probs[i])
                 fh.write(f"{i},{labels[i]},{row}\n")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptionError, SchemaError
+from .errors import CorruptionError, SchemaError, schema_fields
 from .sequencing import SequenceWindow, WINDOW_LEN, WINDOW_STRIDE
 
 FORMAT_VERSION = 1
@@ -72,8 +72,14 @@ def _read_manifest(dirpath) -> dict:
     path = os.path.join(dirpath, "manifest.json")
     if not os.path.exists(path):
         raise SchemaError(f"{dirpath}: no manifest.json; not a container")
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:
+        raise CorruptionError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise SchemaError(f"{path}: manifest is not a JSON object")
+    return manifest
 
 
 # --------------------------------------------------------------------------
@@ -103,12 +109,13 @@ def read_frame_features(path) -> tuple[np.ndarray, dict]:
     manifest = _read_manifest(path)
     if manifest.get("kind") != "frame_features":
         raise SchemaError(f"{path}: not a frame_features container")
-    features = _read_blob(path, manifest["blobs"]["features"])
-    if features.shape != (manifest["count"], manifest["dim"]):
-        raise SchemaError(
-            f"{path}: manifest says {manifest['count']}x{manifest['dim']}, "
-            f"blob is {features.shape}"
-        )
+    with schema_fields(path):
+        features = _read_blob(path, manifest["blobs"]["features"])
+        if features.shape != (manifest["count"], manifest["dim"]):
+            raise SchemaError(
+                f"{path}: manifest says {manifest['count']}x{manifest['dim']}, "
+                f"blob is {features.shape}"
+            )
     return features, manifest
 
 
@@ -237,45 +244,46 @@ def read_dataset(path) -> WindowDataset:
     manifest = _read_manifest(path)
     if manifest.get("kind") != "window_dataset":
         raise SchemaError(f"{path}: not a window_dataset container")
-    blobs = manifest["blobs"]
-    audio = _read_blob(path, blobs["audio"])
-    video = _read_blob(path, blobs["video"])
-    labels = _read_blob(path, blobs["labels"])
-    start_frames = _read_blob(path, blobs["start_frames"])
-    pad_counts = _read_blob(path, blobs["pad_counts"])
+    with schema_fields(path):
+        blobs = manifest["blobs"]
+        audio = _read_blob(path, blobs["audio"])
+        video = _read_blob(path, blobs["video"])
+        labels = _read_blob(path, blobs["labels"])
+        start_frames = _read_blob(path, blobs["start_frames"])
+        pad_counts = _read_blob(path, blobs["pad_counts"])
 
-    w, length = manifest["n_windows"], manifest["window_len"]
-    checks = [
-        (audio.shape[0] == w and audio.shape[1] == length, "audio"),
-        (audio.shape[2] == manifest["audio_dim"], "audio_dim"),
-        (video.shape[0] == w and video.shape[1] == length, "video"),
-        (video.shape[2] == manifest["video_dim"], "video_dim"),
-        (labels.shape == (w, length), "labels"),
-        (start_frames.shape == (w,), "start_frames"),
-        (pad_counts.shape == (w,), "pad_counts"),
-    ]
-    for ok, what in checks:
-        if not ok:
-            raise SchemaError(f"{path}: blob {what!r} disagrees with manifest dims")
-    videos = [
-        VideoEntry(
-            video_id=v["video_id"],
-            n_frames=v["n_frames"],
-            window_offset=v["window_offset"],
-            window_count=v["window_count"],
+        w, length = manifest["n_windows"], manifest["window_len"]
+        checks = [
+            (audio.shape[0] == w and audio.shape[1] == length, "audio"),
+            (audio.shape[2] == manifest["audio_dim"], "audio_dim"),
+            (video.shape[0] == w and video.shape[1] == length, "video"),
+            (video.shape[2] == manifest["video_dim"], "video_dim"),
+            (labels.shape == (w, length), "labels"),
+            (start_frames.shape == (w,), "start_frames"),
+            (pad_counts.shape == (w,), "pad_counts"),
+        ]
+        for ok, what in checks:
+            if not ok:
+                raise SchemaError(f"{path}: blob {what!r} disagrees with manifest dims")
+        videos = [
+            VideoEntry(
+                video_id=v["video_id"],
+                n_frames=v["n_frames"],
+                window_offset=v["window_offset"],
+                window_count=v["window_count"],
+            )
+            for v in manifest["videos"]
+        ]
+        if sum(v.window_count for v in videos) != w:
+            raise SchemaError(f"{path}: per-video window counts do not sum to {w}")
+        return WindowDataset(
+            audio=audio,
+            video=video,
+            labels=labels.astype(np.int64),
+            start_frames=start_frames.astype(np.int64),
+            pad_counts=pad_counts.astype(np.int64),
+            videos=videos,
+            window_len=length,
+            stride=manifest["stride"],
+            meta=manifest.get("meta", {}),
         )
-        for v in manifest["videos"]
-    ]
-    if sum(v.window_count for v in videos) != w:
-        raise SchemaError(f"{path}: per-video window counts do not sum to {w}")
-    return WindowDataset(
-        audio=audio,
-        video=video,
-        labels=labels.astype(np.int64),
-        start_frames=start_frames.astype(np.int64),
-        pad_counts=pad_counts.astype(np.int64),
-        videos=videos,
-        window_len=length,
-        stride=manifest["stride"],
-        meta=manifest.get("meta", {}),
-    )

@@ -4,6 +4,8 @@ Every error carries a short machine-parsable ``category`` string; the CLI
 prints ``error: <category>: <message>`` and exits nonzero.
 """
 
+from contextlib import contextmanager
+
 
 class EmofuseError(Exception):
     category = "error"
@@ -79,3 +81,12 @@ class DivergenceError(EmofuseError):
     """Training produced a non-finite loss."""
 
     category = "divergence"
+
+
+@contextmanager
+def schema_fields(where):
+    """Report a missing or malformed field of a parsed manifest or header as a SchemaError."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: missing or malformed field {exc}") from None

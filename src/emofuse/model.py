@@ -20,12 +20,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataset import WindowDataset
 from .errors import (
     CorruptionError,
     CoverageError,
     DivergenceError,
     SchemaError,
     ShapeError,
+    schema_fields,
 )
 from .nn.layers import BatchNorm, Dense, Dropout, PReLU, softmax, softmax_cross_entropy
 from .nn.optim import RmsProp
@@ -41,7 +43,7 @@ class ModelConfig:
     mode: str = "fused"
     recurrent: str = "gru"
     audio_dim: int = 168
-    video_dim: int = 714
+    video_dim: int = 709
     window_len: int = 15
     n_classes: int = 8
     audio_hidden: tuple[int, int] = (128, 64)
@@ -165,35 +167,30 @@ class FusionModel:
                 dy = dy[0]
         return dy
 
-    def forward(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
-        """Per-timestep class distributions, shape [B, T, n_classes]."""
+    def logits(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
+        """Per-timestep unnormalized class scores, shape [B, T, n_classes]."""
         parts = []
-        if self.audio_stack:
-            if audio is None:
-                raise ShapeError("model mode requires audio input")
-            audio = np.asarray(audio, dtype=self.dtype)
-            if audio.ndim == 2:
-                audio = audio[None]
-            if audio.shape[-1] != self.config.audio_dim:
-                raise ShapeError(
-                    f"audio dim {audio.shape[-1]} != model {self.config.audio_dim}"
-                )
-            parts.append(self._run_stack(self.audio_stack, audio, training, seed))
-        if self.video_stack:
-            if video is None:
-                raise ShapeError("model mode requires video input")
-            video = np.asarray(video, dtype=self.dtype)
-            if video.ndim == 2:
-                video = video[None]
-            if video.shape[-1] != self.config.video_dim:
-                raise ShapeError(
-                    f"video dim {video.shape[-1]} != model {self.config.video_dim}"
-                )
-            parts.append(self._run_stack(self.video_stack, video, training, seed))
+        for name, stack, x, dim in (
+            ("audio", self.audio_stack, audio, self.config.audio_dim),
+            ("video", self.video_stack, video, self.config.video_dim),
+        ):
+            if not stack:
+                continue
+            if x is None:
+                raise ShapeError(f"model mode requires {name} input")
+            x = np.asarray(x, dtype=self.dtype)
+            if x.ndim == 2:
+                x = x[None]
+            if x.shape[-1] != dim:
+                raise ShapeError(f"{name} dim {x.shape[-1]} != model {dim}")
+            parts.append(self._run_stack(stack, x, training, seed))
         fused = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         self._split = None if len(parts) == 1 else parts[0].shape[-1]
-        logits = self._run_stack(self.head, fused, training, seed)
-        return softmax(logits)
+        return self._run_stack(self.head, fused, training, seed)
+
+    def forward(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
+        """Per-timestep class distributions, shape [B, T, n_classes]."""
+        return softmax(self.logits(audio, video, training, seed))
 
     def backward_from_logits(self, dlogits):
         dfused = self._stack_backward(self.head, dlogits)
@@ -216,26 +213,10 @@ class FusionModel:
         seed: int = 0,
     ) -> float:
         """One forward/backward/update over a batch; returns the mean loss."""
-        probs = self.forward(audio, video, training=True, seed=seed)
-        labels = np.asarray(labels)
-        losses = -np.log(
-            np.maximum(
-                np.take_along_axis(probs, labels[..., None], axis=-1)[..., 0],
-                np.finfo(probs.dtype).tiny,
-            )
-        )
-        mask = np.asarray(mask, dtype=probs.dtype)
-        total = mask.sum()
-        if total == 0:
-            raise ShapeError("train_step: mask excludes every timestep")
-        loss = float((losses * mask).sum() / total)
+        logits = self.logits(audio, video, training=True, seed=seed)
+        loss, dlogits, _ = softmax_cross_entropy(logits, labels, np.asarray(mask))
         if not np.isfinite(loss):
             raise DivergenceError(f"non-finite training loss {loss}")
-
-        dlogits = probs.copy()
-        flat = dlogits.reshape(-1, dlogits.shape[-1])
-        flat[np.arange(flat.shape[0]), labels.reshape(-1)] -= 1.0
-        dlogits *= (mask / total)[..., None]
         self.backward_from_logits(dlogits)
         optimizer.step(self.parameters(), self.gradients())
         return loss
@@ -275,6 +256,22 @@ def predict_video(
         raise CoverageError(f"frame {missing} not covered by any window")
     mean_probs = acc / counts[:, None]
     return np.argmax(mean_probs, axis=1), mean_probs
+
+
+def predict_dataset(model: FusionModel, dataset: WindowDataset):
+    """Yield ``(video_id, labels, probs, truth)`` for each video in the container.
+
+    ``labels`` and ``probs`` come from :func:`predict_video`; ``truth`` holds
+    each frame's label from the real (unpadded) rows of the windows covering it.
+    """
+    for entry in dataset.videos:
+        windows = dataset.video_windows(entry)
+        labels, probs = predict_video(model, windows, entry.n_frames)
+        truth = np.zeros(entry.n_frames, dtype=np.int64)
+        for w in windows:
+            real = dataset.window_len - w.pad_count
+            truth[w.start_frame : w.start_frame + real] = w.labels[:real]
+        yield entry.video_id, labels, probs, truth
 
 
 # --------------------------------------------------------------------------
@@ -350,8 +347,15 @@ def load_checkpoint(path) -> tuple[FusionModel, RmsProp | None, dict]:
     header_end = 16 + header_len
     if len(data) < header_end:
         raise CorruptionError(f"{path}: truncated header")
-    header = json.loads(data[16:header_end])
-    blob = data[header_end:]
+    try:
+        header = json.loads(data[16:header_end])
+    except ValueError:
+        raise CorruptionError(f"{path}: checkpoint header is not valid JSON") from None
+    with schema_fields(path):
+        return _model_from_header(path, header, data[header_end:])
+
+
+def _model_from_header(path, header: dict, blob: bytes) -> tuple[FusionModel, RmsProp | None, dict]:
     sha = hashlib.sha256(blob).hexdigest()
     if sha != header["blob_sha256"]:
         raise CorruptionError(f"{path}: blob checksum mismatch")
@@ -369,17 +373,12 @@ def load_checkpoint(path) -> tuple[FusionModel, RmsProp | None, dict]:
         arr = np.frombuffer(blob[lo:hi], dtype="<f4").reshape(entry["shape"])
         loaded[entry["name"]] = arr.astype(model.dtype)
 
-    params = model.parameters()
-    for name, arr in params.items():
+    for name, arr in {**model.parameters(), **model.buffers()}.items():
         if name not in loaded:
-            raise SchemaError(f"{path}: checkpoint missing parameter {name}")
+            raise SchemaError(f"{path}: checkpoint missing {name}")
         if loaded[name].shape != arr.shape:
-            raise SchemaError(f"{path}: parameter {name} shape mismatch")
+            raise SchemaError(f"{path}: {name} shape mismatch")
         arr[...] = loaded[name]
-    for layer in model._layers:
-        if isinstance(layer, BatchNorm):
-            layer.running_mean = loaded[f"{layer.name}.running_mean"].copy()
-            layer.running_var = loaded[f"{layer.name}.running_var"].copy()
 
     stats_keys = ("stats.audio_mean", "stats.audio_std", "stats.video_mean", "stats.video_std")
     if all(k in loaded for k in stats_keys):

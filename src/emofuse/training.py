@@ -21,7 +21,7 @@ from .model import (
     ModelConfig,
     RmsProp,
     load_checkpoint,
-    predict_video,
+    predict_dataset,
     save_checkpoint,
 )
 
@@ -134,35 +134,20 @@ def _loss_mask(dataset: WindowDataset, include_class7: bool) -> np.ndarray:
     return mask
 
 
+def _pooled_frames(model: FusionModel, dataset: WindowDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Predicted and true labels of every frame, videos in container order."""
+    _, preds, _, truths = zip(*predict_dataset(model, dataset))
+    return np.concatenate(preds), np.concatenate(truths)
+
+
 def dataset_metrics(model: FusionModel, dataset: WindowDataset, w_f1: float, w_acc: float):
     """Frame-level evaluation over every video in the container."""
-    preds, truths = [], []
-    for entry in dataset.videos:
-        windows = dataset.video_windows(entry)
-        labels, _ = predict_video(model, windows, entry.n_frames)
-        truth = np.zeros(entry.n_frames, dtype=np.int64)
-        for w in windows:
-            real = dataset.window_len - w.pad_count
-            truth[w.start_frame : w.start_frame + real] = w.labels[:real]
-        preds.append(labels)
-        truths.append(truth)
-    return evaluate(np.concatenate(preds), np.concatenate(truths), w_f1=w_f1, w_acc=w_acc)
+    return evaluate(*_pooled_frames(model, dataset), w_f1=w_f1, w_acc=w_acc)
 
 
 def train_accuracy(model: FusionModel, dataset: WindowDataset) -> float:
     """Plain per-frame accuracy over all frames, class 7 included."""
-    correct = 0
-    total = 0
-    for entry in dataset.videos:
-        windows = dataset.video_windows(entry)
-        labels, _ = predict_video(model, windows, entry.n_frames)
-        truth = np.zeros(entry.n_frames, dtype=np.int64)
-        for w in windows:
-            real = dataset.window_len - w.pad_count
-            truth[w.start_frame : w.start_frame + real] = w.labels[:real]
-        correct += int((labels == truth).sum())
-        total += entry.n_frames
-    return correct / total
+    return evaluate(*_pooled_frames(model, dataset), exclude_unannotated=False).accuracy
 
 
 def _epoch_seed(seed: int, epoch: int) -> np.random.Generator:

@@ -5,7 +5,7 @@ import pytest
 
 from emofuse.cli import main
 from emofuse.dataset import read_dataset, read_frame_features
-from emofuse.model import load_checkpoint
+from emofuse.model import FusionModel, ModelConfig, load_checkpoint, save_checkpoint
 from emofuse.video import META_COLUMNS, default_selection
 
 from conftest import wav_bytes
@@ -262,3 +262,49 @@ class TestReportCli:
         with pytest.raises(SystemExit) as exc:
             main(["report", "--summary"])
         assert exc.value.code == 2
+
+
+class TestMalformedEvaluateInputs:
+    @pytest.fixture
+    def untrained(self, tmp_path):
+        """An untrained checkpoint whose dims match the tiny dataset."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, FusionModel(ModelConfig(video_dim=3)))
+        return path
+
+    def run_evaluate(self, ckpt, dataset, out, *extra):
+        return main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                     "--out", str(out), *extra])
+
+    @pytest.mark.parametrize("weights", ["x", "1,2,3", "0.5"])
+    def test_bad_weights_is_parse_error(self, tiny_training, untrained, tmp_path, capsys, weights):
+        rc = self.run_evaluate(untrained, tiny_training["dataset"], tmp_path / "out",
+                               "--weights", weights)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: parse:")
+
+    @pytest.mark.parametrize(
+        "manifest, category",
+        [("{", "corruption"), ('{"kind": "window_dataset"}', "schema"), ("[1]", "schema")],
+    )
+    def test_malformed_manifest(self, tiny_training, untrained, tmp_path, capsys,
+                                manifest, category):
+        import shutil
+
+        broken = tmp_path / "broken"
+        shutil.copytree(tiny_training["dataset"], broken)
+        (broken / "manifest.json").write_text(manifest)
+        rc = self.run_evaluate(untrained, broken, tmp_path / "out")
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {category}:")
+
+    def test_undecodable_checkpoint_header(self, tiny_training, untrained, tmp_path, capsys):
+        data = bytearray(untrained.read_bytes())
+        data[16] = 0xFF
+        untrained.write_bytes(bytes(data))
+        rc = self.run_evaluate(untrained, tiny_training["dataset"], tmp_path / "out")
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: corruption:")

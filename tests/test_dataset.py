@@ -100,3 +100,40 @@ class TestWindowDatasetContainer:
         back = read_dataset(tmp_path / "d")
         assert back.labels.dtype == np.int64
         assert set(np.unique(back.labels)) <= set(range(8))
+
+
+class TestMalformedManifest:
+    def test_invalid_json_is_corruption(self, tmp_path, rng):
+        write_dataset(build_dataset(rng), tmp_path / "d")
+        (tmp_path / "d" / "manifest.json").write_text("{")
+        with pytest.raises(CorruptionError, match="JSON"):
+            read_dataset(tmp_path / "d")
+
+    def test_non_object_manifest_is_schema_error(self, tmp_path, rng):
+        write_dataset(build_dataset(rng), tmp_path / "d")
+        (tmp_path / "d" / "manifest.json").write_text("[]")
+        with pytest.raises(SchemaError):
+            read_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("key", ["blobs", "n_windows", "videos"])
+    def test_dataset_missing_key_is_schema_error(self, tmp_path, rng, key):
+        write_dataset(build_dataset(rng), tmp_path / "d")
+        mpath = tmp_path / "d" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        del manifest[key]
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match=key):
+            read_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("drop", [("blobs",), ("blobs", "features")])
+    def test_frame_features_missing_key_is_schema_error(self, tmp_path, rng, drop):
+        write_frame_features(tmp_path / "c", rng.standard_normal((4, 3)), "video")
+        mpath = tmp_path / "c" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        parent = manifest
+        for key in drop[:-1]:
+            parent = parent[key]
+        del parent[drop[-1]]
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match=drop[-1]):
+            read_frame_features(tmp_path / "c")

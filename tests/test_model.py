@@ -1,17 +1,24 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from emofuse.errors import CoverageError, DivergenceError, ShapeError
+from emofuse.dataset import WindowDataset
+from emofuse.errors import CorruptionError, CoverageError, DivergenceError, SchemaError, ShapeError
 from emofuse.model import (
     FeatureStats,
     FusionModel,
     ModelConfig,
     RmsProp,
     load_checkpoint,
+    predict_dataset,
     predict_video,
     save_checkpoint,
 )
-from emofuse.sequencing import SequenceWindow
+from emofuse.nn.layers import softmax, softmax_cross_entropy
+from emofuse.sequencing import FrameFeatures, SequenceWindow, cut_windows
+from emofuse.video import default_selection
 
 from oracles import max_rel_err, numeric_gradient
 
@@ -376,3 +383,116 @@ class TestCheckpoint:
 
         with pytest.raises(CorruptionError):
             load_checkpoint(path)
+
+
+class TestLogits:
+    @pytest.mark.parametrize("mode", ["fused", "audio_only", "video_only"])
+    def test_forward_is_softmax_of_logits(self, rng, mode):
+        model = FusionModel(ModelConfig(**{**TINY.__dict__, "mode": mode}))
+        audio, video, _, _ = random_batch(rng, TINY)
+        np.testing.assert_array_equal(
+            model.forward(audio, video), softmax(model.logits(audio, video))
+        )
+        np.testing.assert_array_equal(
+            model.forward(audio, video, training=True, seed=4),
+            softmax(model.logits(audio, video, training=True, seed=4)),
+        )
+
+    @pytest.mark.parametrize("recurrent", ["gru", "lstm"])
+    def test_train_step_loss_is_softmax_cross_entropy(self, rng, recurrent):
+        model = FusionModel(ModelConfig(**{**TINY.__dict__, "recurrent": recurrent}))
+        audio, video, labels, mask = random_batch(rng, TINY)
+        mask[0, -2:] = 0.0
+        # training-mode outputs use batch statistics, so this extra call
+        # leaves the train step's logits (same dropout seed) unchanged
+        expected, _, _ = softmax_cross_entropy(
+            model.logits(audio, video, training=True, seed=9), labels, mask
+        )
+        assert model.train_step(audio, video, labels, mask, RmsProp(), seed=9) == expected
+
+    def test_default_config_accepts_shipped_video_width(self):
+        width = len(default_selection().include_columns)
+        model = FusionModel(ModelConfig())
+        audio = np.zeros((1, 15, 168), dtype=np.float32)
+        video = np.zeros((1, 15, width), dtype=np.float32)
+        assert model.forward(audio, video).shape == (1, 15, 8)
+
+
+def labelled_dataset(rng, cfg, lengths, stride=3):
+    """Videos of the given frame counts, cut into windows; returns (dataset, per-frame labels)."""
+    per_video, truths = [], []
+    for v, n in enumerate(lengths):
+        labels = rng.integers(0, cfg.n_classes, size=n)
+        frames = [
+            FrameFeatures(
+                audio=rng.standard_normal(cfg.audio_dim),
+                video=rng.standard_normal(cfg.video_dim),
+                label=int(labels[i]),
+                frame_index=i,
+            )
+            for i in range(n)
+        ]
+        per_video.append((f"v{v}", n, cut_windows(frames, length=cfg.window_len, stride=stride)))
+        truths.append(labels)
+    dataset = WindowDataset.from_video_windows(per_video, window_len=cfg.window_len, stride=stride)
+    return dataset, truths
+
+
+class TestPredictDataset:
+    def test_matches_predict_video_per_video(self, rng):
+        model = FusionModel(TINY)
+        dataset, _ = labelled_dataset(rng, TINY, [12, 5, 3, 9])
+        results = list(predict_dataset(model, dataset))
+        assert [r[0] for r in results] == [v.video_id for v in dataset.videos]
+        for (_, labels, probs, _), entry in zip(results, dataset.videos):
+            want_labels, want_probs = predict_video(
+                model, dataset.video_windows(entry), entry.n_frames
+            )
+            np.testing.assert_array_equal(labels, want_labels)
+            np.testing.assert_array_equal(probs, want_probs)
+
+    def test_truth_drops_padded_rows(self, rng):
+        model = FusionModel(TINY)
+        dataset, truths = labelled_dataset(rng, TINY, [11, 2])
+        assert dataset.pad_counts[-1] == TINY.window_len - 2
+        for (_, labels, _, truth), want in zip(predict_dataset(model, dataset), truths):
+            assert truth.shape == labels.shape == want.shape
+            np.testing.assert_array_equal(truth, want)
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a checkpoint's JSON header, leaving its blob untouched."""
+    data = path.read_bytes()
+    (n,) = struct.unpack_from("<Q", data, 8)
+    header = json.loads(data[16 : 16 + n])
+    edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + n :])
+
+
+class TestMalformedCheckpoint:
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, FusionModel(TINY))
+        return path
+
+    @pytest.mark.parametrize("buffer", ["running_mean", "running_var"])
+    def test_missing_batchnorm_buffer_is_schema_error(self, ckpt, buffer):
+        name = f"audio.bn1.{buffer}"
+        rewrite_header(ckpt, lambda h: h.update(arrays=[e for e in h["arrays"] if e["name"] != name]))
+        with pytest.raises(SchemaError, match=name):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("key", ["blob_sha256", "config", "arrays"])
+    def test_missing_header_key_is_schema_error(self, ckpt, key):
+        rewrite_header(ckpt, lambda h: h.pop(key))
+        with pytest.raises(SchemaError, match=key):
+            load_checkpoint(ckpt)
+
+    def test_undecodable_header_is_corruption(self, ckpt):
+        data = bytearray(ckpt.read_bytes())
+        data[16] = 0xFF  # first header byte: no longer UTF-8, let alone JSON
+        ckpt.write_bytes(bytes(data))
+        with pytest.raises(CorruptionError, match="header"):
+            load_checkpoint(ckpt)
