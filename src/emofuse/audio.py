@@ -85,7 +85,8 @@ def load_wav(path) -> AudioSignal:
     """Decode a RIFF/WAVE file to a mono signal in [-1, 1].
 
     Supports little-endian PCM at 8 (unsigned), 16, 24 and 32 bits plus
-    32-bit IEEE float. Multichannel input is averaged to mono.
+    32-bit IEEE float, whose samples must be finite. Multichannel input is
+    averaged to mono.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -132,6 +133,9 @@ def load_wav(path) -> AudioSignal:
         x = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4").astype(
             np.float64
         )
+        if not np.isfinite(x).all():
+            bad = int(np.argmin(np.isfinite(x)))
+            raise AudioFormatError(f"{path}: non-finite float sample {x[bad]} at index {bad}")
     else:
         raise UnsupportedAudioError(
             f"{path}: unsupported encoding (format tag {tag}, {bits}-bit)"

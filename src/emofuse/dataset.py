@@ -240,6 +240,18 @@ def write_dataset(dataset: WindowDataset, path):
     _write_manifest(path, manifest)
 
 
+def _plain_name(path, video_id):
+    """A video id names its prediction file, so it must be a plain file name."""
+    if (
+        not isinstance(video_id, str)
+        or not video_id
+        or video_id.startswith(".")
+        or any(c in video_id for c in ("/", "\\", os.sep, "\0"))
+    ):
+        raise SchemaError(f"{path}: video_id {video_id!r} is not a plain file name")
+    return video_id
+
+
 def read_dataset(path) -> WindowDataset:
     manifest = _read_manifest(path)
     if manifest.get("kind") != "window_dataset":
@@ -267,7 +279,7 @@ def read_dataset(path) -> WindowDataset:
                 raise SchemaError(f"{path}: blob {what!r} disagrees with manifest dims")
         videos = [
             VideoEntry(
-                video_id=v["video_id"],
+                video_id=_plain_name(path, v["video_id"]),
                 n_frames=v["n_frames"],
                 window_offset=v["window_offset"],
                 window_count=v["window_count"],

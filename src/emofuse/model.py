@@ -160,9 +160,14 @@ class FusionModel:
                 x = layer.forward(x, training=training)
         return x
 
-    def _stack_backward(self, stack, dy):
-        for layer in reversed(stack):
-            dy = layer.backward(dy)
+    def _stack_backward(self, stack, dy, input_grad=True):
+        """Backpropagate through ``stack``. With ``input_grad=False`` its first
+        layer, a recurrent cell fed by data, skips its input gradient."""
+        for k in range(len(stack) - 1, -1, -1):
+            if k == 0 and not input_grad:
+                stack[0].backward(dy, input_grad=False)
+                return None
+            dy = stack[k].backward(dy)
             if isinstance(dy, tuple):  # recurrent layers also return dh0
                 dy = dy[0]
         return dy
@@ -195,13 +200,10 @@ class FusionModel:
     def backward_from_logits(self, dlogits):
         dfused = self._stack_backward(self.head, dlogits)
         if self._split is None:
-            if self.audio_stack:
-                self._stack_backward(self.audio_stack, dfused)
-            else:
-                self._stack_backward(self.video_stack, dfused)
+            self._stack_backward(self.audio_stack or self.video_stack, dfused, input_grad=False)
         else:
-            self._stack_backward(self.audio_stack, dfused[..., : self._split])
-            self._stack_backward(self.video_stack, dfused[..., self._split :])
+            self._stack_backward(self.audio_stack, dfused[..., : self._split], input_grad=False)
+            self._stack_backward(self.video_stack, dfused[..., self._split :], input_grad=False)
 
     def train_step(
         self,
@@ -263,7 +265,10 @@ def predict_dataset(model: FusionModel, dataset: WindowDataset):
 
     ``labels`` and ``probs`` come from :func:`predict_video`; ``truth`` holds
     each frame's label from the real (unpadded) rows of the windows covering it.
+    A container without videos raises :class:`CoverageError`.
     """
+    if not dataset.videos:
+        raise CoverageError("dataset holds no videos")
     for entry in dataset.videos:
         windows = dataset.video_windows(entry)
         labels, probs = predict_video(model, windows, entry.n_frames)

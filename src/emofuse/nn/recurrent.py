@@ -1,8 +1,7 @@
 """GRU and LSTM layers with full backpropagation through time.
 
 Both accept [T, in] (one sequence) or [B, T, in] and return the hidden
-state at every timestep. The input-side projections for all timesteps are
-computed as single matmuls up front; only the recurrent terms loop over T.
+state at every timestep.
 
 GRU recurrence (the convention every test in this repo targets):
 
@@ -10,6 +9,14 @@ GRU recurrence (the convention every test in this repo targets):
     r_t = sigmoid(Wr x_t + Ur h_{t-1} + br)
     hc_t = tanh(Wh x_t + Uh (r_t * h_{t-1}) + bh)
     h_t = (1 - z_t) * h_{t-1} + z_t * hc_t
+
+Parameters are stored per gate (``Wz``, ``Uz``, ``bz``, ...), which fixes
+the checkpoint layout. Each call stacks them into one matrix per gate group
+(GRU: ``[Wz;Wr;Wh]`` and ``[Uz;Ur]``; LSTM: ``[Wi;Wf;Wo;Wg]`` and
+``[Ui;Uf;Uo;Ug]``), so the input projection for all timesteps is a single
+matmul with the bias folded in, each step costs one recurrent matmul per
+gate group, and backward accumulates the weight gradients over all B*T rows
+at once and returns them as per-gate row views.
 """
 
 from __future__ import annotations
@@ -21,12 +28,8 @@ from .layers import Layer, glorot_uniform, orthogonal
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # tanh form: no overflow for any finite x, and no masked copies
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _as_batched(x, in_dim, name):
@@ -41,6 +44,42 @@ def _as_batched(x, in_dim, name):
     if x.shape[-1] != in_dim:
         raise ShapeError(f"{name}: expected input dim {in_dim}, got {x.shape[-1]}")
     return x, squeeze
+
+
+def _stack(p, kind, gates):
+    return np.concatenate([p[kind + g] for g in gates])
+
+
+def _project(x, W, b):
+    """x [B,T,in] -> x @ W.T + b as [B,T,G], the bias added in place."""
+    B, T, _ = x.shape
+    xp = x.reshape(B * T, -1) @ W.T
+    xp += b
+    return xp.reshape(B, T, -1)
+
+
+def _upstream(dh_seq, shape, squeeze, dtype, name):
+    """The upstream gradient as [B,T,H] in ``dtype``, checked against ``shape``."""
+    dh_seq = np.asarray(dh_seq, dtype=dtype)
+    if squeeze:
+        dh_seq = dh_seq[None, :, :]
+    if dh_seq.shape != shape:
+        raise ShapeError(f"{name}: upstream gradient shape {dh_seq.shape}")
+    return dh_seq
+
+
+def _per_gate(stacked, kind, gates):
+    """Split a gate-stacked array into per-gate row views named ``kind + gate``."""
+    H = stacked.shape[0] // len(gates)
+    return {kind + g: stacked[k * H : (k + 1) * H] for k, g in enumerate(gates)}
+
+
+def _input_grads(da2, p, gates, x, dh0, squeeze, input_grad):
+    """``(dx, dh0)`` for a backward call; ``dx`` is None without ``input_grad``."""
+    dx = None
+    if input_grad:
+        dx = (da2 @ _stack(p, "W", gates)).reshape(x.shape[1:] if squeeze else x.shape)
+    return dx, (dh0[0] if squeeze else dh0)
 
 
 class Gru(Layer):
@@ -66,80 +105,59 @@ class Gru(Layer):
         else:
             h0 = np.broadcast_to(h0.astype(x.dtype), (B, H))
 
-        x2 = x.reshape(B * T, -1)
-        xz = (x2 @ p["Wz"].T).reshape(B, T, H)
-        xr = (x2 @ p["Wr"].T).reshape(B, T, H)
-        xh = (x2 @ p["Wh"].T).reshape(B, T, H)
+        Uzr, Uh = _stack(p, "U", "zr"), p["Uh"]
+        xp = _project(x, _stack(p, "W", "zrh"), _stack(p, "b", "zrh"))
 
         h_all = np.empty((B, T + 1, H), dtype=x.dtype)
         h_all[:, 0] = h0
-        z_all = np.empty((B, T, H), dtype=x.dtype)
-        r_all = np.empty((B, T, H), dtype=x.dtype)
+        zr_all = np.empty((B, T, 2 * H), dtype=x.dtype)
         hc_all = np.empty((B, T, H), dtype=x.dtype)
         for t in range(T):
             h_prev = h_all[:, t]
-            z = _sigmoid(xz[:, t] + h_prev @ p["Uz"].T + p["bz"])
-            r = _sigmoid(xr[:, t] + h_prev @ p["Ur"].T + p["br"])
-            hc = np.tanh(xh[:, t] + (r * h_prev) @ p["Uh"].T + p["bh"])
+            zr = zr_all[:, t]
+            zr[...] = _sigmoid(xp[:, t, : 2 * H] + h_prev @ Uzr.T)
+            z, r = zr[:, :H], zr[:, H:]
+            hc = np.tanh(xp[:, t, 2 * H :] + (r * h_prev) @ Uh.T)
             h_all[:, t + 1] = (1.0 - z) * h_prev + z * hc
-            z_all[:, t], r_all[:, t], hc_all[:, t] = z, r, hc
-        self._cache = (x, h_all, z_all, r_all, hc_all, squeeze)
+            hc_all[:, t] = hc
+        self._cache = (x, h_all, zr_all, hc_all, squeeze)
         h_seq = h_all[:, 1:]
         return h_seq[0] if squeeze else h_seq
 
-    def backward(self, dh_seq):
-        x, h_all, z_all, r_all, hc_all, squeeze = self._take_cache()
+    def backward(self, dh_seq, input_grad=True):
+        """Returns ``(dx, dh0)``; ``input_grad=False`` skips ``dx`` (None) for data inputs."""
+        x, h_all, zr_all, hc_all, squeeze = self._take_cache()
         p = self.params
-        B, T, H = z_all.shape
-        dh_seq = np.asarray(dh_seq, dtype=x.dtype)
-        if squeeze:
-            dh_seq = dh_seq[None, :, :]
-        if dh_seq.shape != (B, T, H):
-            raise ShapeError(f"{self.name}: upstream gradient shape {dh_seq.shape}")
+        B, T, H = hc_all.shape
+        Uzr, Uh = _stack(p, "U", "zr"), p["Uh"]
+        dh_seq = _upstream(dh_seq, (B, T, H), squeeze, x.dtype, self.name)
 
-        daz = np.empty((B, T, H), dtype=x.dtype)
-        dar = np.empty((B, T, H), dtype=x.dtype)
-        dah = np.empty((B, T, H), dtype=x.dtype)
-        dUz = np.zeros_like(p["Uz"])
-        dUr = np.zeros_like(p["Ur"])
-        dUh = np.zeros_like(p["Uh"])
-
+        da = np.empty((B, T, 3 * H), dtype=x.dtype)  # pre-activations z, r, hc
         dh = np.zeros((B, H), dtype=x.dtype)
         for t in range(T - 1, -1, -1):
             dh = dh + dh_seq[:, t]
             h_prev = h_all[:, t]
-            z, r, hc = z_all[:, t], r_all[:, t], hc_all[:, t]
+            z, r = zr_all[:, t, :H], zr_all[:, t, H:]
+            hc = hc_all[:, t]
+            da_t = da[:, t]
 
-            da_z = dh * (hc - h_prev) * z * (1.0 - z)
-            da_h = dh * z * (1.0 - hc * hc)
-            drh = da_h @ p["Uh"]
-            da_r = drh * h_prev * r * (1.0 - r)
+            da_t[:, :H] = dh * (hc - h_prev) * z * (1.0 - z)
+            da_t[:, 2 * H :] = dh * z * (1.0 - hc * hc)
+            drh = da_t[:, 2 * H :] @ Uh
+            da_t[:, H : 2 * H] = drh * h_prev * r * (1.0 - r)
 
-            dUz += da_z.T @ h_prev
-            dUr += da_r.T @ h_prev
-            dUh += da_h.T @ (r * h_prev)
-            daz[:, t], dar[:, t], dah[:, t] = da_z, da_r, da_h
+            dh = dh * (1.0 - z) + da_t[:, : 2 * H] @ Uzr + drh * r
 
-            dh = dh * (1.0 - z) + da_z @ p["Uz"] + da_r @ p["Ur"] + drh * r
-
-        x2 = x.reshape(B * T, -1)
-        daz2, dar2, dah2 = (a.reshape(B * T, H) for a in (daz, dar, dah))
+        da2 = da.reshape(B * T, 3 * H)
+        h_prev = h_all[:, :T].reshape(B * T, H)
+        rh = zr_all[:, :, H:].reshape(B * T, H) * h_prev
         self.grads = {
-            "Wz": daz2.T @ x2,
-            "Wr": dar2.T @ x2,
-            "Wh": dah2.T @ x2,
-            "Uz": dUz,
-            "Ur": dUr,
-            "Uh": dUh,
-            "bz": daz2.sum(axis=0),
-            "br": dar2.sum(axis=0),
-            "bh": dah2.sum(axis=0),
+            **_per_gate(da2.T @ x.reshape(B * T, -1), "W", "zrh"),
+            **_per_gate(da2[:, : 2 * H].T @ h_prev, "U", "zr"),
+            "Uh": da2[:, 2 * H :].T @ rh,
+            **_per_gate(da2.sum(axis=0), "b", "zrh"),
         }
-        dx = (daz2 @ p["Wz"] + dar2 @ p["Wr"] + dah2 @ p["Wh"]).reshape(x.shape)
-        dh0 = dh
-        if squeeze:
-            return dx[0], dh0[0]
-        return dx, dh0
+        return _input_grads(da2, p, "zrh", x, dh, squeeze, input_grad)
 
 
 class Lstm(Layer):
@@ -160,80 +178,58 @@ class Lstm(Layer):
         p = self.params
         B, T, _ = x.shape
         H = self.hidden_dim
-        h_prev = np.zeros((B, H), dtype=x.dtype) if h0 is None else h0.astype(x.dtype)
-        c_prev = np.zeros((B, H), dtype=x.dtype)
 
-        x2 = x.reshape(B * T, -1)
-        xi = (x2 @ p["Wi"].T).reshape(B, T, H)
-        xf = (x2 @ p["Wf"].T).reshape(B, T, H)
-        xo = (x2 @ p["Wo"].T).reshape(B, T, H)
-        xg = (x2 @ p["Wg"].T).reshape(B, T, H)
-
-        gates = np.empty((4, B, T, H), dtype=x.dtype)  # i, f, o, g
+        U = _stack(p, "U", "ifog")
+        gates = _project(x, _stack(p, "W", "ifog"), _stack(p, "b", "ifog"))
         c_all = np.empty((B, T + 1, H), dtype=x.dtype)
         h_all = np.empty((B, T + 1, H), dtype=x.dtype)
-        c_all[:, 0] = c_prev
-        h_all[:, 0] = h_prev
+        c_all[:, 0] = 0.0
+        h_all[:, 0] = 0.0 if h0 is None else h0.astype(x.dtype)
         for t in range(T):
-            h_prev = h_all[:, t]
-            i = _sigmoid(xi[:, t] + h_prev @ p["Ui"].T + p["bi"])
-            f = _sigmoid(xf[:, t] + h_prev @ p["Uf"].T + p["bf"])
-            o = _sigmoid(xo[:, t] + h_prev @ p["Uo"].T + p["bo"])
-            g = np.tanh(xg[:, t] + h_prev @ p["Ug"].T + p["bg"])
+            a = gates[:, t]  # pre-activations, overwritten by the gate values
+            a += h_all[:, t] @ U.T
+            a[:, : 3 * H] = _sigmoid(a[:, : 3 * H])
+            np.tanh(a[:, 3 * H :], out=a[:, 3 * H :])
+            i, f, o, g = (a[:, k * H : (k + 1) * H] for k in range(4))
             c = f * c_all[:, t] + i * g
-            gates[0, :, t], gates[1, :, t], gates[2, :, t], gates[3, :, t] = i, f, o, g
             c_all[:, t + 1] = c
             h_all[:, t + 1] = o * np.tanh(c)
         self._cache = (x, h_all, c_all, gates, squeeze)
         h_seq = h_all[:, 1:]
         return h_seq[0] if squeeze else h_seq
 
-    def backward(self, dh_seq):
+    def backward(self, dh_seq, input_grad=True):
+        """Returns ``(dx, dh0)``; ``input_grad=False`` skips ``dx`` (None) for data inputs."""
         x, h_all, c_all, gates, squeeze = self._take_cache()
         p = self.params
-        _, B, T, H = gates.shape
-        dh_seq = np.asarray(dh_seq, dtype=x.dtype)
-        if squeeze:
-            dh_seq = dh_seq[None, :, :]
-        if dh_seq.shape != (B, T, H):
-            raise ShapeError(f"{self.name}: upstream gradient shape {dh_seq.shape}")
+        B, T, _ = gates.shape
+        H = self.hidden_dim
+        U = _stack(p, "U", "ifog")
+        dh_seq = _upstream(dh_seq, (B, T, H), squeeze, x.dtype, self.name)
 
-        da = np.empty((4, B, T, H), dtype=x.dtype)
-        dU = {k: np.zeros_like(p["U" + k]) for k in ("i", "f", "o", "g")}
+        da = np.empty((B, T, 4 * H), dtype=x.dtype)  # pre-activations i, f, o, g
         dh = np.zeros((B, H), dtype=x.dtype)
         dc = np.zeros((B, H), dtype=x.dtype)
         for t in range(T - 1, -1, -1):
             dh = dh + dh_seq[:, t]
-            i, f, o, g = gates[0, :, t], gates[1, :, t], gates[2, :, t], gates[3, :, t]
-            c = c_all[:, t + 1]
+            i, f, o, g = (gates[:, t, k * H : (k + 1) * H] for k in range(4))
             c_prev = c_all[:, t]
-            h_prev = h_all[:, t]
-            tc = np.tanh(c)
+            tc = np.tanh(c_all[:, t + 1])
+            da_t = da[:, t]
 
-            da_o = dh * tc * o * (1.0 - o)
+            da_t[:, 2 * H : 3 * H] = dh * tc * o * (1.0 - o)
             dc = dc + dh * o * (1.0 - tc * tc)
-            da_i = dc * g * i * (1.0 - i)
-            da_f = dc * c_prev * f * (1.0 - f)
-            da_g = dc * i * (1.0 - g * g)
+            da_t[:, :H] = dc * g * i * (1.0 - i)
+            da_t[:, H : 2 * H] = dc * c_prev * f * (1.0 - f)
+            da_t[:, 3 * H :] = dc * i * (1.0 - g * g)
 
-            for k, a in zip("ifog", (da_i, da_f, da_o, da_g)):
-                dU[k] += a.T @ h_prev
-            da[0, :, t], da[1, :, t], da[2, :, t], da[3, :, t] = da_i, da_f, da_o, da_g
-
-            dh = da_i @ p["Ui"] + da_f @ p["Uf"] + da_o @ p["Uo"] + da_g @ p["Ug"]
+            dh = da_t @ U
             dc = dc * f
 
-        x2 = x.reshape(B * T, -1)
-        grads = {}
-        dx2 = np.zeros((B * T, self.input_dim), dtype=x.dtype)
-        for idx, k in enumerate("ifog"):
-            a2 = da[idx].reshape(B * T, H)
-            grads["W" + k] = a2.T @ x2
-            grads["U" + k] = dU[k]
-            grads["b" + k] = a2.sum(axis=0)
-            dx2 += a2 @ p["W" + k]
-        self.grads = grads
-        dx = dx2.reshape(x.shape)
-        if squeeze:
-            return dx[0], dh[0]
-        return dx, dh
+        da2 = da.reshape(B * T, 4 * H)
+        self.grads = {
+            **_per_gate(da2.T @ x.reshape(B * T, -1), "W", "ifog"),
+            **_per_gate(da2.T @ h_all[:, :T].reshape(B * T, H), "U", "ifog"),
+            **_per_gate(da2.sum(axis=0), "b", "ifog"),
+        }
+        return _input_grads(da2, p, "ifog", x, dh, squeeze, input_grad)

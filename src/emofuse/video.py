@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,8 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
 
     Rows whose ``success`` flag is 0 are kept but marked invalid and
     zero-filled so downstream frame counts still match the annotations.
+    A non-numeric or non-finite cell raises :class:`ParseError` naming its
+    row and column.
     """
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -94,14 +97,18 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
             if not row:
                 continue
 
-            def cell(idx, name, default=None):
+            def bad(idx, name, what):
+                value = row[idx] if idx < len(row) else "<missing>"
+                return ParseError(f"{path}: row {row_no}, column {name!r}: {what} value {value!r}")
+
+            def cell(idx, name):
                 try:
-                    return float(row[idx])
+                    value = float(row[idx])
                 except (ValueError, IndexError):
-                    raise ParseError(
-                        f"{path}: row {row_no}, column {name!r}: "
-                        f"non-numeric value {row[idx] if idx < len(row) else '<missing>'!r}"
-                    ) from None
+                    raise bad(idx, name, "non-numeric") from None
+                if not math.isfinite(value):
+                    raise bad(idx, name, "non-finite")
+                return value
 
             valid = True
             if success_col is not None:
@@ -114,10 +121,17 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
                 frame_index = int(cell(frame_col, "frame"))
 
             if valid:
-                feats = np.array(
-                    [cell(i, selection.include_columns[j]) for j, i in enumerate(take)],
-                    dtype=np.float32,
-                )
+                names = selection.include_columns
+                try:
+                    with np.errstate(over="ignore"):  # beyond float32 -> inf, rejected below
+                        feats = np.array([float(row[i]) for i in take], dtype=np.float32)
+                except (ValueError, IndexError):
+                    for j, i in enumerate(take):  # raises for the first bad cell
+                        cell(i, names[j])
+                    raise
+                if not np.isfinite(feats).all():
+                    j = int(np.argmin(np.isfinite(feats)))
+                    raise bad(take[j], names[j], "non-finite")
             else:
                 feats = np.zeros(selection.expected_dim, dtype=np.float32)
             records.append(

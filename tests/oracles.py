@@ -2,7 +2,8 @@
 
 Everything here is deliberately slow and literal: direct O(n^2) DFT and
 DCT sums, scalar-loop filterbank construction, central finite differences,
-and Fraction-exact metric counting. None of it shares transform code with
+GRU/LSTM recurrences evaluated one unit at a time, and Fraction-exact
+metric counting. None of it shares transform code with
 the package.
 """
 
@@ -126,6 +127,69 @@ def max_rel_err(analytic, numeric, atol=1e-7):
     ok = diff <= atol
     rel = np.where(ok, 0.0, diff / np.maximum(scale, 1e-300))
     return float(rel.max()) if rel.size else 0.0
+
+
+# --------------------------------------------------------------------------
+# Recurrent cells, one unit at a time
+# --------------------------------------------------------------------------
+
+
+def _logistic(v):
+    return 1.0 / (1.0 + math.exp(-v))
+
+
+def _gate(p, gate, k, x_t, h):
+    """Pre-activation of unit k of one gate: W x_t + U h + b, summed by hand."""
+    w, u = p["W" + gate][k], p["U" + gate][k]
+    return (
+        sum(float(w[j]) * float(x_t[j]) for j in range(len(x_t)))
+        + sum(float(u[j]) * h[j] for j in range(len(h)))
+        + float(p["b" + gate][k])
+    )
+
+
+def gru_forward_direct(x, p):
+    """GRU hidden states [B,T,H] from per-gate parameters and a zero h0.
+
+    z = sigmoid(Wz x + Uz h + bz), r = sigmoid(Wr x + Ur h + br),
+    hc = tanh(Wh x + Uh (r * h) + bh), h' = (1 - z) * h + z * hc.
+    """
+    B, T, _ = x.shape
+    H = len(p["bz"])
+    out = np.zeros((B, T, H))
+    for b in range(B):
+        h = [0.0] * H
+        for t in range(T):
+            z = [_logistic(_gate(p, "z", k, x[b, t], h)) for k in range(H)]
+            r = [_logistic(_gate(p, "r", k, x[b, t], h)) for k in range(H)]
+            rh = [r[j] * h[j] for j in range(H)]
+            hc = [math.tanh(_gate(p, "h", k, x[b, t], rh)) for k in range(H)]
+            h = [(1.0 - z[k]) * h[k] + z[k] * hc[k] for k in range(H)]
+            out[b, t] = h
+    return out
+
+
+def lstm_forward_direct(x, p):
+    """LSTM hidden states [B,T,H] from per-gate parameters, zero h0 and c0.
+
+    i, f, o = sigmoid(W x + U h + b) per gate, g = tanh(Wg x + Ug h + bg),
+    c' = f * c + i * g, h' = o * tanh(c').
+    """
+    B, T, _ = x.shape
+    H = len(p["bi"])
+    out = np.zeros((B, T, H))
+    for b in range(B):
+        h, c = [0.0] * H, [0.0] * H
+        for t in range(T):
+            i, f, o = (
+                [_logistic(_gate(p, gate, k, x[b, t], h)) for k in range(H)]
+                for gate in "ifo"
+            )
+            g = [math.tanh(_gate(p, "g", k, x[b, t], h)) for k in range(H)]
+            c = [f[k] * c[k] + i[k] * g[k] for k in range(H)]
+            h = [o[k] * math.tanh(c[k]) for k in range(H)]
+            out[b, t] = h
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -66,6 +66,12 @@ class TestLoadWav:
         path = make_wav("f32.wav", [[0.25, -0.75]], 8000, bits=32, fmt_tag=3)
         np.testing.assert_allclose(load_wav(path).samples, [0.25, -0.75], atol=1e-7)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_sample_is_format_error(self, make_wav, bad):
+        path = make_wav("nf.wav", [[0.25, bad, -0.75]], 8000, bits=32, fmt_tag=3)
+        with pytest.raises(AudioFormatError, match="non-finite float sample .* at index 1"):
+            load_wav(path)
+
     def test_unsupported_encoding(self, make_wav):
         path = make_wav("alaw.wav", [[0, 0]], 8000, bits=16, fmt_tag=6)
         with pytest.raises(UnsupportedAudioError):

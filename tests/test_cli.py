@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from emofuse.cli import main
-from emofuse.dataset import read_dataset, read_frame_features
+from emofuse.dataset import WindowDataset, read_dataset, read_frame_features, write_dataset
 from emofuse.model import FusionModel, ModelConfig, load_checkpoint, save_checkpoint
 from emofuse.video import META_COLUMNS, default_selection
 
@@ -75,6 +75,16 @@ class TestExtractAudio:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: format:")
 
+    def test_non_finite_float_sample_is_format_error(self, pipeline, capsys, tmp_path):
+        wav = tmp_path / "nan.wav"
+        wav.write_bytes(wav_bytes([[0.1] * 100 + [float("nan")] + [0.1] * 99], 8000,
+                                  bits=32, fmt_tag=3))
+        rc = main(["extract-audio", "--wav", str(wav), "--annotations", str(pipeline["ann"]),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: format:") and "index 100" in err[0]
+
 
 class TestIngestVideo:
     def test_shipped_manifest_width(self, pipeline):
@@ -91,6 +101,19 @@ class TestIngestVideo:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: schema:") and "AU99_r" in err
+
+    def test_non_finite_cell_is_parse_error(self, pipeline, capsys, tmp_path):
+        csv = tmp_path / "nan.csv"
+        lines = pipeline["csv"].read_text().splitlines()
+        cells = lines[3].split(", ")
+        cells[7] = "nan"
+        lines[3] = ", ".join(cells)
+        csv.write_text("\n".join(lines) + "\n")
+        rc = main(["ingest-video", "--csv", str(csv), "--out", str(tmp_path / "v")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: parse:")
+        assert "row 4" in err[0] and "non-finite" in err[0]
 
     def test_row_count_reported(self, pipeline, capsys, tmp_path):
         rc = main(["ingest-video", "--csv", str(pipeline["csv"]), "--out", str(tmp_path / "v")])
@@ -308,3 +331,35 @@ class TestMalformedEvaluateInputs:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: corruption:")
+
+    def test_zero_video_container_is_coverage_error(self, untrained, tmp_path, capsys):
+        empty = WindowDataset(
+            audio=np.zeros((0, 15, 168)), video=np.zeros((0, 15, 3)),
+            labels=np.zeros((0, 15)), start_frames=np.zeros(0), pad_counts=np.zeros(0),
+            videos=[],
+        )
+        write_dataset(empty, tmp_path / "empty")
+        rc = self.run_evaluate(untrained, tmp_path / "empty", tmp_path / "out")
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: coverage:")
+
+    @pytest.mark.parametrize(
+        "video_id", ["../../escaped", "..", ".", "", ".hidden", "a/b", "a\\b", 7],
+    )
+    def test_unsafe_video_id_is_schema_error(self, tiny_training, untrained, tmp_path, capsys,
+                                             video_id):
+        import shutil
+
+        broken = tmp_path / "data" / "broken"
+        shutil.copytree(tiny_training["dataset"], broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        manifest["videos"][0]["video_id"] = video_id
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "data" / "out"
+        rc = self.run_evaluate(untrained, broken, out)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: schema:")
+        assert [p for p in sorted(tmp_path.rglob("*")) if out not in (p, *p.parents)] == before

@@ -385,6 +385,68 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+def gate_entries(layer, gates, in_dim, hidden):
+    """Names and shapes of one recurrent layer's per-gate parameters, in storage order."""
+    return [
+        entry
+        for g in gates
+        for entry in (
+            (f"{layer}.W{g}", (hidden, in_dim)),
+            (f"{layer}.U{g}", (hidden, hidden)),
+            (f"{layer}.b{g}", (hidden,)),
+        )
+    ]
+
+
+def fused_layout(gates):
+    """Every parameter of the paper-size fused model, as ``EMFCKPT1`` stores it."""
+    return [
+        *gate_entries("audio.rnn1", gates, 168, 128),
+        ("audio.bn1.gamma", (128,)), ("audio.bn1.beta", (128,)), ("audio.prelu1.alpha", (128,)),
+        *gate_entries("audio.rnn2", gates, 128, 64),
+        ("audio.bn2.gamma", (64,)), ("audio.bn2.beta", (64,)), ("audio.prelu2.alpha", (64,)),
+        *gate_entries("video.rnn1", gates, 709, 256),
+        ("video.bn1.gamma", (256,)), ("video.bn1.beta", (256,)), ("video.prelu1.alpha", (256,)),
+        *gate_entries("video.rnn2", gates, 256, 64),
+        ("video.bn2.gamma", (64,)), ("video.bn2.beta", (64,)), ("video.prelu2.alpha", (64,)),
+        ("head.dense1.W", (64, 128)), ("head.dense1.b", (64,)), ("head.prelu.alpha", (64,)),
+        ("head.dense2.W", (8, 64)), ("head.dense2.b", (8,)),
+    ]
+
+
+class TestCheckpointLayout:
+    """Checkpoints written by older versions must keep loading: names and shapes are pinned."""
+
+    @pytest.mark.parametrize("recurrent, gates", [("gru", "zrh"), ("lstm", "ifog")])
+    def test_parameter_names_and_shapes(self, tmp_path, rng, recurrent, gates):
+        model = FusionModel(ModelConfig(recurrent=recurrent))
+        layout = fused_layout(gates)
+        assert [(k, v.shape) for k, v in model.parameters().items()] == layout
+
+        opt = RmsProp()
+        audio = rng.standard_normal((2, 15, 168))
+        video = rng.standard_normal((2, 15, 709))
+        labels = rng.integers(0, 8, size=(2, 15))
+        model.train_step(audio, video, labels, np.ones((2, 15)), opt)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, optimizer=opt)
+
+        data = path.read_bytes()
+        (n,) = struct.unpack_from("<Q", data, 8)
+        stored = json.loads(data[16 : 16 + n])["arrays"]
+        assert [(e["name"], tuple(e["shape"])) for e in stored if e["kind"] == "param"] == layout
+        assert [(e["name"], tuple(e["shape"])) for e in stored if e["kind"] == "optimizer"] == [
+            (f"optimizer.{name}", shape) for name, shape in layout
+        ]
+
+        back, opt2, _ = load_checkpoint(path)
+        for name, value in model.parameters().items():
+            np.testing.assert_array_equal(back.parameters()[name], value)
+        for name, value in opt.state_arrays().items():
+            np.testing.assert_array_equal(opt2.state_arrays()[name], value)
+        np.testing.assert_array_equal(back.forward(audio, video), model.forward(audio, video))
+
+
 class TestLogits:
     @pytest.mark.parametrize("mode", ["fused", "audio_only", "video_only"])
     def test_forward_is_softmax_of_logits(self, rng, mode):
@@ -450,6 +512,14 @@ class TestPredictDataset:
             )
             np.testing.assert_array_equal(labels, want_labels)
             np.testing.assert_array_equal(probs, want_probs)
+
+    def test_empty_container_is_coverage_error(self):
+        empty = WindowDataset(
+            audio=np.zeros((0, 5, 6)), video=np.zeros((0, 5, 8)), labels=np.zeros((0, 5)),
+            start_frames=np.zeros(0), pad_counts=np.zeros(0), videos=[], window_len=5,
+        )
+        with pytest.raises(CoverageError, match="no videos"):
+            next(predict_dataset(FusionModel(TINY), empty))
 
     def test_truth_drops_padded_rows(self, rng):
         model = FusionModel(TINY)

@@ -4,7 +4,7 @@ import pytest
 from emofuse.errors import ShapeError
 from emofuse.nn.recurrent import Gru, Lstm, _sigmoid
 
-from oracles import max_rel_err, numeric_gradient
+from oracles import gru_forward_direct, lstm_forward_direct, max_rel_err, numeric_gradient
 
 FD_TOL = 1e-4
 
@@ -163,3 +163,49 @@ class TestLstm:
 
     def test_finite_difference_all_parameters(self):
         check_recurrent_gradients(Lstm, trials=5)
+
+
+class TestSigmoid:
+    def test_float32_close_to_float64_reference(self):
+        x = np.linspace(-40, 40, 4001).astype(np.float32)
+        got = _sigmoid(x)
+        assert got.dtype == np.float32
+        want = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_floating_point_error_at_extremes(self, dtype):
+        with np.errstate(all="raise"):
+            got = _sigmoid(np.array([-1e4, 0.0, 1e4], dtype=dtype))
+        np.testing.assert_array_equal(got, [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("cls, oracle", [(Gru, gru_forward_direct), (Lstm, lstm_forward_direct)])
+def test_multi_unit_forward_matches_unit_by_unit_oracle(cls, oracle):
+    # H > 1 with distinct values in every gate: a swapped or misaligned
+    # gate slice changes the output, which the H=1 oracles cannot see
+    rng = np.random.default_rng(21)
+    layer = cls(3, 5, rng, dtype=np.float64)
+    for value in layer.params.values():
+        value[...] = rng.standard_normal(value.shape) * 0.8
+    x = rng.standard_normal((2, 4, 3))
+    np.testing.assert_allclose(layer.forward(x), oracle(x, layer.params), rtol=1e-12)
+
+
+@pytest.mark.parametrize("cls", [Gru, Lstm])
+@pytest.mark.parametrize("x_shape", [(2, 6, 4), (6, 4)])
+def test_input_grad_false_skips_only_dx(cls, x_shape):
+    rng = np.random.default_rng(4)
+    layer = cls(4, 3, rng, dtype=np.float32)
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    dy = rng.standard_normal((*x.shape[:-1], 3)).astype(np.float32)
+    layer.forward(x)
+    dx, dh0 = layer.backward(dy)
+    full = {k: v.copy() for k, v in layer.grads.items()}
+    layer.forward(x)
+    skipped, dh0_skipped = layer.backward(dy, input_grad=False)
+    assert dx.shape == x.shape and skipped is None
+    np.testing.assert_array_equal(dh0_skipped, dh0)
+    assert layer.grads.keys() == full.keys() == layer.params.keys()
+    for name, g in full.items():
+        np.testing.assert_array_equal(layer.grads[name], g)

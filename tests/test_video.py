@@ -135,6 +135,38 @@ class TestParseOpenfaceCsv:
         with pytest.raises(ParseError, match=r"row 2.*pose_Ry"):
             parse_openface_csv(path, small_selection)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e300"])
+    def test_non_finite_feature_cell_reports_row_and_column(self, tmp_path, small_selection,
+                                                            value):
+        path = tmp_path / "of.csv"
+        write_csv(
+            path,
+            ["frame", "success", "pose_Rx", "pose_Ry", "AU01_r"],
+            [[1, 1, 0.1, 0.2, 1.5], [2, 1, 0.1, value, value]],
+        )
+        with pytest.raises(ParseError, match=r"row 3, column 'pose_Ry': non-finite"):
+            parse_openface_csv(path, small_selection)
+
+    @pytest.mark.parametrize("column", ["confidence", "frame", "success"])
+    def test_non_finite_meta_cell_is_parse_error(self, tmp_path, small_selection, column):
+        path = tmp_path / "of.csv"
+        header = ["frame", "confidence", "success", "pose_Rx", "pose_Ry", "AU01_r"]
+        row = [1, 0.9, 1, 0.1, 0.2, 1.5]
+        row[header.index(column)] = "nan"
+        write_csv(path, header, [row])
+        with pytest.raises(ParseError, match=rf"row 2, column '{column}': non-finite"):
+            parse_openface_csv(path, small_selection)
+
+    def test_non_finite_cell_in_invalid_row_is_ignored(self, tmp_path, small_selection):
+        path = tmp_path / "of.csv"
+        write_csv(
+            path,
+            ["frame", "success", "pose_Rx", "pose_Ry", "AU01_r"],
+            [[1, 0, "nan", "inf", 1.5]],
+        )
+        records = parse_openface_csv(path, small_selection)
+        np.testing.assert_array_equal(records[0].features, np.zeros(3, dtype=np.float32))
+
     def test_record_count_equals_row_count(self, tmp_path, small_selection, rng):
         path = tmp_path / "of.csv"
         rows = [[i + 1, 1, *rng.random(3)] for i in range(37)]
