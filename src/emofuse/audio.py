@@ -7,13 +7,20 @@ vector: 40 MFCC coefficients followed by 128 log-mel band energies.
 
 from __future__ import annotations
 
+import functools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
-from .errors import AudioFormatError, DomainError, RangeError, UnsupportedAudioError
+from .errors import (
+    AudioFormatError,
+    DomainError,
+    RangeError,
+    ShapeError,
+    UnsupportedAudioError,
+)
 
 MFCC_DIM = 40
 MEL_DIM = 128
@@ -204,19 +211,80 @@ def mel_filterbank(sample_rate: int, cfg: DspConfig) -> np.ndarray:
     return np.maximum(0.0, np.minimum(up, down))
 
 
-def stft_power(samples: np.ndarray, cfg: DspConfig) -> np.ndarray:
-    """Centered, reflect-padded Hann STFT power, [n_fft//2+1, n_frames]."""
+@functools.lru_cache(maxsize=8)
+def _cached_filterbank(sample_rate: int, cfg: DspConfig) -> np.ndarray:
+    """``mel_filterbank`` built once per (sample_rate, cfg), read-only."""
+    fb = mel_filterbank(sample_rate, cfg)
+    fb.flags.writeable = False
+    return fb
+
+
+# chunks per rFFT call; caps the frame buffer at ~6 MB for the default DspConfig
+_BLOCK = 128
+
+
+def _signal_1d(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or len(x) < 1:
-        raise DomainError("stft_power expects a nonempty 1-D signal")
+        raise DomainError("expected a nonempty 1-D signal")
+    return x
+
+
+def _frame_index(length: int, cfg: DspConfig) -> np.ndarray:
+    """[n_frames, n_fft] sample offsets of the centered STFT frames of a chunk.
+
+    The padding is ``np.pad`` of the chunk by n_fft//2 on each side, reflect
+    mode (edge mode for a 1-sample chunk), applied to the offsets themselves.
+    """
     pad = cfg.n_fft // 2
-    padded = np.pad(x, pad, mode="reflect") if len(x) > 1 else np.pad(x, pad, mode="edge")
+    padded = np.pad(np.arange(length), pad, mode="reflect" if length > 1 else "edge")
     n_frames = 1 + (len(padded) - cfg.n_fft) // cfg.hop_length
+    return padded[np.arange(cfg.n_fft)[None, :] + cfg.hop_length * np.arange(n_frames)[:, None]]
+
+
+def _stft_power(samples, starts, frame_index, window) -> np.ndarray:
+    """Hann STFT power [len(starts), n_frames, n_fft//2+1] of equal-length chunks."""
+    frames = samples[starts[:, None, None] + frame_index]
+    frames *= window
+    spec = np.fft.rfft(frames, axis=-1)
+    return spec.real**2 + spec.imag**2
+
+
+def _fused_rows(samples, starts, stops, sample_rate, cfg) -> np.ndarray:
+    """[n_chunks, n_mfcc + n_mels] MFCC ++ log-mel rows of samples[start:stop].
+
+    Chunks are grouped by length so each group shares one frame index, and
+    each block of up to ``_BLOCK`` chunks takes one rFFT and one frame mean.
+    """
+    fb = _cached_filterbank(sample_rate, cfg)
     window = hann_window(cfg.n_fft)
-    idx = np.arange(cfg.n_fft)[None, :] + cfg.hop_length * np.arange(n_frames)[:, None]
-    frames = padded[idx] * window[None, :]
-    spec = np.fft.rfft(frames, axis=1)
-    return (spec.real**2 + spec.imag**2).T
+    lengths = stops - starts
+    band = np.empty((len(starts), cfg.n_mels))
+    for length in np.unique(lengths):
+        frame_index = _frame_index(int(length), cfg)
+        rows = np.flatnonzero(lengths == length)
+        for lo in range(0, len(rows), _BLOCK):
+            block = rows[lo : lo + _BLOCK]
+            power = _stft_power(samples, starts[block], frame_index, window).mean(axis=1)
+            # one mat-vec per chunk, as in the one-chunk path; a single GEMM over
+            # the block would change the sums at ulp level
+            band[block] = (fb @ power[:, :, None])[:, :, 0]
+    logmel = np.log10(np.maximum(band, cfg.log_floor))
+    mfccs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=-1)[:, : cfg.n_mfcc]
+    return np.concatenate([mfccs, logmel], axis=1)
+
+
+def stft_power(samples: np.ndarray, cfg: DspConfig) -> np.ndarray:
+    """Centered, reflect-padded Hann STFT power, [n_fft//2+1, n_frames]."""
+    x = _signal_1d(samples)
+    power = _stft_power(x, np.zeros(1, dtype=np.intp), _frame_index(len(x), cfg),
+                        hann_window(cfg.n_fft))
+    return power[0].T
+
+
+def _one_chunk(samples, sample_rate, cfg) -> np.ndarray:
+    x = _signal_1d(samples)
+    return _fused_rows(x, np.zeros(1, dtype=np.intp), np.full(1, len(x)), sample_rate, cfg)[0]
 
 
 def mel_spectrogram(samples: np.ndarray, sample_rate: int, cfg: DspConfig) -> np.ndarray:
@@ -225,16 +293,12 @@ def mel_spectrogram(samples: np.ndarray, sample_rate: int, cfg: DspConfig) -> np
     STFT frames are mean-pooled per band before the log, so one chunk yields
     one vector regardless of its length; the floor keeps all outputs finite.
     """
-    power = stft_power(samples, cfg)
-    fb = mel_filterbank(sample_rate, cfg)
-    band_power = fb @ power.mean(axis=1)
-    return np.log10(np.maximum(band_power, cfg.log_floor))
+    return _one_chunk(samples, sample_rate, cfg)[cfg.n_mfcc :]
 
 
 def mfcc(samples: np.ndarray, sample_rate: int, cfg: DspConfig) -> np.ndarray:
     """First n_mfcc coefficients of the orthonormal DCT-II of the log-mel vector."""
-    logmel = mel_spectrogram(samples, sample_rate, cfg)
-    return scipy.fft.dct(logmel, type=2, norm="ortho")[: cfg.n_mfcc]
+    return _one_chunk(samples, sample_rate, cfg)[: cfg.n_mfcc]
 
 
 def extract_chunk_features(
@@ -242,26 +306,32 @@ def extract_chunk_features(
     boundaries: np.ndarray,
     cfg: DspConfig = DspConfig(),
 ) -> list[AudioChunkFeatures]:
-    """One AudioChunkFeatures per (start_s, end_s) boundary row."""
-    n = len(signal.samples)
+    """One AudioChunkFeatures per (start_s, end_s) boundary row.
+
+    Each row's ``mfcc`` and ``melspec`` are views of its ``fused`` vector.
+    """
+    bounds = np.asarray(boundaries, dtype=np.float64)
+    if bounds.size == 0:
+        return []
+    if bounds.ndim != 2 or bounds.shape[1] != 2:
+        raise ShapeError(f"boundaries must be [n_chunks, 2], got {bounds.shape}")
+    start_s, end_s = bounds[:, 0], bounds[:, 1]
     duration = signal.duration_s
-    out = []
-    for i, (start_s, end_s) in enumerate(np.asarray(boundaries, dtype=np.float64)):
-        if start_s < 0 or end_s > duration + 1e-9 or start_s >= end_s:
-            raise RangeError(
-                f"chunk {i} [{start_s}, {end_s}) outside signal of {duration}s"
-            )
-        a = int(round(start_s * signal.sample_rate))
-        b = int(round(end_s * signal.sample_rate))
-        a = min(max(a, 0), n - 1)
-        b = min(max(b, a + 1), n)
-        chunk = signal.samples[a:b]
-        mel_vec = mel_spectrogram(chunk, signal.sample_rate, cfg)
-        mfcc_vec = scipy.fft.dct(mel_vec, type=2, norm="ortho")[: cfg.n_mfcc]
-        fused = np.concatenate([mfcc_vec, mel_vec])
-        out.append(
-            AudioChunkFeatures(
-                mfcc=mfcc_vec, melspec=mel_vec, fused=fused, chunk_index=i
-            )
+    bad = ~((start_s >= 0) & (end_s <= duration + 1e-9) & (start_s < end_s))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RangeError(
+            f"chunk {i} [{start_s[i]}, {end_s[i]}) outside signal of {duration}s"
         )
-    return out
+    n = len(signal.samples)
+    if n == 0:
+        raise DomainError("cannot extract features from an empty signal")
+    a = np.clip(np.rint(start_s * signal.sample_rate).astype(np.intp), 0, n - 1)
+    b = np.clip(np.rint(end_s * signal.sample_rate).astype(np.intp), a + 1, n)
+    samples = np.asarray(signal.samples, dtype=np.float64)
+    fused = _fused_rows(samples, a, b, signal.sample_rate, cfg)
+    k = cfg.n_mfcc
+    return [
+        AudioChunkFeatures(mfcc=row[:k], melspec=row[k:], fused=row, chunk_index=i)
+        for i, row in enumerate(fused)
+    ]

@@ -261,12 +261,12 @@ def cmd_evaluate(args) -> int:
     if model.feature_stats is not None:
         dataset = standardize_dataset(dataset, model.feature_stats)
 
-    os.makedirs(args.out, exist_ok=True)
+    # --out is made once a video is predicted: an empty container leaves nothing behind
     pred_dir = os.path.join(args.out, "predictions")
-    os.makedirs(pred_dir, exist_ok=True)
-
     all_preds, all_truth = [], []
     for video_id, labels, probs, truth in predict_dataset(model, dataset):
+        if not all_preds:
+            os.makedirs(pred_dir, exist_ok=True)
         all_preds.append(labels)
         all_truth.append(truth)
         with open(os.path.join(pred_dir, f"{video_id}.txt"), "w") as fh:

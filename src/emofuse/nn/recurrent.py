@@ -58,6 +58,16 @@ def _project(x, W, b):
     return xp.reshape(B, T, -1)
 
 
+def _initial_state(h0, B, H, dtype, name):
+    """h0 ([H], [1,H] or [B,H]) as [B,H] in ``dtype``; zeros when None."""
+    if h0 is None:
+        return np.zeros((B, H), dtype=dtype)
+    h0 = np.asarray(h0, dtype=dtype)
+    if h0.shape not in ((H,), (1, H), (B, H)):
+        raise ShapeError(f"{name}: h0 shape {h0.shape} does not fit batch {B}, hidden {H}")
+    return np.broadcast_to(h0, (B, H))
+
+
 def _upstream(dh_seq, shape, squeeze, dtype, name):
     """The upstream gradient as [B,T,H] in ``dtype``, checked against ``shape``."""
     dh_seq = np.asarray(dh_seq, dtype=dtype)
@@ -98,18 +108,12 @@ class Gru(Layer):
         p = self.params
         B, T, _ = x.shape
         H = self.hidden_dim
-        if h0 is None:
-            h0 = np.zeros((B, H), dtype=x.dtype)
-        elif h0.shape[-1] != H:
-            raise ShapeError(f"{self.name}: h0 dim {h0.shape} != hidden {H}")
-        else:
-            h0 = np.broadcast_to(h0.astype(x.dtype), (B, H))
 
         Uzr, Uh = _stack(p, "U", "zr"), p["Uh"]
         xp = _project(x, _stack(p, "W", "zrh"), _stack(p, "b", "zrh"))
 
         h_all = np.empty((B, T + 1, H), dtype=x.dtype)
-        h_all[:, 0] = h0
+        h_all[:, 0] = _initial_state(h0, B, H, x.dtype, self.name)
         zr_all = np.empty((B, T, 2 * H), dtype=x.dtype)
         hc_all = np.empty((B, T, H), dtype=x.dtype)
         for t in range(T):
@@ -184,7 +188,7 @@ class Lstm(Layer):
         c_all = np.empty((B, T + 1, H), dtype=x.dtype)
         h_all = np.empty((B, T + 1, H), dtype=x.dtype)
         c_all[:, 0] = 0.0
-        h_all[:, 0] = 0.0 if h0 is None else h0.astype(x.dtype)
+        h_all[:, 0] = _initial_state(h0, B, H, x.dtype, self.name)
         for t in range(T):
             a = gates[:, t]  # pre-activations, overwritten by the gate values
             a += h_all[:, t] @ U.T

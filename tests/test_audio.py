@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from emofuse import audio
 from emofuse.audio import (
     AudioSignal,
     DspConfig,
@@ -10,8 +11,15 @@ from emofuse.audio import (
     mel_filterbank,
     mel_spectrogram,
     mfcc,
+    stft_power,
 )
-from emofuse.errors import AudioFormatError, DomainError, RangeError, UnsupportedAudioError
+from emofuse.errors import (
+    AudioFormatError,
+    DomainError,
+    RangeError,
+    ShapeError,
+    UnsupportedAudioError,
+)
 
 from oracles import dct2_ortho_direct, mel_spectrogram_direct, mfcc_direct
 
@@ -253,3 +261,105 @@ class TestExtractChunkFeatures:
         sig = self._signal(rng, seconds=1.0)
         with pytest.raises(RangeError):
             extract_chunk_features(sig, np.array([[0.0, 2.0]]), SMALL)
+        rows = np.array([[0.0, 0.5], [0.25, 0.75], [0.5, 1.5], [-1.0, 0.5]])
+        with pytest.raises(RangeError, match=r"chunk 2 \[0.5, 1.5\)"):
+            extract_chunk_features(sig, rows, SMALL)
+
+    @pytest.mark.parametrize("row", [[float("nan"), 0.5], [0.0, float("nan")], [0.5, 0.5]])
+    def test_nan_or_empty_boundary_is_range_error(self, rng, row):
+        sig = self._signal(rng, seconds=1.0)
+        with pytest.raises(RangeError, match="chunk 1 "):
+            extract_chunk_features(sig, np.array([[0.0, 0.5], row]), SMALL)
+
+    def test_boundaries_must_have_two_columns(self, rng):
+        sig = self._signal(rng, seconds=1.0)
+        with pytest.raises(ShapeError):
+            extract_chunk_features(sig, np.array([[0.0, 0.5, 1.0]]), SMALL)
+        assert extract_chunk_features(sig, np.zeros((0, 2)), SMALL) == []
+
+    def test_empty_signal_is_domain_error(self):
+        empty = AudioSignal(samples=np.zeros(0), sample_rate=8000)
+        with pytest.raises(DomainError):
+            extract_chunk_features(empty, np.array([[0.0, 1e-10]]), SMALL)
+        for op in (lambda x: stft_power(x, SMALL), lambda x: mel_spectrogram(x, 8000, SMALL),
+                   lambda x: mfcc(x, 8000, SMALL)):
+            with pytest.raises(DomainError):
+                op(np.zeros(0))
+
+    def test_parts_are_views_of_one_fused_row(self, rng):
+        sig = self._signal(rng, seconds=1.0)
+        for f in extract_chunk_features(sig, chunk_boundaries(sig.duration_s, 4), SMALL):
+            assert np.shares_memory(f.mfcc, f.fused) and np.shares_memory(f.melspec, f.fused)
+
+
+# a config small enough for the direct-DFT oracle to check hundreds of chunks
+TINY = DspConfig(n_fft=64, hop_length=16, n_mels=12, n_mfcc=6)
+
+
+def _sample_lengths(sig, bounds):
+    a = np.rint(bounds[:, 0] * sig.sample_rate).astype(int)
+    b = np.rint(bounds[:, 1] * sig.sample_rate).astype(int)
+    a = np.minimum(a, len(sig.samples) - 1)
+    return np.minimum(np.maximum(b, a + 1), len(sig.samples)) - a, a
+
+
+def _check_rows_against_oracle(sig, bounds, cfg, feats):
+    """Every row of ``feats`` against the direct DFT/DCT chain, criterion 2's tolerance."""
+    fmax = sig.sample_rate / 2 if cfg.fmax is None else cfg.fmax
+    lengths, starts = _sample_lengths(sig, bounds)
+    assert len(feats) == len(bounds)
+    for f, a, n in zip(feats, starts, lengths):
+        chunk = sig.samples[a : a + n]
+        mel_want = mel_spectrogram_direct(
+            chunk, sig.sample_rate, cfg.n_fft, cfg.hop_length, cfg.n_mels, cfg.fmin, fmax,
+            cfg.log_floor,
+        )
+        mfcc_want = mfcc_direct(
+            chunk, sig.sample_rate, cfg.n_fft, cfg.hop_length, cfg.n_mels, cfg.n_mfcc,
+            cfg.fmin, fmax, cfg.log_floor,
+        )
+        assert np.abs(f.melspec - mel_want).max() < 1e-6, f.chunk_index
+        assert np.abs(f.mfcc - mfcc_want).max() < 1e-6, f.chunk_index
+
+
+class TestBatchedExtraction:
+    def test_blocks_of_two_lengths_shorter_than_half_fft(self, rng):
+        sig = AudioSignal(samples=rng.standard_normal(4000), sample_rate=8000)
+        bounds = chunk_boundaries(sig.duration_s, 260)
+        lengths, _ = _sample_lengths(sig, bounds)
+        counts = {int(n): int((lengths == n).sum()) for n in np.unique(lengths)}
+        assert len(counts) == 2, counts  # boundary rounding gives two chunk lengths
+        assert max(counts.values()) > audio._BLOCK  # one length spans two blocks
+        assert max(counts) < TINY.n_fft // 2  # reflect padding longer than the chunk
+        _check_rows_against_oracle(sig, bounds, TINY, extract_chunk_features(sig, bounds, TINY))
+
+    def test_one_sample_chunks(self, rng):
+        sr = 8000
+        sig = AudioSignal(samples=rng.standard_normal(sr // 4), sample_rate=sr)
+        # one sample exactly, one that rounds to zero samples and is widened to one,
+        # and the last sample, between two longer chunks
+        bounds = np.array([[0.0, 0.01], [0.1, 0.1 + 1 / sr], [0.2, 0.2 + 1e-5],
+                           [0.25 - 1 / sr, 0.25], [0.05, 0.07]])
+        lengths, _ = _sample_lengths(sig, bounds)
+        assert list(lengths) == [80, 1, 1, 1, 160]
+        _check_rows_against_oracle(sig, bounds, TINY, extract_chunk_features(sig, bounds, TINY))
+
+    def test_rates_and_configs_do_not_share_a_filterbank(self, rng):
+        other = DspConfig(n_fft=64, hop_length=8, n_mels=10, n_mfcc=4, fmin=100.0)
+        cases = [(8000, TINY), (16000, TINY), (8000, other), (16000, other), (8000, TINY)]
+        for sr, cfg in cases:
+            sig = AudioSignal(samples=rng.standard_normal(sr // 10), sample_rate=sr)
+            bounds = chunk_boundaries(sig.duration_s, 7)
+            _check_rows_against_oracle(sig, bounds, cfg, extract_chunk_features(sig, bounds, cfg))
+            np.testing.assert_array_equal(audio._cached_filterbank(sr, cfg), mel_filterbank(sr, cfg))
+        assert audio._cached_filterbank(8000, TINY) is audio._cached_filterbank(8000, TINY)
+        assert audio._cached_filterbank(8000, TINY) is not audio._cached_filterbank(16000, TINY)
+        assert audio._cached_filterbank(8000, TINY) is not audio._cached_filterbank(8000, other)
+
+    def test_cached_filterbank_is_read_only(self):
+        fb = audio._cached_filterbank(8000, TINY)
+        with pytest.raises(ValueError):
+            fb[0, 0] = 1.0
+        public = mel_filterbank(8000, TINY)
+        public += 1.0  # the public builder returns a fresh, writable array
+        np.testing.assert_array_equal(fb, mel_filterbank(8000, TINY))

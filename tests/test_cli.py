@@ -343,6 +343,7 @@ class TestMalformedEvaluateInputs:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: coverage:")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "video_id", ["../../escaped", "..", ".", "", ".hidden", "a/b", "a\\b", 7],

@@ -76,12 +76,16 @@ class TestGruForward:
 
     def test_initial_state_used(self):
         rng = np.random.default_rng(0)
-        layer = Gru(2, 3, rng, dtype=np.float64)
-        x = rng.standard_normal((1, 4, 2))
-        h0 = rng.standard_normal((1, 3))
-        a = layer.forward(x, h0=h0)
-        b = layer.forward(x)
-        assert not np.allclose(a, b)
+        for cls in (Gru, Lstm):
+            layer = cls(2, 3, rng, dtype=np.float64)
+            x = rng.standard_normal((1, 4, 2))
+            h0 = rng.standard_normal((1, 3))
+            a = layer.forward(x, h0=h0)
+            b = layer.forward(x)
+            assert not np.allclose(a, b), cls.__name__
+            for bad in ((1, 7), (7,), (3, 3)):
+                with pytest.raises(ShapeError, match="h0 shape"):
+                    layer.forward(x, h0=np.zeros(bad))
 
 
 def check_recurrent_gradients(cls, trials, T_max=5, dim_max=7):
