@@ -27,7 +27,7 @@ from .dataset import (
     write_dataset,
     write_frame_features,
 )
-from .errors import EmofuseError, ParseError
+from .errors import CorruptionError, EmofuseError, ParseError, SchemaError, schema_fields
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
 from .model import load_checkpoint, predict_dataset
 from .sequencing import align_modalities, cut_windows, parse_annotations
@@ -319,18 +319,24 @@ def _format_report(summary: dict) -> str:
 # --------------------------------------------------------------------------
 
 
+_FEATURES = {"audio_only": "Audio only", "video_only": "Video only", "fused": "Audio+Video"}
+_MODELS = {"gru": "GRU layers", "lstm": "LSTM layers"}
+
+
 def cmd_report(args) -> int:
     rows = []
     for path in args.summary:
         _require_file(path, "summary file")
-        with open(path) as fh:
-            s = json.load(fh)
-        features = {"audio_only": "Audio only", "video_only": "Video only", "fused": "Audio+Video"}[
-            s["mode"]
-        ]
-        model_desc = f"{s['recurrent'].upper()} layers"
-        perf = "n/a" if s["combined"] is None else f"{100.0 * s['combined']:.1f}%"
-        rows.append((features, model_desc, perf))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                s = json.load(fh)
+        except ValueError as exc:
+            raise CorruptionError(f"{path}: not valid JSON ({exc})") from None
+        if not isinstance(s, dict):
+            raise SchemaError(f"{path}: summary is not a JSON object")
+        with schema_fields(path):
+            perf = "n/a" if s["combined"] is None else f"{100.0 * s['combined']:.1f}%"
+            rows.append((_FEATURES[s["mode"]], _MODELS[s["recurrent"]], perf))
 
     headers = ("Features", "Model", "Performance")
     widths = [

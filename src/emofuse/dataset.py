@@ -252,6 +252,13 @@ def _plain_name(path, video_id):
     return video_id
 
 
+def _count(path, video: dict, key: str, minimum: int) -> int:
+    value = video[key]
+    if type(value) is not int or value < minimum:
+        raise SchemaError(f"{path}: video {key} {value!r} is not an integer >= {minimum}")
+    return value
+
+
 def read_dataset(path) -> WindowDataset:
     manifest = _read_manifest(path)
     if manifest.get("kind") != "window_dataset":
@@ -277,16 +284,23 @@ def read_dataset(path) -> WindowDataset:
         for ok, what in checks:
             if not ok:
                 raise SchemaError(f"{path}: blob {what!r} disagrees with manifest dims")
-        videos = [
-            VideoEntry(
+        videos = []
+        next_offset = 0  # each video's windows directly follow the previous video's
+        for v in manifest["videos"]:
+            entry = VideoEntry(
                 video_id=_plain_name(path, v["video_id"]),
-                n_frames=v["n_frames"],
-                window_offset=v["window_offset"],
-                window_count=v["window_count"],
+                n_frames=_count(path, v, "n_frames", 1),
+                window_offset=_count(path, v, "window_offset", 0),
+                window_count=_count(path, v, "window_count", 0),
             )
-            for v in manifest["videos"]
-        ]
-        if sum(v.window_count for v in videos) != w:
+            if entry.window_offset != next_offset:
+                raise SchemaError(
+                    f"{path}: video {entry.video_id!r} window_offset {entry.window_offset}, "
+                    f"expected {next_offset}"
+                )
+            next_offset += entry.window_count
+            videos.append(entry)
+        if next_offset != w:
             raise SchemaError(f"{path}: per-video window counts do not sum to {w}")
         return WindowDataset(
             audio=audio,

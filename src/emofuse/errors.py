@@ -90,3 +90,12 @@ def schema_fields(where):
         yield
     except (LookupError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: missing or malformed field {exc}") from None
+
+
+@contextmanager
+def utf8_text(path):
+    """Report a text input that is not valid UTF-8 as a ParseError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

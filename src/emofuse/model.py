@@ -12,8 +12,10 @@ Single-modality variants keep one branch and a dense(64->64) head input;
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -36,6 +38,7 @@ from .sequencing import SequenceWindow
 
 MODES = ("fused", "audio_only", "video_only")
 RECURRENT_KINDS = ("gru", "lstm")
+INFER_WINDOWS = 32  # windows per inference forward, whatever the caller's batch
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,15 @@ class FeatureStats:
     audio_std: np.ndarray
     video_mean: np.ndarray
     video_std: np.ndarray
+
+
+def _fixed_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` zero-padded along its first axis to ``INFER_WINDOWS`` rows."""
+    if x.shape[0] == INFER_WINDOWS:
+        return x
+    padded = np.zeros((INFER_WINDOWS, *x.shape[1:]), dtype=x.dtype)
+    padded[: x.shape[0]] = x
+    return padded
 
 
 class FusionModel:
@@ -172,9 +184,9 @@ class FusionModel:
                 dy = dy[0]
         return dy
 
-    def logits(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
-        """Per-timestep unnormalized class scores, shape [B, T, n_classes]."""
-        parts = []
+    def _branch_inputs(self, audio, video) -> list[tuple[list, np.ndarray]]:
+        """``(stack, [B, T, dim] input)`` for each branch the mode uses."""
+        out = []
         for name, stack, x, dim in (
             ("audio", self.audio_stack, audio, self.config.audio_dim),
             ("video", self.video_stack, video, self.config.video_dim),
@@ -188,10 +200,43 @@ class FusionModel:
                 x = x[None]
             if x.shape[-1] != dim:
                 raise ShapeError(f"{name} dim {x.shape[-1]} != model {dim}")
-            parts.append(self._run_stack(stack, x, training, seed))
+            out.append((stack, x))
+        if len({x.shape[:2] for _, x in out}) > 1:
+            raise ShapeError(f"audio and video batches differ: {[x.shape[:2] for _, x in out]}")
+        return out
+
+    def _run_branches(self, branches, training, seed):
+        parts = [self._run_stack(stack, x, training, seed) for stack, x in branches]
         fused = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         self._split = None if len(parts) == 1 else parts[0].shape[-1]
         return self._run_stack(self.head, fused, training, seed)
+
+    def logits(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
+        """Per-timestep unnormalized class scores, shape [B, T, n_classes].
+
+        Inference runs in slices of ``INFER_WINDOWS`` windows, the last one
+        zero-padded. BLAS sums a GEMM row differently at different row
+        counts, so a fixed slice size keeps each window's scores independent
+        of the windows it is batched with. Each slice first drops the forward
+        caches the layers still hold, so at most one slice's caches are alive
+        and the next slice reuses their memory.
+        """
+        branches = self._branch_inputs(audio, video)
+        if training:
+            return self._run_branches(branches, True, seed)
+        B, T = branches[0][1].shape[:2]
+        out = np.empty((B, T, self.config.n_classes), dtype=self.dtype)
+        for lo in range(0, B, INFER_WINDOWS):
+            self._drop_caches()
+            n = min(INFER_WINDOWS, B - lo)
+            part = [(stack, _fixed_rows(x[lo : lo + n])) for stack, x in branches]
+            out[lo : lo + n] = self._run_branches(part, False, seed)[:n]
+        return out
+
+    def _drop_caches(self):
+        """Release every layer's forward cache; a following backward raises StateError."""
+        for layer in self._layers:
+            layer._cache = None
 
     def forward(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
         """Per-timestep class distributions, shape [B, T, n_classes]."""
@@ -224,6 +269,30 @@ class FusionModel:
         return loss
 
 
+def _frame_scores(model: FusionModel, spans, window_probs, n_frames: int):
+    """Per-frame labels and mean probabilities from windows in accumulation order.
+
+    ``spans`` holds each window's ``(start_frame, pad_count)`` and
+    ``window_probs`` its [L, n_classes] softmax rows, in the same order; the
+    rows' own length L counts, not the model's configured window length.
+    """
+    if not spans:
+        raise CoverageError("no windows supplied")
+    acc = np.zeros((n_frames, model.config.n_classes), dtype=np.float64)
+    counts = np.zeros(n_frames, dtype=np.int64)
+    for (start, pad), probs in zip(spans, window_probs):
+        real = len(probs) - pad
+        if start < 0 or start + real > n_frames:
+            raise CoverageError(f"window at {start} (+{real} real rows) exceeds {n_frames} frames")
+        acc[start : start + real] += probs[:real]
+        counts[start : start + real] += 1
+    if (counts == 0).any():
+        missing = int(np.flatnonzero(counts == 0)[0])
+        raise CoverageError(f"frame {missing} not covered by any window")
+    mean_probs = acc / counts[:, None]
+    return np.argmax(mean_probs, axis=1), mean_probs
+
+
 def predict_video(
     model: FusionModel, windows: list[SequenceWindow], n_frames: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -235,48 +304,49 @@ def predict_video(
     """
     if not windows:
         raise CoverageError("no windows supplied")
-    L = model.config.window_len
-    n_classes = model.config.n_classes
-    acc = np.zeros((n_frames, n_classes), dtype=np.float64)
-    counts = np.zeros(n_frames, dtype=np.int64)
-
     # fixed accumulation order makes the result exactly window-order-invariant
     windows = sorted(windows, key=lambda w: (w.start_frame, w.pad_count))
     audio = np.stack([w.audio_seq for w in windows])
     video = np.stack([w.video_seq for w in windows])
     probs = model.forward(audio, video, training=False)
-    for i, w in enumerate(windows):
-        real = L - w.pad_count
-        if w.start_frame < 0 or w.start_frame + real > n_frames:
-            raise CoverageError(
-                f"window at {w.start_frame} (+{real} real rows) exceeds {n_frames} frames"
-            )
-        acc[w.start_frame : w.start_frame + real] += probs[i, :real]
-        counts[w.start_frame : w.start_frame + real] += 1
-    if (counts == 0).any():
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise CoverageError(f"frame {missing} not covered by any window")
-    mean_probs = acc / counts[:, None]
-    return np.argmax(mean_probs, axis=1), mean_probs
+    return _frame_scores(model, [(w.start_frame, w.pad_count) for w in windows], probs, n_frames)
 
 
 def predict_dataset(model: FusionModel, dataset: WindowDataset):
     """Yield ``(video_id, labels, probs, truth)`` for each video in the container.
 
-    ``labels`` and ``probs`` come from :func:`predict_video`; ``truth`` holds
-    each frame's label from the real (unpadded) rows of the windows covering it.
-    A container without videos raises :class:`CoverageError`.
+    ``labels`` and ``probs`` equal :func:`predict_video`'s for the video's
+    windows, but the forward runs over the windows of all videos, container
+    order, ``INFER_WINDOWS`` at a time; ``truth`` holds each frame's label from
+    the real (unpadded) rows of the windows covering it. A container without
+    videos raises :class:`CoverageError`.
     """
     if not dataset.videos:
         raise CoverageError("dataset holds no videos")
+    starts, pads = dataset.start_frames, dataset.pad_counts
+    orders = []
     for entry in dataset.videos:
-        windows = dataset.video_windows(entry)
-        labels, probs = predict_video(model, windows, entry.n_frames)
+        lo = entry.window_offset
+        hi = lo + entry.window_count
+        # predict_video's order: by (start_frame, pad_count), ties in container order
+        orders.append(lo + np.lexsort((pads[lo:hi], starts[lo:hi])))
+    rows = _window_probs(model, dataset, np.concatenate(orders))
+    for entry, order in zip(dataset.videos, orders):
+        spans = [(int(starts[i]), int(pads[i])) for i in order]
+        labels, probs = _frame_scores(model, spans, [next(rows) for _ in order], entry.n_frames)
         truth = np.zeros(entry.n_frames, dtype=np.int64)
-        for w in windows:
-            real = dataset.window_len - w.pad_count
-            truth[w.start_frame : w.start_frame + real] = w.labels[:real]
+        for i in range(entry.window_offset, entry.window_offset + entry.window_count):
+            real = dataset.window_len - pads[i]
+            truth[starts[i] : starts[i] + real] = dataset.labels[i, :real]
         yield entry.video_id, labels, probs, truth
+    model._drop_caches()
+
+
+def _window_probs(model: FusionModel, dataset: WindowDataset, order: np.ndarray):
+    """Each window's [L, n_classes] softmax rows, in ``order``, one forward per slice."""
+    for lo in range(0, len(order), INFER_WINDOWS):
+        idx = order[lo : lo + INFER_WINDOWS]
+        yield from model.forward(dataset.audio[idx], dataset.video[idx], training=False)
 
 
 # --------------------------------------------------------------------------
@@ -287,6 +357,7 @@ _MAGIC = b"EMFCKPT1"
 
 
 def save_checkpoint(path, model: FusionModel, optimizer: RmsProp | None = None, meta: dict | None = None):
+    """Write ``model`` (and ``optimizer`` state) to ``path``, replacing it atomically."""
     arrays: list[tuple[str, str, np.ndarray]] = []
     for name, arr in model.parameters().items():
         arrays.append((name, "param", arr))
@@ -333,14 +404,29 @@ def save_checkpoint(path, model: FusionModel, optimizer: RmsProp | None = None, 
         },
         "arrays": entries,
         "meta": meta or {},
-        "blob_sha256": hashlib.sha256(bytes(blob)).hexdigest(),
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(bytes(blob))
+    _write_atomic(path, (_MAGIC, struct.pack("<Q", len(header_bytes)), header_bytes, blob))
+
+
+def _write_atomic(path, chunks):
+    """Write ``chunks`` to a temp file beside ``path``, fsync it, then rename it
+    onto ``path``: a failure at any point leaves the previous file intact."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[FusionModel, RmsProp | None, dict]:

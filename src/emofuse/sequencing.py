@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, DomainError, ParseError
+from .errors import AlignmentError, DomainError, ParseError, utf8_text
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +59,7 @@ def parse_annotations(path, video_id: str | None = None) -> AnnotationTrack:
     if video_id is None:
         video_id = _stem(path)
     labels = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, utf8_text(path):
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

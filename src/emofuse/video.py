@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, utf8_text
 
 _DEFAULT_MANIFEST = "openface_columns.txt"
 
@@ -52,7 +52,7 @@ class VideoFrameFeatures:
 def load_column_manifest(path) -> ColumnSelection:
     """Read a column manifest: one name per line, '#' comments, blanks skipped."""
     names = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, utf8_text(path):
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if line:
@@ -75,10 +75,10 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
     Rows whose ``success`` flag is 0 are kept but marked invalid and
     zero-filled so downstream frame counts still match the annotations.
     A non-numeric or non-finite cell raises :class:`ParseError` naming its
-    row and column.
+    row and column; a file that is not UTF-8 text raises it naming the file.
     """
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, utf8_text(path):
         reader = csv.reader(fh, skipinitialspace=True)
         try:
             header = [h.strip() for h in next(reader)]

@@ -11,6 +11,11 @@ from emofuse.video import META_COLUMNS, default_selection
 from conftest import wav_bytes
 
 
+def one_error_line(capsys, category):
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith(f"error: {category}:")
+
+
 def make_openface_csv(path, n_rows, rng, invalid_rows=()):
     columns = list(META_COLUMNS) + list(default_selection().include_columns)
     with open(path, "w") as fh:
@@ -115,6 +120,24 @@ class TestIngestVideo:
         assert len(err) == 1 and err[0].startswith("error: parse:")
         assert "row 4" in err[0] and "non-finite" in err[0]
 
+    def test_non_utf8_csv_is_parse_error(self, pipeline, capsys, tmp_path):
+        csv = tmp_path / "latin1.csv"
+        data = pipeline["csv"].read_bytes()
+        row3 = data.index(b"\n", data.index(b"\n") + 1) + 1
+        csv.write_bytes(data[:row3] + b"\xb7" + data[row3:])
+        rc = main(["ingest-video", "--csv", str(csv), "--out", str(tmp_path / "v")])
+        assert rc == 1
+        assert one_error_line(capsys, "parse")
+        assert not (tmp_path / "v").exists()
+
+    def test_non_utf8_column_manifest_is_parse_error(self, pipeline, capsys, tmp_path):
+        manifest = tmp_path / "cols.txt"
+        manifest.write_bytes(b"pose_Rx\n# \xb7 rotation\npose_Ry\n")
+        rc = main(["ingest-video", "--csv", str(pipeline["csv"]), "--columns", str(manifest),
+                   "--out", str(tmp_path / "v")])
+        assert rc == 1
+        assert one_error_line(capsys, "parse")
+
     def test_row_count_reported(self, pipeline, capsys, tmp_path):
         rc = main(["ingest-video", "--csv", str(pipeline["csv"]), "--out", str(tmp_path / "v")])
         assert rc == 0
@@ -150,6 +173,15 @@ class TestBuildDataset:
         err = capsys.readouterr().err
         assert err.startswith("error: alignment:")
         assert "annotations=25" in err and "audio=27" in err
+
+    def test_non_utf8_annotations_is_parse_error(self, pipeline, capsys, tmp_path):
+        ann = tmp_path / "vid.txt"
+        ann.write_bytes(pipeline["ann"].read_bytes().replace(b"\n", b"\n\xb7", 1))
+        rc = main(["build-dataset", "--audio", str(pipeline["audio"]),
+                   "--video", str(pipeline["video"]), "--annotations", str(ann),
+                   "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert one_error_line(capsys, "parse")
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +312,32 @@ class TestReportCli:
         assert "Audio only" in out[2] and "39.0%" in out[2]
         assert "Video only" in out[3] and "39.9%" in out[3]
         assert "Audio+Video" in out[4] and "41.5%" in out[4]
+
+    @pytest.mark.parametrize("text", ["{", '{"mode": "fused"', "\udcb7"])
+    def test_summary_not_json_is_corruption(self, tmp_path, capsys, text):
+        path = tmp_path / "summary.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        assert main(["report", "--summary", str(path)]) == 1
+        assert one_error_line(capsys, "corruption")
+
+    @pytest.mark.parametrize(
+        "summary",
+        [
+            [1],
+            "fused",
+            {"recurrent": "gru", "combined": 0.4},
+            {"mode": "fused", "combined": 0.4},
+            {"mode": "fused", "recurrent": "gru"},
+            {"mode": "both", "recurrent": "gru", "combined": 0.4},
+            {"mode": "fused", "recurrent": ["gru"], "combined": 0.4},
+            {"mode": "fused", "recurrent": "gru", "combined": "high"},
+        ],
+    )
+    def test_malformed_summary_is_schema_error(self, tmp_path, capsys, summary):
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(summary))
+        assert main(["report", "--summary", str(path)]) == 1
+        assert one_error_line(capsys, "schema")
 
     def test_empty_summary_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -125,6 +125,28 @@ class TestMalformedManifest:
         with pytest.raises(SchemaError, match=key):
             read_dataset(tmp_path / "d")
 
+    @pytest.mark.parametrize(
+        "video, edit",
+        [
+            (1, {"n_frames": -3}),
+            (1, {"n_frames": 0}),
+            (1, {"n_frames": 2.5}),
+            (0, {"n_frames": True}),
+            (0, {"window_offset": 1}),  # overlaps the next video's windows
+            (1, {"window_offset": 0}),
+            (0, {"window_count": -1}),
+            (1, {"window_count": "3"}),
+        ],
+    )
+    def test_bad_video_entry_is_schema_error(self, tmp_path, rng, video, edit):
+        write_dataset(build_dataset(rng), tmp_path / "d")
+        mpath = tmp_path / "d" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["videos"][video].update(edit)
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match=next(iter(edit))):
+            read_dataset(tmp_path / "d")
+
     @pytest.mark.parametrize("drop", [("blobs",), ("blobs", "features")])
     def test_frame_features_missing_key_is_schema_error(self, tmp_path, rng, drop):
         write_frame_features(tmp_path / "c", rng.standard_normal((4, 3)), "video")

@@ -1,0 +1,128 @@
+"""Property: a truncated or byte-flipped input either still reads or raises an
+EmofuseError, so the CLI ends in one ``error: <category>:`` line, never a
+traceback.
+
+Each input kind starts from a small valid file; an example truncates it at a
+random length or XORs one random byte with a random nonzero mask, then runs
+the reader that consumes it (and, for containers and checkpoints, the
+prediction that follows).
+"""
+
+import os
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from emofuse.audio import chunk_boundaries, extract_chunk_features, load_wav
+from emofuse.dataset import WindowDataset, read_dataset, write_dataset
+from emofuse.errors import EmofuseError
+from emofuse.model import (
+    FusionModel,
+    ModelConfig,
+    load_checkpoint,
+    predict_dataset,
+    save_checkpoint,
+)
+from emofuse.sequencing import FrameFeatures, cut_windows, parse_annotations
+from emofuse.video import ColumnSelection, parse_openface_csv
+
+from conftest import wav_bytes
+
+CFG = ModelConfig(audio_dim=3, video_dim=4, audio_hidden=(4, 3), video_hidden=(4, 3),
+                  head_hidden=4, window_len=5)
+SELECTION = ColumnSelection(include_columns=("AU01_r", "AU02_r", "pose_Rx"), expected_dim=3)
+EXAMPLES = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+
+def _csv_text():
+    lines = ["frame, face_id, timestamp, confidence, success, AU01_r, AU02_r, pose_Rx"]
+    for i in range(6):
+        lines.append(f"{i + 1}, 0, {i * 0.04:.2f}, 0.95, {int(i != 2)}, 0.{i}1, 1.{i}5, -0.{i}3")
+    return "\n".join(lines) + "\n"
+
+
+def _container(rng):
+    per_video = []
+    for v, n in enumerate((12, 3)):
+        frames = [
+            FrameFeatures(audio=rng.standard_normal(CFG.audio_dim),
+                          video=rng.standard_normal(CFG.video_dim),
+                          label=int(rng.integers(0, 8)), frame_index=i)
+            for i in range(n)
+        ]
+        per_video.append((f"v{v}", n, cut_windows(frames, length=CFG.window_len, stride=3)))
+    return WindowDataset.from_video_windows(per_video, window_len=CFG.window_len, stride=3)
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    """A directory holding one valid input of every kind, named as in TARGETS."""
+    root = tmp_path_factory.mktemp("originals")
+    rng = np.random.default_rng(0)
+    (root / "clip.wav").write_bytes(
+        wav_bytes([(rng.standard_normal(800) * 3000).astype(int).tolist()], 8000))
+    (root / "clip.csv").write_text(_csv_text())
+    (root / "clip.txt").write_text("Neutral,Anger\n0\n-1\n3\n6\n")
+    write_dataset(_container(rng), root / "data")
+    save_checkpoint(root / "model.ckpt", FusionModel(CFG))
+    return root
+
+
+def _mutated(data, draw):
+    if draw(st.booleans()):
+        return data[: draw(st.integers(0, len(data) - 1))]
+    out = bytearray(data)
+    out[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+def _consume(kind, root):
+    if kind == "wav":
+        signal = load_wav(root / "clip.wav")
+        extract_chunk_features(signal, chunk_boundaries(signal.duration_s, 4))
+    elif kind == "csv":
+        parse_openface_csv(root / "clip.csv", SELECTION)
+    elif kind == "annotations":
+        parse_annotations(root / "clip.txt")
+    elif kind == "checkpoint":
+        model, _, _ = load_checkpoint(root / "model.ckpt")
+        list(predict_dataset(model, read_dataset(root / "data")))
+    else:  # a container's manifest or one of its blobs
+        list(predict_dataset(FusionModel(CFG), read_dataset(root / "data")))
+
+
+TARGETS = {
+    "wav": "clip.wav",
+    "csv": "clip.csv",
+    "annotations": "clip.txt",
+    "manifest": "data/manifest.json",
+    "blob": None,  # drawn from the container's blobs
+    "checkpoint": "model.ckpt",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TARGETS))
+def test_mutated_input_reads_or_raises_emofuse_error(originals, kind):
+    blobs = sorted(f for f in os.listdir(originals / "data") if f.endswith(".f32"))
+
+    @EXAMPLES
+    @given(st.data())
+    def check(data):
+        target = TARGETS[kind] or "data/" + data.draw(st.sampled_from(blobs))
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            for name in (*TARGETS.values(), *(f"data/{b}" for b in blobs)):
+                if name is not None:
+                    (work / name).parent.mkdir(exist_ok=True)
+                    (work / name).write_bytes((originals / name).read_bytes())
+            (work / target).write_bytes(_mutated((originals / target).read_bytes(), data.draw))
+            try:
+                _consume(kind, work)
+            except EmofuseError:
+                pass
+
+    check()

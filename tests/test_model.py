@@ -7,6 +7,7 @@ import pytest
 from emofuse.dataset import WindowDataset
 from emofuse.errors import CorruptionError, CoverageError, DivergenceError, SchemaError, ShapeError
 from emofuse.model import (
+    INFER_WINDOWS,
     FeatureStats,
     FusionModel,
     ModelConfig,
@@ -104,6 +105,14 @@ class TestForward:
         model = FusionModel(TINY)
         with pytest.raises(ShapeError):
             model.forward(rng.standard_normal((2, 5, 7)), rng.standard_normal((2, 5, 8)))
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_branch_batch_mismatch_rejected(self, rng, training):
+        model = FusionModel(TINY)
+        audio, video, _, _ = random_batch(rng, TINY, batch=3)
+        for a, v in ((audio, video[:2]), (audio[:, 1:], video)):
+            with pytest.raises(ShapeError, match="differ"):
+                model.forward(a, v, training=training)
 
     def test_training_flag_changes_output(self, rng):
         model = FusionModel(TINY)
@@ -371,6 +380,59 @@ class TestCheckpoint:
             model.forward(audio, video), back.forward(audio, video)
         )
 
+    @pytest.mark.parametrize("fail_at", ["write", "fsync"])
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, rng, monkeypatch, fail_at):
+        import emofuse.model as model_mod
+
+        path = tmp_path / "checkpoint.ckpt"
+        save_checkpoint(path, FusionModel(TINY), meta={"epoch": 1})
+        good = path.read_bytes()
+
+        class HalfWrite:
+            """A file whose write stores half of the first large chunk, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                if len(data) > 64:
+                    self.fh.write(data[: len(data) // 2])
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        if fail_at == "write":
+            monkeypatch.setattr(model_mod, "open", lambda *a: HalfWrite(open(*a)), raising=False)
+        else:
+            def no_fsync(fd):
+                raise OSError(5, "Input/output error")
+
+            monkeypatch.setattr(model_mod.os, "fsync", no_fsync)
+        newer = FusionModel(ModelConfig(**{**TINY.__dict__, "seed": 5}))
+        with pytest.raises(OSError):
+            save_checkpoint(path, newer, meta={"epoch": 2})
+        monkeypatch.undo()
+
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.ckpt"]
+        _, _, meta = load_checkpoint(path)
+        assert meta == {"epoch": 1}
+
+    def test_save_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "checkpoint.ckpt"
+        save_checkpoint(path, FusionModel(TINY), meta={"epoch": 1})
+        save_checkpoint(path, FusionModel(TINY), meta={"epoch": 2})
+        assert load_checkpoint(path)[2] == {"epoch": 2}
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.ckpt"]
+
     def test_corruption_detected(self, tmp_path):
         cfg = ModelConfig(audio_dim=6, video_dim=8, audio_hidden=(5, 4),
                           video_hidden=(6, 4), head_hidden=4)
@@ -500,6 +562,15 @@ def labelled_dataset(rng, cfg, lengths, stride=3):
     return dataset, truths
 
 
+def assert_same_predictions(got, want):
+    """Two streams of ``(video_id, labels, probs, truth)`` agree exactly."""
+    got, want = list(got), list(want)
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for g, w in zip(got, want):
+        for a, b in zip(g[1:], w[1:]):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestPredictDataset:
     def test_matches_predict_video_per_video(self, rng):
         model = FusionModel(TINY)
@@ -512,6 +583,52 @@ class TestPredictDataset:
             )
             np.testing.assert_array_equal(labels, want_labels)
             np.testing.assert_array_equal(probs, want_probs)
+
+    def test_container_equals_its_single_video_parts(self, rng):
+        model = FusionModel(TINY)
+        # 44 windows: forward slices cross video boundaries
+        dataset, _ = labelled_dataset(rng, TINY, [40, 5, 3, 70, 9, 22])
+        assert dataset.n_windows > INFER_WINDOWS
+        parts = [
+            WindowDataset.from_video_windows(
+                [(e.video_id, e.n_frames, dataset.video_windows(e))],
+                window_len=dataset.window_len,
+                stride=dataset.stride,
+            )
+            for e in dataset.videos
+        ]
+        assert_same_predictions(
+            predict_dataset(model, dataset),
+            [result for part in parts for result in predict_dataset(model, part)],
+        )
+
+    def test_container_window_order_is_irrelevant(self, rng):
+        # stride 1: up to five windows share a frame, so the summation order shows
+        dataset, _ = labelled_dataset(rng, TINY, [23, 9], stride=1)
+        per_video = []
+        for e in dataset.videos:
+            windows = dataset.video_windows(e)
+            order = rng.permutation(len(windows))
+            per_video.append((e.video_id, e.n_frames, [windows[i] for i in order]))
+        shuffled = WindowDataset.from_video_windows(per_video, window_len=TINY.window_len, stride=1)
+        model = FusionModel(TINY)
+        assert_same_predictions(predict_dataset(model, shuffled), predict_dataset(model, dataset))
+
+    def test_window_rows_not_model_config_set_the_length(self, rng):
+        # a recurrent model runs at any window length; scoring follows the data
+        dataset, _ = labelled_dataset(rng, TINY, [12, 3])
+        longer = FusionModel(ModelConfig(**{**TINY.__dict__, "window_len": TINY.window_len + 2}))
+        assert_same_predictions(
+            predict_dataset(longer, dataset), predict_dataset(FusionModel(TINY), dataset)
+        )
+
+    def test_no_layer_keeps_a_cache(self, rng):
+        model = FusionModel(TINY)
+        dataset, _ = labelled_dataset(rng, TINY, [40, 12])
+        model.forward(dataset.audio[:4], dataset.video[:4], training=True, seed=0)
+        assert any(layer._cache is not None for layer in model._layers)
+        list(predict_dataset(model, dataset))
+        assert all(layer._cache is None for layer in model._layers)
 
     def test_empty_container_is_coverage_error(self):
         empty = WindowDataset(
@@ -528,6 +645,36 @@ class TestPredictDataset:
         for (_, labels, _, truth), want in zip(predict_dataset(model, dataset), truths):
             assert truth.shape == labels.shape == want.shape
             np.testing.assert_array_equal(truth, want)
+
+
+class TestBatchInvariance:
+    """A window's inference output does not depend on the windows batched with it."""
+
+    @pytest.mark.parametrize("mode", ["fused", "audio_only", "video_only"])
+    @pytest.mark.parametrize("recurrent", ["gru", "lstm"])
+    @pytest.mark.parametrize("base", [TINY, ModelConfig()], ids=["tiny", "paper"])
+    def test_rows_identical_at_any_batch_size(self, base, recurrent, mode):
+        cfg = ModelConfig(**{**base.__dict__, "recurrent": recurrent, "mode": mode})
+        model = FusionModel(cfg)
+        rng = np.random.default_rng(3)
+        S = INFER_WINDOWS
+        n = 3 * S + 2
+        audio = rng.standard_normal((n, cfg.window_len, cfg.audio_dim))
+        video = rng.standard_normal((n, cfg.window_len, cfg.video_dim))
+        full = model.forward(audio, video)
+        for batch in (1, S - 1, S, S + 1):
+            assert np.array_equal(model.forward(audio[:batch], video[:batch]), full[:batch]), batch
+        perm = rng.permutation(n)
+        assert np.array_equal(model.forward(audio[perm], video[perm]), full[perm])
+        assert np.array_equal(model.forward(audio[n - 1], video[n - 1])[0], full[n - 1])
+
+    def test_training_forward_is_one_batch(self, rng):
+        # BatchNorm batch statistics span the whole batch in training mode
+        model = FusionModel(TINY)
+        audio, video, _, _ = random_batch(rng, TINY, batch=INFER_WINDOWS + 3)
+        whole = model.forward(audio, video, training=True, seed=1)
+        part = model.forward(audio[:INFER_WINDOWS], video[:INFER_WINDOWS], training=True, seed=1)
+        assert not np.allclose(whole[:INFER_WINDOWS], part)
 
 
 def rewrite_header(path, edit):
