@@ -19,20 +19,11 @@ from .model import (
     ModelConfig,
     load_checkpoint,
     predict_dataset,
-    predict_video,
     save_checkpoint,
+    standardize,
 )
-from .sequencing import (
-    AnnotationTrack,
-    FrameFeatures,
-    SequenceWindow,
-    align_modalities,
-    cut_windows,
-    parse_annotations,
-    remap_label,
-    window_starts,
-)
-from .training import TrainConfig, TrainReport, fit_stats, run_training, standardize
+from .sequencing import AnnotationTrack, parse_annotations, remap_label, window_starts
+from .training import TrainConfig, TrainReport, fit_stats, run_training
 from .video import (
     ColumnSelection,
     VideoFrameFeatures,

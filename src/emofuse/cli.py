@@ -30,8 +30,8 @@ from .dataset import (
 from .errors import CorruptionError, EmofuseError, ParseError, SchemaError, schema_fields
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
 from .model import load_checkpoint, predict_dataset
-from .sequencing import align_modalities, cut_windows, parse_annotations
-from .training import TrainConfig, run_training, standardize_dataset
+from .sequencing import parse_annotations
+from .training import TrainConfig, run_training
 
 logger = logging.getLogger(__name__)
 
@@ -157,11 +157,9 @@ def cmd_build_dataset(args) -> int:
             else os.path.join(args.annotations, vid + ".txt")
         )
         track = parse_annotations(ann_path, video_id=vid)
-        audio_feats, audio_manifest = read_frame_features(audio_dir)
-        video_feats, video_manifest = read_frame_features(video_dir)
-        frames = align_modalities(track, audio_feats, video_feats)
-        windows = cut_windows(frames, length=args.window, stride=args.stride)
-        return vid, len(frames), windows, audio_manifest, video_manifest
+        audio_feats, audio_manifest = read_frame_features(audio_dir, modality="audio")
+        video_feats, video_manifest = read_frame_features(video_dir, modality="video")
+        return track, audio_feats, video_feats, audio_manifest, video_manifest
 
     if args.jobs > 1 and len(triples) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -173,11 +171,8 @@ def cmd_build_dataset(args) -> int:
         "dsp": results[0][3].get("meta", {}).get("dsp", {}),
         "columns": results[0][4].get("meta", {}).get("columns", []),
     }
-    dataset = WindowDataset.from_video_windows(
-        [(vid, n, windows) for vid, n, windows, _, _ in results],
-        window_len=args.window,
-        stride=args.stride,
-        meta=meta,
+    dataset = WindowDataset.from_videos(
+        [r[:3] for r in results], window_len=args.window, stride=args.stride, meta=meta
     )
     write_dataset(dataset, args.out)
     print(
@@ -257,9 +252,6 @@ def cmd_evaluate(args) -> int:
     model, _, meta = load_checkpoint(args.checkpoint)
     dataset = read_dataset(args.dataset)
     w_f1, w_acc = _parse_weights(args.weights)
-
-    if model.feature_stats is not None:
-        dataset = standardize_dataset(dataset, model.feature_stats)
 
     # --out is made once a video is predicted: an empty container leaves nothing behind
     pred_dir = os.path.join(args.out, "predictions")

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptionError, SchemaError, schema_fields
-from .sequencing import SequenceWindow, WINDOW_LEN, WINDOW_STRIDE
+from .errors import AlignmentError, CorruptionError, DomainError, SchemaError, schema_fields
+from .sequencing import WINDOW_LEN, WINDOW_STRIDE, AnnotationTrack, remap_label, window_starts
 
 FORMAT_VERSION = 1
 
@@ -105,10 +105,16 @@ def write_frame_features(path, features: np.ndarray, modality: str, meta: dict |
     _write_manifest(path, manifest)
 
 
-def read_frame_features(path) -> tuple[np.ndarray, dict]:
+def read_frame_features(path, modality: str | None = None) -> tuple[np.ndarray, dict]:
+    """A frame_features container's matrix and manifest; ``modality``, if given,
+    must be the one the manifest names."""
     manifest = _read_manifest(path)
     if manifest.get("kind") != "frame_features":
         raise SchemaError(f"{path}: not a frame_features container")
+    if modality is not None and manifest.get("modality") != modality:
+        raise SchemaError(
+            f"{path}: holds {manifest.get('modality')!r} features, expected {modality!r}"
+        )
     with schema_fields(path):
         features = _read_blob(path, manifest["blobs"]["features"])
         if features.shape != (manifest["count"], manifest["dim"]):
@@ -158,54 +164,60 @@ class WindowDataset:
     def video_dim(self) -> int:
         return self.video.shape[2]
 
-    def video_windows(self, entry: VideoEntry) -> list[SequenceWindow]:
-        lo, hi = entry.window_offset, entry.window_offset + entry.window_count
-        return [
-            SequenceWindow(
-                audio_seq=self.audio[i],
-                video_seq=self.video[i],
-                labels=self.labels[i],
-                start_frame=int(self.start_frames[i]),
-                pad_count=int(self.pad_counts[i]),
-            )
-            for i in range(lo, hi)
-        ]
-
     @classmethod
-    def from_video_windows(
+    def from_videos(
         cls,
-        per_video: list[tuple[str, int, list[SequenceWindow]]],
+        videos: list[tuple[AnnotationTrack, np.ndarray, np.ndarray]],
         window_len: int = WINDOW_LEN,
         stride: int = WINDOW_STRIDE,
         meta: dict | None = None,
     ) -> "WindowDataset":
-        videos = []
+        """Window each ``(track, audio [n, A], video [n, D])`` video, in order.
+
+        A window starting at frame ``s`` holds frames ``s .. s + window_len - 1``;
+        rows past a video's last frame repeat that frame and are counted in
+        ``pad_counts``. Every video must have the first video's feature widths
+        and only finite features.
+        """
+        entries, parts, widths = [], [], {}
         offset = 0
-        all_windows: list[SequenceWindow] = []
-        for video_id, n_frames, windows in per_video:
-            videos.append(
-                VideoEntry(
-                    video_id=video_id,
-                    n_frames=n_frames,
-                    window_offset=offset,
-                    window_count=len(windows),
+        for track, audio, video in videos:
+            vid, n = track.video_id, len(track.labels)
+            if not (n == len(audio) == len(video)):
+                raise AlignmentError(
+                    f"video {vid!r}: counts differ "
+                    f"(annotations={n}, audio={len(audio)}, video={len(video)})"
                 )
-            )
-            all_windows.extend(windows)
-            offset += len(windows)
-        if not all_windows:
+            labels = remap_label(track.labels)
+            audio = _features(vid, "audio", audio, widths)
+            video = _features(vid, "video", video, widths)
+            starts = np.array(window_starts(n, window_len, stride), dtype=np.int64)
+            idx = np.minimum(starts[:, None] + np.arange(window_len), n - 1)
+            pads = np.maximum(0, starts + window_len - n)
+            entries.append(VideoEntry(vid, n, offset, len(starts)))
+            parts.append((audio[idx], video[idx], labels[idx], starts, pads))
+            offset += len(starts)
+        if not parts:
             raise SchemaError("dataset has no windows")
-        return cls(
-            audio=np.stack([w.audio_seq for w in all_windows]).astype(np.float32),
-            video=np.stack([w.video_seq for w in all_windows]).astype(np.float32),
-            labels=np.stack([w.labels for w in all_windows]).astype(np.int64),
-            start_frames=np.array([w.start_frame for w in all_windows], dtype=np.int64),
-            pad_counts=np.array([w.pad_count for w in all_windows], dtype=np.int64),
-            videos=videos,
-            window_len=window_len,
-            stride=stride,
-            meta=dict(meta or {}),
+        audio, video, labels, starts, pads = (np.concatenate(p) for p in zip(*parts))
+        return cls(audio, video, labels, starts, pads, entries, window_len, stride, dict(meta or {}))
+
+
+def _features(video_id: str, modality: str, x, widths: dict) -> np.ndarray:
+    """``x`` as a finite float32 [n, width] matrix, ``width`` the first video's."""
+    x = np.asarray(x, dtype=np.float32)
+    if x.ndim != 2:
+        raise SchemaError(f"video {video_id!r}: {modality} features have shape {x.shape}, not 2-D")
+    width = widths.setdefault(modality, x.shape[1])
+    if x.shape[1] != width:
+        raise SchemaError(
+            f"video {video_id!r}: {modality} width {x.shape[1]}, earlier videos have {width}"
         )
+    finite = np.isfinite(x)
+    if not finite.all():
+        frame = int(np.flatnonzero(~finite.all(axis=1))[0])
+        raise DomainError(f"video {video_id!r}: non-finite {modality} feature at frame {frame}")
+    return x
 
 
 def write_dataset(dataset: WindowDataset, path):

@@ -34,11 +34,11 @@ from .errors import (
 from .nn.layers import BatchNorm, Dense, Dropout, PReLU, softmax, softmax_cross_entropy
 from .nn.optim import RmsProp
 from .nn.recurrent import Gru, Lstm
-from .sequencing import SequenceWindow
 
 MODES = ("fused", "audio_only", "video_only")
 RECURRENT_KINDS = ("gru", "lstm")
 INFER_WINDOWS = 32  # windows per inference forward, whatever the caller's batch
+STD_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,10 @@ class FeatureStats:
     audio_std: np.ndarray
     video_mean: np.ndarray
     video_std: np.ndarray
+
+
+def standardize(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    return (features - mean) / np.maximum(std, STD_FLOOR)
 
 
 def _fixed_rows(x: np.ndarray) -> np.ndarray:
@@ -185,8 +189,10 @@ class FusionModel:
         return dy
 
     def _branch_inputs(self, audio, video) -> list[tuple[list, np.ndarray]]:
-        """``(stack, [B, T, dim] input)`` for each branch the mode uses."""
+        """``(stack, [B, T, dim] input)`` for each branch the mode uses, standardized
+        with ``feature_stats`` when the model carries them."""
         out = []
+        stats = self.feature_stats
         for name, stack, x, dim in (
             ("audio", self.audio_stack, audio, self.config.audio_dim),
             ("video", self.video_stack, video, self.config.video_dim),
@@ -195,6 +201,8 @@ class FusionModel:
                 continue
             if x is None:
                 raise ShapeError(f"model mode requires {name} input")
+            if stats is not None:
+                x = standardize(x, getattr(stats, f"{name}_mean"), getattr(stats, f"{name}_std"))
             x = np.asarray(x, dtype=self.dtype)
             if x.ndim == 2:
                 x = x[None]
@@ -293,32 +301,14 @@ def _frame_scores(model: FusionModel, spans, window_probs, n_frames: int):
     return np.argmax(mean_probs, axis=1), mean_probs
 
 
-def predict_video(
-    model: FusionModel, windows: list[SequenceWindow], n_frames: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-frame labels and probabilities for one video's windows.
-
-    Frames covered by several windows get the mean of their softmax rows;
-    ties in the final argmax resolve to the lowest class index. Padded
-    window rows are discarded.
-    """
-    if not windows:
-        raise CoverageError("no windows supplied")
-    # fixed accumulation order makes the result exactly window-order-invariant
-    windows = sorted(windows, key=lambda w: (w.start_frame, w.pad_count))
-    audio = np.stack([w.audio_seq for w in windows])
-    video = np.stack([w.video_seq for w in windows])
-    probs = model.forward(audio, video, training=False)
-    return _frame_scores(model, [(w.start_frame, w.pad_count) for w in windows], probs, n_frames)
-
-
 def predict_dataset(model: FusionModel, dataset: WindowDataset):
     """Yield ``(video_id, labels, probs, truth)`` for each video in the container.
 
-    ``labels`` and ``probs`` equal :func:`predict_video`'s for the video's
-    windows, but the forward runs over the windows of all videos, container
-    order, ``INFER_WINDOWS`` at a time; ``truth`` holds each frame's label from
-    the real (unpadded) rows of the windows covering it. A container without
+    A frame's ``probs`` are the mean of the softmax rows of every window
+    covering it, padded rows discarded; ``labels`` are their argmax, ties
+    resolving to the lowest class index. ``truth`` holds each frame's label
+    from the real rows of the windows covering it. The forward runs over the
+    windows of all videos, ``INFER_WINDOWS`` at a time. A container without
     videos raises :class:`CoverageError`.
     """
     if not dataset.videos:
@@ -328,7 +318,8 @@ def predict_dataset(model: FusionModel, dataset: WindowDataset):
     for entry in dataset.videos:
         lo = entry.window_offset
         hi = lo + entry.window_count
-        # predict_video's order: by (start_frame, pad_count), ties in container order
+        # a fixed accumulation order, by (start_frame, pad_count) with ties in
+        # container order, makes the result exactly window-order-invariant
         orders.append(lo + np.lexsort((pads[lo:hi], starts[lo:hi])))
     rows = _window_probs(model, dataset, np.concatenate(orders))
     for entry, order in zip(dataset.videos, orders):

@@ -16,6 +16,7 @@ from .dataset import WindowDataset
 from .errors import DivergenceError, SchemaError
 from .evaluation import evaluate
 from .model import (
+    STD_FLOOR,
     FeatureStats,
     FusionModel,
     ModelConfig,
@@ -26,8 +27,6 @@ from .model import (
 )
 
 logger = logging.getLogger(__name__)
-
-STD_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -100,25 +99,6 @@ def fit_stats(train_set: WindowDataset) -> FeatureStats:
     )
 
 
-def standardize(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    return (features - mean) / np.maximum(std, STD_FLOOR)
-
-
-def standardize_dataset(dataset: WindowDataset, stats: FeatureStats) -> WindowDataset:
-    out = WindowDataset(
-        audio=standardize(dataset.audio, stats.audio_mean, stats.audio_std).astype(np.float32),
-        video=standardize(dataset.video, stats.video_mean, stats.video_std).astype(np.float32),
-        labels=dataset.labels,
-        start_frames=dataset.start_frames,
-        pad_counts=dataset.pad_counts,
-        videos=dataset.videos,
-        window_len=dataset.window_len,
-        stride=dataset.stride,
-        meta=dict(dataset.meta),
-    )
-    return out
-
-
 # --------------------------------------------------------------------------
 # Validation and the epoch loop
 # --------------------------------------------------------------------------
@@ -189,9 +169,7 @@ def run_training(
         report.best_metric = float(progress.get("best_metric", -np.inf))
         report.best_epoch = int(progress.get("best_epoch", -1))
         epochs_since_improve = int(progress.get("epochs_since_improve", 0))
-        stats = model.feature_stats
     else:
-        stats = fit_stats(train_set) if config.standardize_features else None
         model_cfg = ModelConfig(
             mode=config.mode,
             recurrent=config.recurrent,
@@ -201,12 +179,9 @@ def run_training(
             seed=config.seed,
         )
         model = FusionModel(model_cfg)
-        model.feature_stats = stats
+        if config.standardize_features:
+            model.feature_stats = fit_stats(train_set)
         optimizer = RmsProp(config.learning_rate, config.rho, config.eps)
-
-    if stats is not None:
-        train_set = standardize_dataset(train_set, stats)
-        val_set = standardize_dataset(val_set, stats)
 
     mask_all = _loss_mask(train_set, config.include_class7)
     n = train_set.n_windows

@@ -2,9 +2,10 @@
 
 Everything here is deliberately slow and literal: direct O(n^2) DFT and
 DCT sums, scalar-loop filterbank construction, central finite differences,
-GRU/LSTM recurrences evaluated one unit at a time, and Fraction-exact
-metric counting. None of it shares transform code with
-the package.
+GRU/LSTM recurrences evaluated one unit at a time, Fraction-exact
+metric counting, a window-by-window cut with explicit padding and a
+frame-by-frame average of window predictions. None of it shares transform
+code with the package.
 """
 
 import math
@@ -218,3 +219,67 @@ def metric_oracle(pred, truth, w_f1, w_acc, exclude_class=7):
     macro = sum(f1s) / len(f1s) if f1s else Fraction(0)
     combined = Fraction(w_f1).limit_denominator() * macro + Fraction(w_acc).limit_denominator() * acc
     return {"accuracy": acc, "macro_f1": macro, "combined": combined, "per_class": per_class}
+
+
+# --------------------------------------------------------------------------
+# Windowing and per-frame scoring, one window / one frame at a time
+# --------------------------------------------------------------------------
+
+
+def cut_windows_direct(audio, video, raw_labels, length, stride):
+    """Stacked ``(audio, video, labels, starts, pads)`` of one video's windows.
+
+    Starts walk the stride grid while a full window fits, plus an end-anchored
+    window when tail frames are left over; a video shorter than one window
+    gets the single start 0. Each window is sliced on its own and padded by
+    repeating its last real row; label -1 becomes class 7.
+    """
+    audio = np.asarray(audio).astype(np.float32)
+    video = np.asarray(video).astype(np.float32)
+    labels = np.array([7 if raw == -1 else raw for raw in raw_labels], dtype=np.int64)
+    n = len(labels)
+    starts = []
+    s = 0
+    while s + length <= n:
+        starts.append(s)
+        s += stride
+    if not starts:
+        starts = [0]
+    elif starts[-1] + length < n:
+        starts.append(n - length)
+    out = ([], [], [], [], [])
+    for start in starts:
+        stop = min(start + length, n)
+        pad = length - (stop - start)
+        rows = [audio[start:stop], video[start:stop], labels[start:stop]]
+        if pad:
+            rows = [np.concatenate([r, np.repeat(r[-1:], pad, axis=0)]) for r in rows]
+        for acc, value in zip(out, (*rows, start, pad)):
+            acc.append(value)
+    a, v, y, st, pd = out
+    return np.stack(a), np.stack(v), np.stack(y), np.array(st), np.array(pd)
+
+
+def frame_scores_direct(window_probs, starts, pads, n_frames):
+    """Per-frame mean of the real rows of every window covering the frame.
+
+    Windows are summed in ``(start, pad)`` order, frame by frame, in float64;
+    the label is the first class with the largest mean.
+    """
+    order = sorted(range(len(starts)), key=lambda k: (starts[k], pads[k]))
+    probs = np.zeros((n_frames, np.shape(window_probs)[-1]))
+    labels = np.zeros(n_frames, dtype=np.int64)
+    for f in range(n_frames):
+        total, count = np.zeros(probs.shape[1]), 0
+        for k in order:
+            row = f - starts[k]
+            if 0 <= row < len(window_probs[k]) - pads[k]:
+                total = total + np.asarray(window_probs[k][row], dtype=np.float64)
+                count += 1
+        probs[f] = total / count
+        best = 0
+        for c in range(1, probs.shape[1]):
+            if probs[f, c] > probs[f, best]:
+                best = c
+        labels[f] = best
+    return labels, probs

@@ -11,8 +11,7 @@ strongest of the three variants.
 
 import numpy as np
 
-from emofuse.dataset import WindowDataset
-from emofuse.sequencing import SequenceWindow
+from emofuse.dataset import VideoEntry, WindowDataset
 
 AUDIO_DIM = 24
 VIDEO_DIM = 32
@@ -39,7 +38,7 @@ def synthetic_dataset(
 
     rng = np.random.default_rng(seed)
     t = np.arange(window_len, dtype=np.float64)[:, None]
-    per_video = []
+    audios, videos = [], []
     for i in range(n_windows):
         c = i % 8
         freq = (c % 4) + 1.0
@@ -50,13 +49,16 @@ def synthetic_dataset(
         video = step * video_pair_sig[c // 2][None, :]
         video = video + hint * video_hint_sig[c][None, :]
         video = video + video_noise * rng.standard_normal((window_len, video_dim))
+        audios.append(audio)
+        videos.append(video)
 
-        window = SequenceWindow(
-            audio_seq=audio.astype(np.float32),
-            video_seq=video.astype(np.float32),
-            labels=np.full(window_len, c, dtype=np.int64),
-            start_frame=0,
-            pad_count=0,
-        )
-        per_video.append((f"syn{i:03d}", window_len, [window]))
-    return WindowDataset.from_video_windows(per_video, window_len=window_len)
+    # one single-window video per window
+    return WindowDataset(
+        audio=np.stack(audios).astype(np.float32),
+        video=np.stack(videos).astype(np.float32),
+        labels=np.repeat(np.arange(n_windows)[:, None] % 8, window_len, axis=1),
+        start_frames=np.zeros(n_windows, dtype=np.int64),
+        pad_counts=np.zeros(n_windows, dtype=np.int64),
+        videos=[VideoEntry(f"syn{i:03d}", window_len, i, 1) for i in range(n_windows)],
+        window_len=window_len,
+    )

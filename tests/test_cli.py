@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from emofuse.cli import main
-from emofuse.dataset import WindowDataset, read_dataset, read_frame_features, write_dataset
+from emofuse.dataset import (
+    WindowDataset,
+    read_dataset,
+    read_frame_features,
+    write_dataset,
+    write_frame_features,
+)
 from emofuse.model import FusionModel, ModelConfig, load_checkpoint, save_checkpoint
 from emofuse.video import META_COLUMNS, default_selection
 
@@ -182,6 +188,51 @@ class TestBuildDataset:
                    "--out", str(tmp_path / "d")])
         assert rc == 1
         assert one_error_line(capsys, "parse")
+
+
+def build_from_arrays(root, videos, swap=False):
+    """Run build-dataset over frame_features containers made from
+    ``{video_id: (audio, video)}``; ``swap`` exchanges --audio and --video."""
+    dirs = {name: root / name for name in ("ann", "audio", "video")}
+    dirs["ann"].mkdir()
+    for vid, (audio, video) in videos.items():
+        (dirs["ann"] / f"{vid}.txt").write_text("0\n" * len(audio))
+        write_frame_features(dirs["audio"] / vid, audio, "audio")
+        write_frame_features(dirs["video"] / vid, video, "video")
+    audio_dir, video_dir = (dirs["video"], dirs["audio"]) if swap else (dirs["audio"], dirs["video"])
+    return main(["build-dataset", "--audio", str(audio_dir), "--video", str(video_dir),
+                 "--annotations", str(dirs["ann"]), "--out", str(root / "d"), "--jobs", "1"])
+
+
+class TestMalformedBuildInputs:
+    def test_width_mismatch_across_videos_is_schema_error(self, tmp_path, capsys, rng):
+        rc = build_from_arrays(tmp_path, {
+            "a": (rng.standard_normal((4, 6)), rng.standard_normal((4, 3))),
+            "b": (rng.standard_normal((4, 5)), rng.standard_normal((4, 3))),
+        })
+        err = capsys.readouterr().err
+        assert rc == 1 and len(err.splitlines()) == 1
+        assert err.startswith("error: schema: video 'b': audio width 5, earlier videos have 6")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_feature_is_domain_error(self, tmp_path, capsys, rng, value):
+        video = rng.standard_normal((20, 3))
+        video[13, 1] = value
+        rc = build_from_arrays(tmp_path, {"clip": (rng.standard_normal((20, 6)), video)})
+        err = capsys.readouterr().err
+        assert rc == 1 and len(err.splitlines()) == 1
+        assert err.startswith("error: domain: video 'clip': non-finite video feature at frame 13")
+        assert not (tmp_path / "d").exists()
+
+    def test_swapped_modalities_is_schema_error(self, tmp_path, capsys, rng):
+        rc = build_from_arrays(
+            tmp_path, {"clip": (rng.standard_normal((4, 6)), rng.standard_normal((4, 3)))},
+            swap=True,
+        )
+        err = capsys.readouterr().err
+        assert rc == 1 and len(err.splitlines()) == 1
+        assert err.startswith("error: schema: ") and "holds 'video' features, expected 'audio'" in err
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emofuse.dataset import (
     WindowDataset,
@@ -10,22 +12,28 @@ from emofuse.dataset import (
     write_dataset,
     write_frame_features,
 )
-from emofuse.errors import CorruptionError, SchemaError
-from emofuse.sequencing import cut_windows
+from emofuse.errors import CorruptionError, DomainError, SchemaError
+from emofuse.sequencing import AnnotationTrack
 
-from test_sequencing import make_frames
+from oracles import cut_windows_direct
+from test_sequencing import make_video
 
 
 def build_dataset(rng, n_videos=2, audio_dim=5, video_dim=9):
-    per_video = []
-    for v in range(n_videos):
-        n = 17 + 12 * v
-        frames = make_frames(n, audio_dim=audio_dim, video_dim=video_dim)
-        per_video.append((f"vid{v}", n, cut_windows(frames)))
-    return WindowDataset.from_video_windows(per_video, meta={"dsp": {"n_fft": 2048}})
+    videos = [
+        make_video(17 + 12 * v, audio_dim=audio_dim, video_dim=video_dim, video_id=f"vid{v}")
+        for v in range(n_videos)
+    ]
+    return WindowDataset.from_videos(videos, meta={"dsp": {"n_fft": 2048}})
 
 
 class TestFrameFeatureContainer:
+    def test_wrong_modality_is_schema_error(self, tmp_path, rng):
+        write_frame_features(tmp_path / "c", rng.standard_normal((4, 3)), "audio")
+        assert read_frame_features(tmp_path / "c", modality="audio")[0].shape == (4, 3)
+        with pytest.raises(SchemaError, match="'audio' features, expected 'video'"):
+            read_frame_features(tmp_path / "c", modality="video")
+
     def test_roundtrip(self, tmp_path, rng):
         feats = rng.standard_normal((12, 7)).astype(np.float32)
         write_frame_features(tmp_path / "c", feats, "audio", meta={"video_id": "x"})
@@ -88,11 +96,13 @@ class TestWindowDatasetContainer:
         assert offsets == sorted(offsets)
         total = sum(v.window_count for v in ds.videos)
         assert total == ds.n_windows
-        windows = ds.video_windows(ds.videos[1])
-        assert len(windows) == ds.videos[1].window_count
-        np.testing.assert_array_equal(
-            windows[0].audio_seq, ds.audio[ds.videos[1].window_offset]
-        )
+        # a video's slice of the container is that video windowed on its own
+        entry = ds.videos[1]
+        alone = WindowDataset.from_videos([make_video(entry.n_frames, 5, 9)])
+        lo, hi = entry.window_offset, entry.window_offset + entry.window_count
+        assert alone.n_windows == entry.window_count
+        for name in ("audio", "video", "labels", "start_frames", "pad_counts"):
+            np.testing.assert_array_equal(getattr(ds, name)[lo:hi], getattr(alone, name))
 
     def test_labels_integer_exact_after_roundtrip(self, tmp_path, rng):
         ds = build_dataset(rng)
@@ -159,3 +169,58 @@ class TestMalformedManifest:
         mpath.write_text(json.dumps(manifest))
         with pytest.raises(SchemaError, match=drop[-1]):
             read_frame_features(tmp_path / "c")
+
+
+def video_arrays(n, audio_dim=3, video_dim=4, video_id="v", seed=0):
+    rng = np.random.default_rng(seed)
+    track = AnnotationTrack(labels=rng.integers(-1, 7, size=n).tolist(), video_id=video_id)
+    return track, rng.standard_normal((n, audio_dim)), rng.standard_normal((n, video_dim))
+
+
+class TestFromVideos:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lengths=st.lists(st.integers(1, 60), min_size=1, max_size=3),
+        length=st.integers(1, 20),
+        stride=st.integers(1, 20),
+    )
+    def test_gather_equals_per_window_cut(self, lengths, length, stride):
+        videos = [video_arrays(n, video_id=f"v{i}", seed=i) for i, n in enumerate(lengths)]
+        ds = WindowDataset.from_videos(videos, window_len=length, stride=stride)
+        want = [cut_windows_direct(a, v, t.labels, length, stride) for t, a, v in videos]
+        fields = (ds.audio, ds.video, ds.labels, ds.start_frames, ds.pad_counts)
+        for got, parts in zip(fields, zip(*want)):
+            expected = np.concatenate(parts)
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+        assert [(e.n_frames, e.window_count) for e in ds.videos] == [
+            (n, len(w[3])) for n, w in zip(lengths, want)
+        ]
+
+    def test_width_mismatch_names_video_and_widths(self):
+        first = video_arrays(20, audio_dim=6, video_id="a")
+        second = video_arrays(20, audio_dim=5, video_id="b")
+        with pytest.raises(SchemaError, match="video 'b': audio width 5, earlier videos have 6"):
+            WindowDataset.from_videos([first, second])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_video_modality_and_frame(self, value):
+        track, audio, video = video_arrays(20, video_id="clip")
+        video[7, 0] = value
+        video[4, 3] = value
+        with pytest.raises(DomainError, match="video 'clip': non-finite video feature at frame 4"):
+            WindowDataset.from_videos([(track, audio, video)])
+
+    def test_label_outside_domain(self):
+        track, audio, video = video_arrays(3)
+        with pytest.raises(DomainError, match="label 9"):
+            WindowDataset.from_videos([(AnnotationTrack([0, 9, 1], "v"), audio, video)])
+
+    def test_features_must_be_matrices(self):
+        track, audio, video = video_arrays(3)
+        with pytest.raises(SchemaError, match="not 2-D"):
+            WindowDataset.from_videos([(track, audio, video[:, :, None])])
+
+    def test_no_videos(self):
+        with pytest.raises(SchemaError, match="no windows"):
+            WindowDataset.from_videos([])

@@ -27,7 +27,7 @@ from emofuse.model import (
     predict_dataset,
     save_checkpoint,
 )
-from emofuse.sequencing import FrameFeatures, cut_windows, parse_annotations
+from emofuse.sequencing import AnnotationTrack, parse_annotations
 from emofuse.video import ColumnSelection, parse_openface_csv
 
 from conftest import wav_bytes
@@ -46,16 +46,12 @@ def _csv_text():
 
 
 def _container(rng):
-    per_video = []
-    for v, n in enumerate((12, 3)):
-        frames = [
-            FrameFeatures(audio=rng.standard_normal(CFG.audio_dim),
-                          video=rng.standard_normal(CFG.video_dim),
-                          label=int(rng.integers(0, 8)), frame_index=i)
-            for i in range(n)
-        ]
-        per_video.append((f"v{v}", n, cut_windows(frames, length=CFG.window_len, stride=3)))
-    return WindowDataset.from_video_windows(per_video, window_len=CFG.window_len, stride=3)
+    videos = [
+        (AnnotationTrack(rng.integers(-1, 7, size=n).tolist(), f"v{v}"),
+         rng.standard_normal((n, CFG.audio_dim)), rng.standard_normal((n, CFG.video_dim)))
+        for v, n in enumerate((12, 3))
+    ]
+    return WindowDataset.from_videos(videos, window_len=CFG.window_len, stride=3)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from emofuse.dataset import WindowDataset
+from emofuse.dataset import VideoEntry, WindowDataset
 from emofuse.errors import CorruptionError, CoverageError, DivergenceError, SchemaError, ShapeError
 from emofuse.model import (
     INFER_WINDOWS,
@@ -14,14 +14,14 @@ from emofuse.model import (
     RmsProp,
     load_checkpoint,
     predict_dataset,
-    predict_video,
     save_checkpoint,
+    standardize,
 )
 from emofuse.nn.layers import softmax, softmax_cross_entropy
-from emofuse.sequencing import FrameFeatures, SequenceWindow, cut_windows
+from emofuse.sequencing import AnnotationTrack, remap_label
 from emofuse.video import default_selection
 
-from oracles import max_rel_err, numeric_gradient
+from oracles import frame_scores_direct, max_rel_err
 
 TINY = ModelConfig(
     audio_dim=6,
@@ -249,38 +249,58 @@ class TestVariants:
         assert np.isfinite(loss)
 
 
-def make_windows(rng, cfg, starts, n_frames, pad_counts=None):
-    out = []
-    for i, s in enumerate(starts):
-        pad = 0 if pad_counts is None else pad_counts[i]
-        out.append(
-            SequenceWindow(
-                audio_seq=rng.standard_normal((cfg.window_len, cfg.audio_dim)).astype(np.float32),
-                video_seq=rng.standard_normal((cfg.window_len, cfg.video_dim)).astype(np.float32),
-                labels=np.zeros(cfg.window_len, dtype=np.int64),
-                start_frame=s,
-                pad_count=pad,
-            )
-        )
-    return out
+def one_video(rng, cfg, starts, n_frames, pad_counts=None):
+    """A container of one ``n_frames``-frame video with random windows at ``starts``."""
+    w = len(starts)
+    return WindowDataset(
+        audio=rng.standard_normal((w, cfg.window_len, cfg.audio_dim)).astype(np.float32),
+        video=rng.standard_normal((w, cfg.window_len, cfg.video_dim)).astype(np.float32),
+        labels=np.zeros((w, cfg.window_len), dtype=np.int64),
+        start_frames=np.array(starts, dtype=np.int64),
+        pad_counts=np.array(pad_counts or [0] * w, dtype=np.int64),
+        videos=[VideoEntry("v", n_frames, 0, w)],
+        window_len=cfg.window_len,
+    )
+
+
+def predict_one(model, dataset):
+    """``(labels, probs)`` of a one-video container."""
+    ((_, labels, probs, _),) = predict_dataset(model, dataset)
+    return labels, probs
+
+
+def reordered(dataset, order):
+    """``dataset`` with its windows in ``order``; the video entries are kept."""
+    return WindowDataset(
+        audio=dataset.audio[order],
+        video=dataset.video[order],
+        labels=dataset.labels[order],
+        start_frames=dataset.start_frames[order],
+        pad_counts=dataset.pad_counts[order],
+        videos=dataset.videos,
+        window_len=dataset.window_len,
+        stride=dataset.stride,
+    )
 
 
 class TestPredictVideo:
+    """Per-frame scores of one video through :func:`predict_dataset`."""
+
     def test_single_window_argmax(self, rng):
         model = FusionModel(TINY)
-        windows = make_windows(rng, TINY, [0], n_frames=5)
-        labels, probs = predict_video(model, windows, 5)
-        direct = model.forward(windows[0].audio_seq, windows[0].video_seq)[0]
+        ds = one_video(rng, TINY, [0], n_frames=5)
+        labels, probs = predict_one(model, ds)
+        direct = model.forward(ds.audio[0], ds.video[0])[0]
         np.testing.assert_allclose(probs, direct, atol=1e-12)
         np.testing.assert_array_equal(labels, np.argmax(direct, axis=1))
 
     def test_overlap_takes_mean(self, rng):
         cfg = ModelConfig(**{**TINY.__dict__, "window_len": 4})
         model = FusionModel(cfg)
-        windows = make_windows(rng, cfg, [0, 2], n_frames=6)
-        _, probs = predict_video(model, windows, 6)
-        p0 = model.forward(windows[0].audio_seq, windows[0].video_seq)[0]
-        p1 = model.forward(windows[1].audio_seq, windows[1].video_seq)[0]
+        ds = one_video(rng, cfg, [0, 2], n_frames=6)
+        _, probs = predict_one(model, ds)
+        p0 = model.forward(ds.audio[0], ds.video[0])[0]
+        p1 = model.forward(ds.audio[1], ds.video[1])[0]
         np.testing.assert_allclose(probs[2], (p0[2] + p1[0]) / 2.0, atol=1e-12)
         np.testing.assert_allclose(probs[0], p0[0], atol=1e-12)
 
@@ -288,8 +308,7 @@ class TestPredictVideo:
         cfg = ModelConfig(audio_dim=4, video_dim=5, audio_hidden=(4, 3),
                           video_hidden=(4, 3), head_hidden=4)
         model = FusionModel(cfg)
-        windows = make_windows(rng, cfg, [0, 10, 12], n_frames=27)
-        labels, probs = predict_video(model, windows, 27)
+        labels, probs = predict_one(model, one_video(rng, cfg, [0, 10, 12], n_frames=27))
         assert labels.shape == (27,)
         assert probs.shape == (27, 8)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
@@ -298,36 +317,40 @@ class TestPredictVideo:
         cfg = ModelConfig(audio_dim=4, video_dim=5, audio_hidden=(4, 3),
                           video_hidden=(4, 3), head_hidden=4)
         model = FusionModel(cfg)
-        windows = make_windows(rng, cfg, [0, 10, 12], n_frames=27)
-        labels_a, probs_a = predict_video(model, windows, 27)
-        labels_b, probs_b = predict_video(model, windows[::-1], 27)
+        ds = one_video(rng, cfg, [0, 10, 12], n_frames=27)
+        labels_a, probs_a = predict_one(model, ds)
+        labels_b, probs_b = predict_one(model, reordered(ds, [2, 1, 0]))
         np.testing.assert_array_equal(labels_a, labels_b)
         np.testing.assert_array_equal(probs_a, probs_b)
 
     def test_uncovered_frame_is_coverage_error(self, rng):
         model = FusionModel(TINY)
-        windows = make_windows(rng, TINY, [0], n_frames=5)
-        with pytest.raises(CoverageError):
-            predict_video(model, windows, 7)
+        with pytest.raises(CoverageError, match="frame 5 not covered"):
+            predict_one(model, one_video(rng, TINY, [0], n_frames=7))
 
     def test_window_past_end_is_coverage_error(self, rng):
         model = FusionModel(TINY)
-        windows = make_windows(rng, TINY, [3], n_frames=5)
-        with pytest.raises(CoverageError):
-            predict_video(model, windows, 5)
+        with pytest.raises(CoverageError, match="exceeds 5 frames"):
+            predict_one(model, one_video(rng, TINY, [3], n_frames=5))
 
     def test_padded_rows_discarded(self, rng):
         model = FusionModel(TINY)
-        windows = make_windows(rng, TINY, [0], n_frames=3, pad_counts=[2])
-        labels, probs = predict_video(model, windows, 3)
+        ds = one_video(rng, TINY, [0], n_frames=3, pad_counts=[2])
+        labels, probs = predict_one(model, ds)
         assert labels.shape == (3,)
-        full = model.forward(windows[0].audio_seq, windows[0].video_seq)[0]
+        full = model.forward(ds.audio[0], ds.video[0])[0]
         np.testing.assert_allclose(probs, full[:3], atol=1e-12)
 
-    def test_argmax_tie_breaks_to_lowest_class(self):
-        # mean probabilities with an exact tie: np.argmax picks the first
-        tied = np.array([0.2, 0.3, 0.3, 0.2])
-        assert int(np.argmax(tied)) == 1
+    def test_argmax_tie_breaks_to_lowest_class(self, rng):
+        # a head whose scores ignore its input and tie classes 1 and 2 exactly
+        cfg = ModelConfig(**{**TINY.__dict__, "window_len": 4})
+        model = FusionModel(cfg)
+        dense = model.head[-1]
+        dense.params["W"][...] = 0.0
+        dense.params["b"][...] = [0, 1, 1, 0, 0, 0, 0, 0]
+        labels, probs = predict_one(model, one_video(rng, cfg, [0, 2], n_frames=6))
+        assert (probs[:, 1] == probs[:, 2]).all()
+        np.testing.assert_array_equal(labels, np.ones(6))
 
 
 class TestCheckpoint:
@@ -544,22 +567,21 @@ class TestLogits:
 
 def labelled_dataset(rng, cfg, lengths, stride=3):
     """Videos of the given frame counts, cut into windows; returns (dataset, per-frame labels)."""
-    per_video, truths = [], []
-    for v, n in enumerate(lengths):
-        labels = rng.integers(0, cfg.n_classes, size=n)
-        frames = [
-            FrameFeatures(
-                audio=rng.standard_normal(cfg.audio_dim),
-                video=rng.standard_normal(cfg.video_dim),
-                label=int(labels[i]),
-                frame_index=i,
-            )
-            for i in range(n)
-        ]
-        per_video.append((f"v{v}", n, cut_windows(frames, length=cfg.window_len, stride=stride)))
-        truths.append(labels)
-    dataset = WindowDataset.from_video_windows(per_video, window_len=cfg.window_len, stride=stride)
-    return dataset, truths
+    videos = [
+        (AnnotationTrack(rng.integers(-1, 7, size=n).tolist(), f"v{v}"),
+         rng.standard_normal((n, cfg.audio_dim)), rng.standard_normal((n, cfg.video_dim)))
+        for v, n in enumerate(lengths)
+    ]
+    dataset = WindowDataset.from_videos(videos, window_len=cfg.window_len, stride=stride)
+    return dataset, [remap_label(track.labels) for track, _, _ in videos]
+
+
+def video_part(dataset, entry):
+    """The one-video container holding ``entry``'s windows."""
+    lo, hi = entry.window_offset, entry.window_offset + entry.window_count
+    part = reordered(dataset, np.arange(lo, hi))
+    part.videos = [VideoEntry(entry.video_id, entry.n_frames, 0, entry.window_count)]
+    return part
 
 
 def assert_same_predictions(got, want):
@@ -578,8 +600,10 @@ class TestPredictDataset:
         results = list(predict_dataset(model, dataset))
         assert [r[0] for r in results] == [v.video_id for v in dataset.videos]
         for (_, labels, probs, _), entry in zip(results, dataset.videos):
-            want_labels, want_probs = predict_video(
-                model, dataset.video_windows(entry), entry.n_frames
+            part = video_part(dataset, entry)
+            want_labels, want_probs = frame_scores_direct(
+                model.forward(part.audio, part.video), part.start_frames.tolist(),
+                part.pad_counts.tolist(), entry.n_frames,
             )
             np.testing.assert_array_equal(labels, want_labels)
             np.testing.assert_array_equal(probs, want_probs)
@@ -589,14 +613,7 @@ class TestPredictDataset:
         # 44 windows: forward slices cross video boundaries
         dataset, _ = labelled_dataset(rng, TINY, [40, 5, 3, 70, 9, 22])
         assert dataset.n_windows > INFER_WINDOWS
-        parts = [
-            WindowDataset.from_video_windows(
-                [(e.video_id, e.n_frames, dataset.video_windows(e))],
-                window_len=dataset.window_len,
-                stride=dataset.stride,
-            )
-            for e in dataset.videos
-        ]
+        parts = [video_part(dataset, e) for e in dataset.videos]
         assert_same_predictions(
             predict_dataset(model, dataset),
             [result for part in parts for result in predict_dataset(model, part)],
@@ -605,14 +622,34 @@ class TestPredictDataset:
     def test_container_window_order_is_irrelevant(self, rng):
         # stride 1: up to five windows share a frame, so the summation order shows
         dataset, _ = labelled_dataset(rng, TINY, [23, 9], stride=1)
-        per_video = []
-        for e in dataset.videos:
-            windows = dataset.video_windows(e)
-            order = rng.permutation(len(windows))
-            per_video.append((e.video_id, e.n_frames, [windows[i] for i in order]))
-        shuffled = WindowDataset.from_video_windows(per_video, window_len=TINY.window_len, stride=1)
+        order = np.concatenate([
+            e.window_offset + rng.permutation(e.window_count) for e in dataset.videos
+        ])
         model = FusionModel(TINY)
-        assert_same_predictions(predict_dataset(model, shuffled), predict_dataset(model, dataset))
+        assert_same_predictions(
+            predict_dataset(model, reordered(dataset, order)), predict_dataset(model, dataset)
+        )
+
+    def test_applies_the_model_feature_stats(self, rng):
+        dataset, _ = labelled_dataset(rng, TINY, [12, 40])
+        stats = FeatureStats(
+            audio_mean=rng.standard_normal(TINY.audio_dim).astype(np.float32),
+            audio_std=(rng.random(TINY.audio_dim) + 0.5).astype(np.float32),
+            video_mean=rng.standard_normal(TINY.video_dim).astype(np.float32),
+            video_std=(rng.random(TINY.video_dim) + 0.5).astype(np.float32),
+        )
+        standardized = reordered(dataset, np.arange(dataset.n_windows))
+        standardized.audio = standardize(dataset.audio, stats.audio_mean, stats.audio_std)
+        standardized.video = standardize(dataset.video, stats.video_mean, stats.video_std)
+        plain = FusionModel(TINY)
+        with_stats = FusionModel(TINY)
+        with_stats.feature_stats = stats
+        # raw data through a stats-bearing model == standardized data through a plain one
+        assert_same_predictions(
+            predict_dataset(with_stats, dataset), predict_dataset(plain, standardized)
+        )
+        raw = list(predict_dataset(plain, dataset))
+        assert not np.array_equal(raw[0][2], next(predict_dataset(with_stats, dataset))[2])
 
     def test_window_rows_not_model_config_set_the_length(self, rng):
         # a recurrent model runs at any window length; scoring follows the data

@@ -1,29 +1,22 @@
 import numpy as np
 import pytest
 
+from emofuse.dataset import WindowDataset
 from emofuse.errors import AlignmentError, DomainError, ParseError
-from emofuse.sequencing import (
-    AnnotationTrack,
-    FrameFeatures,
-    align_modalities,
-    cut_windows,
-    parse_annotations,
-    remap_label,
-    window_starts,
-)
+from emofuse.sequencing import AnnotationTrack, parse_annotations, remap_label, window_starts
 
 
-def make_frames(n, audio_dim=4, video_dim=6, labels=None):
+def make_video(n, audio_dim=4, video_dim=6, labels=None, video_id="v"):
+    """``(track, audio, video)`` whose frame ``i`` holds ``i`` in audio, ``10 i`` in video."""
     labels = labels if labels is not None else [i % 7 for i in range(n)]
-    return [
-        FrameFeatures(
-            audio=np.full(audio_dim, i, dtype=np.float32),
-            video=np.full(video_dim, 10 * i, dtype=np.float32),
-            label=labels[i],
-            frame_index=i,
-        )
-        for i in range(n)
-    ]
+    frames = np.arange(n, dtype=np.float32)[:, None]
+    audio = np.repeat(frames, audio_dim, axis=1)
+    video = np.repeat(10 * frames, video_dim, axis=1)
+    return AnnotationTrack(labels=list(labels), video_id=video_id), audio, video
+
+
+def cut(n, **kwargs):
+    return WindowDataset.from_videos([make_video(n, **kwargs)])
 
 
 class TestRemapLabel:
@@ -73,19 +66,19 @@ class TestParseAnnotations:
 class TestAlignModalities:
     def test_equal_counts(self):
         track = AnnotationTrack(labels=[0] * 100, video_id="v")
-        frames = align_modalities(track, [np.zeros(3)] * 100, [np.zeros(5)] * 100)
-        assert len(frames) == 100
+        ds = WindowDataset.from_videos([(track, np.zeros((100, 3)), np.zeros((100, 5)))])
+        assert ds.videos[0].n_frames == 100
 
     def test_mismatch_reports_all_counts(self):
         track = AnnotationTrack(labels=[0] * 100, video_id="v")
         with pytest.raises(AlignmentError, match="annotations=100.*audio=99.*video=100"):
-            align_modalities(track, [np.zeros(3)] * 99, [np.zeros(5)] * 100)
+            WindowDataset.from_videos([(track, np.zeros((99, 3)), np.zeros((100, 5)))])
 
     def test_labels_remapped_per_frame(self):
         track = AnnotationTrack(labels=[-1, 0, 5], video_id="v")
-        frames = align_modalities(track, [np.zeros(2)] * 3, [np.zeros(2)] * 3)
-        assert [f.label for f in frames] == [7, 0, 5]
-        assert [f.frame_index for f in frames] == [0, 1, 2]
+        ds = WindowDataset.from_videos([(track, np.zeros((3, 2)), np.zeros((3, 2)))])
+        np.testing.assert_array_equal(ds.labels[0, :3], [7, 0, 5])
+        np.testing.assert_array_equal(remap_label([-1, 0, 5]), [7, 0, 5])
 
 
 class TestWindowStarts:
@@ -122,35 +115,34 @@ class TestWindowStarts:
 
 class TestCutWindows:
     def test_verbatim_single_window(self):
-        frames = make_frames(15)
-        (w,) = cut_windows(frames)
-        assert w.start_frame == 0 and w.pad_count == 0
-        np.testing.assert_array_equal(w.audio_seq, np.stack([f.audio for f in frames]))
-        np.testing.assert_array_equal(w.labels, [f.label for f in frames])
+        track, audio, _ = make_video(15)
+        ds = cut(15)
+        assert ds.start_frames.tolist() == [0] and ds.pad_counts.tolist() == [0]
+        np.testing.assert_array_equal(ds.audio[0], audio)
+        np.testing.assert_array_equal(ds.labels[0], track.labels)
 
     def test_overlap_rows_shared(self):
-        frames = make_frames(25)
-        w0, w1 = cut_windows(frames)
-        # windows share frames 10..14: last 5 rows of w0, first 5 of w1
-        np.testing.assert_array_equal(w0.audio_seq[10:], w1.audio_seq[:5])
-        np.testing.assert_array_equal(w0.video_seq[10:], w1.video_seq[:5])
-        np.testing.assert_array_equal(w0.labels[10:], w1.labels[:5])
+        ds = cut(25)
+        assert ds.n_windows == 2
+        # windows share frames 10..14: last 5 rows of window 0, first 5 of window 1
+        np.testing.assert_array_equal(ds.audio[0, 10:], ds.audio[1, :5])
+        np.testing.assert_array_equal(ds.video[0, 10:], ds.video[1, :5])
+        np.testing.assert_array_equal(ds.labels[0, 10:], ds.labels[1, :5])
 
     def test_replicate_padding(self):
-        frames = make_frames(7)
-        (w,) = cut_windows(frames)
-        assert w.pad_count == 8
+        track, audio, video = make_video(7)
+        ds = cut(7)
+        assert ds.pad_counts.tolist() == [8]
         for row in range(7, 15):
-            np.testing.assert_array_equal(w.audio_seq[row], frames[6].audio)
-            np.testing.assert_array_equal(w.video_seq[row], frames[6].video)
-            assert w.labels[row] == frames[6].label
+            np.testing.assert_array_equal(ds.audio[0, row], audio[6])
+            np.testing.assert_array_equal(ds.video[0, row], video[6])
+            assert ds.labels[0, row] == track.labels[6]
 
     def test_tail_window_start(self):
-        frames = make_frames(27)
-        windows = cut_windows(frames)
-        assert [w.start_frame for w in windows] == [0, 10, 12]
-        assert all(w.pad_count == 0 for w in windows)
+        ds = cut(27)
+        assert ds.start_frames.tolist() == [0, 10, 12]
+        assert ds.pad_counts.tolist() == [0, 0, 0]
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
-            cut_windows([])
+            cut(0)

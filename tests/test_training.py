@@ -3,16 +3,8 @@ import pytest
 
 from emofuse.dataset import WindowDataset
 from emofuse.errors import SchemaError
-from emofuse.model import load_checkpoint
-from emofuse.sequencing import SequenceWindow
-from emofuse.training import (
-    TrainConfig,
-    dataset_metrics,
-    fit_stats,
-    run_training,
-    standardize,
-    standardize_dataset,
-)
+from emofuse.model import FusionModel, ModelConfig, load_checkpoint, standardize
+from emofuse.training import TrainConfig, dataset_metrics, fit_stats, run_training
 
 from synth import synthetic_dataset
 
@@ -34,8 +26,8 @@ class TestStandardize:
         ds = synthetic_dataset(8, seed=0)
         ds.audio[..., 0] = 4.25
         stats = fit_stats(ds)
-        out = standardize_dataset(ds, stats)
-        np.testing.assert_allclose(out.audio[..., 0], 0.0, atol=1e-6)
+        out = standardize(ds.audio, stats.audio_mean, stats.audio_std)
+        np.testing.assert_allclose(out[..., 0], 0.0, atol=1e-6)
 
     def test_roundtrip(self, rng):
         x = rng.standard_normal((50, 6)).astype(np.float32) * 3 + 1
@@ -47,17 +39,22 @@ class TestStandardize:
     def test_train_stats_applied_unchanged_to_val(self, small_sets):
         train_set, val_set = small_sets
         stats = fit_stats(train_set)
-        val_std = standardize_dataset(val_set, stats)
-        np.testing.assert_allclose(
-            val_std.audio,
-            (val_set.audio - stats.audio_mean) / stats.audio_std,
-            atol=1e-6,
+        cfg = ModelConfig(audio_dim=train_set.audio_dim, video_dim=train_set.video_dim)
+        model, plain = FusionModel(cfg), FusionModel(cfg)
+        model.feature_stats = stats
+        np.testing.assert_array_equal(
+            model.logits(val_set.audio, val_set.video),
+            plain.logits(
+                (val_set.audio - stats.audio_mean) / stats.audio_std,
+                (val_set.video - stats.video_mean) / stats.video_std,
+            ),
         )
 
     def test_standardized_train_set_is_centered(self, small_sets):
         train_set, _ = small_sets
-        out = standardize_dataset(train_set, fit_stats(train_set))
-        flat = out.audio.reshape(-1, out.audio_dim)
+        stats = fit_stats(train_set)
+        out = standardize(train_set.audio, stats.audio_mean, stats.audio_std)
+        flat = out.reshape(-1, train_set.audio_dim)
         np.testing.assert_allclose(flat.mean(axis=0), 0.0, atol=1e-4)
         np.testing.assert_allclose(flat.std(axis=0), 1.0, atol=1e-3)
 
