@@ -277,28 +277,26 @@ class FusionModel:
         return loss
 
 
-def _frame_scores(model: FusionModel, spans, window_probs, n_frames: int):
-    """Per-frame labels and mean probabilities from windows in accumulation order.
+def _frame_counts(entry, spans) -> np.ndarray:
+    """How many of the ``(start_frame, real_rows)`` windows cover each frame of ``entry``.
 
-    ``spans`` holds each window's ``(start_frame, pad_count)`` and
-    ``window_probs`` its [L, n_classes] softmax rows, in the same order; the
-    rows' own length L counts, not the model's configured window length.
+    Raises :class:`CoverageError` naming the video when a window runs past
+    the video's end or a frame is left uncovered.
     """
     if not spans:
-        raise CoverageError("no windows supplied")
-    acc = np.zeros((n_frames, model.config.n_classes), dtype=np.float64)
-    counts = np.zeros(n_frames, dtype=np.int64)
-    for (start, pad), probs in zip(spans, window_probs):
-        real = len(probs) - pad
-        if start < 0 or start + real > n_frames:
-            raise CoverageError(f"window at {start} (+{real} real rows) exceeds {n_frames} frames")
-        acc[start : start + real] += probs[:real]
-        counts[start : start + real] += 1
+        raise CoverageError(f"video {entry.video_id!r} has no windows")
+    counts = np.zeros(entry.n_frames, dtype=np.int64)
+    for start, n in spans:
+        if start < 0 or start + n > entry.n_frames:
+            raise CoverageError(
+                f"video {entry.video_id!r}: window at {start} (+{n} real rows) "
+                f"exceeds {entry.n_frames} frames"
+            )
+        counts[start : start + n] += 1
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])
-        raise CoverageError(f"frame {missing} not covered by any window")
-    mean_probs = acc / counts[:, None]
-    return np.argmax(mean_probs, axis=1), mean_probs
+        raise CoverageError(f"video {entry.video_id!r}: frame {missing} not covered by any window")
+    return counts
 
 
 def predict_dataset(model: FusionModel, dataset: WindowDataset):
@@ -309,27 +307,33 @@ def predict_dataset(model: FusionModel, dataset: WindowDataset):
     resolving to the lowest class index. ``truth`` holds each frame's label
     from the real rows of the windows covering it. The forward runs over the
     windows of all videos, ``INFER_WINDOWS`` at a time. A container without
-    videos raises :class:`CoverageError`.
+    videos, or with a video whose windows leave a frame uncovered or run past
+    its end, raises :class:`CoverageError` before the first forward.
     """
     if not dataset.videos:
         raise CoverageError("dataset holds no videos")
     starts, pads = dataset.start_frames, dataset.pad_counts
-    orders = []
+    real = dataset.window_len - pads
+    orders, spans = [], []
     for entry in dataset.videos:
         lo = entry.window_offset
         hi = lo + entry.window_count
         # a fixed accumulation order, by (start_frame, pad_count) with ties in
         # container order, makes the result exactly window-order-invariant
-        orders.append(lo + np.lexsort((pads[lo:hi], starts[lo:hi])))
+        order = lo + np.lexsort((pads[lo:hi], starts[lo:hi]))
+        orders.append(order)
+        spans.append(list(zip(starts[order].tolist(), real[order].tolist())))
+    counts = [_frame_counts(entry, s) for entry, s in zip(dataset.videos, spans)]
     rows = _window_probs(model, dataset, np.concatenate(orders))
-    for entry, order in zip(dataset.videos, orders):
-        spans = [(int(starts[i]), int(pads[i])) for i in order]
-        labels, probs = _frame_scores(model, spans, [next(rows) for _ in order], entry.n_frames)
+    for entry, video_spans, count in zip(dataset.videos, spans, counts):
+        acc = np.zeros((entry.n_frames, model.config.n_classes), dtype=np.float64)
+        for start, n in video_spans:
+            acc[start : start + n] += next(rows)[:n]
         truth = np.zeros(entry.n_frames, dtype=np.int64)
         for i in range(entry.window_offset, entry.window_offset + entry.window_count):
-            real = dataset.window_len - pads[i]
-            truth[starts[i] : starts[i] + real] = dataset.labels[i, :real]
-        yield entry.video_id, labels, probs, truth
+            truth[starts[i] : starts[i] + real[i]] = dataset.labels[i, : real[i]]
+        probs = acc / count[:, None]
+        yield entry.video_id, np.argmax(probs, axis=1), probs, truth
     model._drop_caches()
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,24 +75,74 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
 
     Rows whose ``success`` flag is 0 are kept but marked invalid and
     zero-filled so downstream frame counts still match the annotations.
-    A non-numeric or non-finite cell raises :class:`ParseError` naming its
-    row and column; a file that is not UTF-8 text raises it naming the file.
+    The data rows are parsed in one pass of numpy's C ``loadtxt`` and checked
+    as arrays; whatever that pass refuses, or a non-finite checked cell, goes
+    to the per-cell parser, which accepts what it always accepted and raises
+    :class:`ParseError` naming the row and column of a non-numeric or
+    non-finite cell (naming the file for text that is not UTF-8). A header
+    without data rows raises :class:`SchemaError`.
     """
+    with open(path, "r", encoding="utf-8", newline="") as fh, utf8_text(path):
+        width, take, frame_col, conf_col, success_col = _columns(
+            csv.reader(fh, skipinitialspace=True), path, selection
+        )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows: the fallback says so
+                data = np.loadtxt(
+                    _plain_lines(fh), delimiter=",", dtype=np.float64, ndmin=2, comments=None
+                )
+        except ValueError:  # a cell float64 cannot parse, a ragged row or non-UTF-8 text
+            data = None
+    if data is None or len(data) == 0 or data.shape[1] != width:
+        return _parse_cells(path, selection)
+    n = len(data)
+    valid = data[:, success_col] != 0 if success_col is not None else np.ones(n, dtype=bool)
+    with np.errstate(over="ignore"):  # beyond float32 -> inf, rejected below
+        features = data[:, take].astype(np.float32)
+    features[~valid] = 0.0
+    meta = data[:, [c for c in (success_col, conf_col, frame_col) if c is not None]]
+    if not (np.isfinite(meta).all() and np.isfinite(features).all()):
+        return _parse_cells(path, selection)
+    frames = data[:, frame_col].tolist() if frame_col is not None else range(1, n + 1)
+    confidence = data[:, conf_col].tolist() if conf_col is not None else [1.0] * n
+    records = [
+        VideoFrameFeatures(frame_index=int(f), features=x, valid=v, confidence=c)
+        for f, x, v, c in zip(frames, features, valid.tolist(), confidence)
+    ]
+    records.sort(key=lambda r: r.frame_index)
+    return records
+
+
+def _plain_lines(lines):
+    """``lines``, raising ValueError at the first holding a character that numpy
+    strips from around a number as whitespace but ``float()`` refuses."""
+    for line in lines:
+        if any(c in line for c in "\x1c\x1d\x1e\x1f"):
+            raise ValueError("ASCII separator character")
+        yield line
+
+
+def _columns(reader, path, selection: ColumnSelection):
+    """Header width, the selected column indices, then the frame/confidence/success indices."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise SchemaError(f"{path}: empty CSV") from None
+    col_index = {name: i for i, name in enumerate(header)}
+    missing = [c for c in selection.include_columns if c not in col_index]
+    if missing:
+        raise SchemaError(f"{path}: missing column(s) {missing}")
+    take = [col_index[c] for c in selection.include_columns]
+    return (len(header), take, *(col_index.get(c) for c in ("frame", "confidence", "success")))
+
+
+def _parse_cells(path, selection: ColumnSelection) -> list[VideoFrameFeatures]:
+    """The per-cell parser: ``float()`` on each cell of each row read by ``csv``."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh, utf8_text(path):
         reader = csv.reader(fh, skipinitialspace=True)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise SchemaError(f"{path}: empty CSV") from None
-        col_index = {name: i for i, name in enumerate(header)}
-        missing = [c for c in selection.include_columns if c not in col_index]
-        if missing:
-            raise SchemaError(f"{path}: missing column(s) {missing}")
-        take = [col_index[c] for c in selection.include_columns]
-        frame_col = col_index.get("frame")
-        conf_col = col_index.get("confidence")
-        success_col = col_index.get("success")
+        _, take, frame_col, conf_col, success_col = _columns(reader, path, selection)
 
         for row_no, row in enumerate(reader, start=2):
             if not row:
@@ -142,5 +193,7 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
                     confidence=confidence,
                 )
             )
+    if not records:
+        raise SchemaError(f"{path}: no data rows")
     records.sort(key=lambda r: r.frame_index)
     return records

@@ -402,7 +402,8 @@ def test_criterion_7_end_to_end_pipeline(tmp_path):
         assert cli_main(["evaluate", "--checkpoint", str(out / "best.ckpt"),
                          "--dataset", str(datasets[1]), "--out", str(ev)]) == 0
         summaries.append(str(ev / "eval_summary.json"))
-        assert json.load(open(summaries[-1]))["n_frames"] == 21
+        with open(summaries[-1]) as fh:
+            assert json.load(fh)["n_frames"] == 21
 
     assert cli_main(["report", "--summary", *summaries]) == 0
     announce(

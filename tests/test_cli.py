@@ -5,6 +5,7 @@ import pytest
 
 from emofuse.cli import main
 from emofuse.dataset import (
+    VideoEntry,
     WindowDataset,
     read_dataset,
     read_frame_features,
@@ -12,6 +13,7 @@ from emofuse.dataset import (
     write_frame_features,
 )
 from emofuse.model import FusionModel, ModelConfig, load_checkpoint, save_checkpoint
+from emofuse.sequencing import AnnotationTrack
 from emofuse.video import META_COLUMNS, default_selection
 
 from conftest import wav_bytes
@@ -134,6 +136,16 @@ class TestIngestVideo:
         rc = main(["ingest-video", "--csv", str(csv), "--out", str(tmp_path / "v")])
         assert rc == 1
         assert one_error_line(capsys, "parse")
+        assert not (tmp_path / "v").exists()
+
+    def test_header_only_csv_is_schema_error(self, pipeline, capsys, tmp_path):
+        csv = tmp_path / "empty.csv"
+        csv.write_text(pipeline["csv"].read_text().splitlines()[0] + "\n\n")
+        rc = main(["ingest-video", "--csv", str(csv), "--out", str(tmp_path / "v")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: schema:")
+        assert "empty.csv" in err[0] and "no data rows" in err[0]
         assert not (tmp_path / "v").exists()
 
     def test_non_utf8_column_manifest_is_parse_error(self, pipeline, capsys, tmp_path):
@@ -453,6 +465,20 @@ class TestMalformedEvaluateInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: coverage:")
         assert not (tmp_path / "out").exists()
+
+    def test_zero_window_video_is_coverage_error(self, untrained, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        video_a = (AnnotationTrack([0] * 20, "a"), rng.standard_normal((20, 168)),
+                   rng.standard_normal((20, 3)))
+        dataset = WindowDataset.from_videos([video_a], window_len=15, stride=10)
+        # a second video with frames but no windows, which read_dataset accepts
+        dataset.videos.append(VideoEntry("b", 20, len(dataset.start_frames), 0))
+        write_dataset(dataset, tmp_path / "data")
+        rc = self.run_evaluate(untrained, tmp_path / "data", tmp_path / "out")
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: coverage:") and "'b'" in err[0]
+        assert not (tmp_path / "out").exists()  # no predictions/ for video 'a' either
 
     @pytest.mark.parametrize(
         "video_id", ["../../escaped", "..", ".", "", ".hidden", "a/b", "a\\b", 7],

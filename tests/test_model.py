@@ -675,6 +675,16 @@ class TestPredictDataset:
         with pytest.raises(CoverageError, match="no videos"):
             next(predict_dataset(FusionModel(TINY), empty))
 
+    @pytest.mark.parametrize("second, message", [
+        (VideoEntry("b", 7, 1, 1), "video 'b': frame 5 not covered"),
+        (VideoEntry("b", 7, 2, 0), "video 'b' has no windows"),
+    ])
+    def test_coverage_checked_before_the_first_video(self, rng, second, message):
+        dataset = one_video(rng, TINY, [0, 0], n_frames=5)
+        dataset.videos[:] = [VideoEntry("a", 5, 0, 2 - second.window_count), second]
+        with pytest.raises(CoverageError, match=message):
+            next(predict_dataset(FusionModel(TINY), dataset))
+
     def test_truth_drops_padded_rows(self, rng):
         model = FusionModel(TINY)
         dataset, truths = labelled_dataset(rng, TINY, [11, 2])

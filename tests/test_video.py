@@ -1,9 +1,13 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emofuse.errors import ParseError, SchemaError
+from emofuse import video
+from emofuse.errors import EmofuseError, ParseError, SchemaError
 from emofuse.video import (
     META_COLUMNS,
     ColumnSelection,
@@ -194,3 +198,94 @@ class TestParseOpenfaceCsv:
         )
         records = parse_openface_csv(path, small_selection)
         np.testing.assert_array_equal(records[0].features, values.astype(np.float32))
+
+    @pytest.mark.parametrize("body", ["", "\n", "\n\r\n\n"])
+    def test_header_without_rows_is_schema_error(self, tmp_path, small_selection, body):
+        path = tmp_path / "of.csv"
+        path.write_text("frame, success, pose_Rx, pose_Ry, AU01_r\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" included
+            with pytest.raises(SchemaError, match=r"of\.csv: no data rows"):
+                parse_openface_csv(path, small_selection)
+
+    def test_clean_csv_takes_the_c_parser(self, tmp_path, rng, monkeypatch):
+        features = openface_header_enumeration()
+        header = list(META_COLUMNS) + features
+        rows = [[i + 1, 0, i * 0.04, 0.9, int(i != 1)] + [f"{v:.5f}" for v in rng.standard_normal(709)]
+                for i in range(4)]
+        rows[1][5:8] = ["nan", "inf", "1e300"]  # an invalid row is zeroed before the finiteness check
+        path = tmp_path / "of.csv"
+        write_csv(path, header, rows)
+
+        def per_cell(*args):
+            raise AssertionError("fell back to the per-cell parser")
+
+        monkeypatch.setattr(video, "_parse_cells", per_cell)
+        records = parse_openface_csv(path, default_selection())
+        assert [r.valid for r in records] == [True, False, True, True]
+        # the records' features are rows of one float32 matrix
+        assert {id(r.features.base) for r in records} == {id(records[0].features.base)}
+        np.testing.assert_array_equal(records[0].features, np.float32(rows[0][5:]))
+
+
+PLAIN = ["0.5", "-1.25", "1e-3", "7", " 2.5", "-0", "1e-50"]
+FLOAT_ONLY = ["1_0", '"3.5"']  # text float() reads and numpy does not
+HOSTILE = ["nan", "inf", "-Infinity", "1e300", "", "x"]
+SEPARATOR = "\x1c1"  # numpy strips \x1c around a number as whitespace; float() refuses it
+HEADER = ("frame", "face_id", "confidence", "success", "pose_Rx", "pose_Ry", "AU01_r")
+SELECTION = ColumnSelection(("pose_Rx", "pose_Ry", "AU01_r"), 3)
+# per kind of file: the cells to draw from, the success flags, the row shapes
+KINDS = {
+    "plain": (PLAIN, ["1", "1", "0"], ["row"] * 8 + ["blank"]),
+    "separator": (PLAIN * 10 + [SEPARATOR], ["1", "1", "0"], ["row"]),
+    "lenient": (PLAIN + FLOAT_ONLY, ["1", "1", "0"], ["row"] * 4 + ["long", "blank"]),
+    "hostile": (PLAIN + FLOAT_ONLY + HOSTILE + [SEPARATOR], ["1", "0", "nan"],
+                ["row"] * 4 + ["short", "long", "comma", "blank", "space"]),
+}
+
+
+@st.composite
+def openface_text(draw):
+    header = [c for c in HEADER if c in SELECTION.include_columns or draw(st.booleans())]
+    header = draw(st.permutations(header))
+    cells, flags, shapes = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    cell = st.sampled_from(cells)
+    lines = [", ".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        row = []
+        for name in header:
+            if name == "success":
+                row.append(draw(st.sampled_from(flags)))
+            elif name == "frame":
+                row.append(str(draw(st.integers(1, 4))))  # shuffled, duplicates allowed
+            else:
+                row.append(draw(cell))
+        shape = draw(st.sampled_from(shapes))
+        if shape == "short":
+            row = row[:-1]
+        elif shape == "long":
+            row.append(draw(cell))
+        elif shape == "blank":
+            row = []
+        elif shape == "space":
+            row = ["   "]
+        line = draw(st.sampled_from([", ", ","])).join(row)
+        lines.append(line + "," if shape == "comma" else line)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _outcome(parse, path):
+    try:
+        records = parse(path, SELECTION)
+    except EmofuseError as exc:
+        return type(exc), str(exc)
+    return [(repr((r.frame_index, r.valid, r.confidence)), r.features.dtype, r.features.tobytes())
+            for r in records]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=openface_text())
+def test_c_parser_agrees_with_per_cell_parser(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "of.csv"
+    path.write_text(text, newline="")
+    assert _outcome(parse_openface_csv, path) == _outcome(video._parse_cells, path)
