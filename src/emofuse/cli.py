@@ -29,7 +29,7 @@ from .dataset import (
 )
 from .errors import CorruptionError, EmofuseError, ParseError, SchemaError, schema_fields
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
-from .model import load_checkpoint, predict_dataset
+from .model import _write_atomic, load_checkpoint, predict_dataset
 from .sequencing import parse_annotations
 from .training import TrainConfig, run_training
 
@@ -212,17 +212,18 @@ def cmd_train(args) -> int:
         resume_from=args.resume,
     )
 
-    with open(os.path.join(args.out, "train_log.txt"), "w") as fh:
-        for r in report.records:
-            fh.write(
-                f"epoch {r.epoch} train_loss {r.train_loss:.6f} "
-                f"val_combined {r.val_combined:.6f} val_accuracy {r.val_accuracy:.6f} "
-                f"val_macro_f1 {r.val_macro_f1:.6f}\n"
-            )
+    log = "".join(
+        f"epoch {r['epoch']} train_loss {r['train_loss']:.6f} "
+        f"val_combined {r['val_combined']:.6f} val_accuracy {r['val_accuracy']:.6f} "
+        f"val_macro_f1 {r['val_macro_f1']:.6f}\n"
+        for r in report.history()
+    )
     summary = {"config": asdict(config), **report.summary()}
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_atomic(os.path.join(args.out, "train_log.txt"), [log.encode()])
+    _write_atomic(
+        os.path.join(args.out, "summary.json"),
+        [json.dumps(summary, indent=2, sort_keys=True).encode(), b"\n"],
+    )
 
     if report.diverged:
         print("error: divergence: training loss became non-finite", file=sys.stderr)
@@ -262,9 +263,7 @@ def cmd_evaluate(args) -> int:
         all_preds.append(labels)
         all_truth.append(truth)
         with open(os.path.join(pred_dir, f"{video_id}.txt"), "w") as fh:
-            for i in range(len(labels)):
-                row = ",".join(f"{p:.6f}" for p in probs[i])
-                fh.write(f"{i},{labels[i]},{row}\n")
+            fh.write(_prediction_lines(labels, probs))
 
     report = evaluate(
         np.concatenate(all_preds), np.concatenate(all_truth), w_f1=w_f1, w_acc=w_acc
@@ -287,6 +286,14 @@ def cmd_evaluate(args) -> int:
         fh.write(_format_report(summary))
     print(_format_report(summary), end="")
     return 0
+
+
+def _prediction_lines(labels: np.ndarray, probs: np.ndarray) -> str:
+    """One ``frame,label,p_0,...,p_{C-1}`` line per frame, probabilities to 6 decimals."""
+    line = "{},{}," + ",".join(["{:.6f}"] * probs.shape[1]) + "\n"
+    return "".join(
+        line.format(i, label, *row) for i, (label, row) in enumerate(zip(labels.tolist(), probs.tolist()))
+    )
 
 
 def _format_report(summary: dict) -> str:

@@ -22,24 +22,15 @@ from .sequencing import WINDOW_LEN, WINDOW_STRIDE, AnnotationTrack, remap_label,
 FORMAT_VERSION = 1
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
-    return h.hexdigest()
-
-
 def _write_blob(dirpath, name: str, array: np.ndarray) -> dict:
-    path = os.path.join(dirpath, name)
-    data = np.ascontiguousarray(array, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(data.tobytes())
+    data = np.ascontiguousarray(array, dtype="<f4").tobytes()
+    with open(os.path.join(dirpath, name), "wb") as fh:
+        fh.write(data)
     return {
         "file": name,
         "shape": list(array.shape),
         "dtype": "float32",
-        "sha256": _sha256(path),
+        "sha256": hashlib.sha256(data).hexdigest(),
     }
 
 
@@ -54,11 +45,11 @@ def _read_blob(dirpath, entry: dict) -> np.ndarray:
         raise CorruptionError(
             f"{path}: expected {expected_bytes} bytes for shape {shape}, found {actual}"
         )
-    if _sha256(path) != entry["sha256"]:
-        raise CorruptionError(f"{path}: checksum mismatch")
     with open(path, "rb") as fh:
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    return data.reshape(shape)
+        data = fh.read()
+    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
+        raise CorruptionError(f"{path}: checksum mismatch")
+    return np.frombuffer(data, dtype="<f4").reshape(shape)
 
 
 def _write_manifest(dirpath, manifest: dict):

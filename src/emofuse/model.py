@@ -90,10 +90,13 @@ def _fixed_rows(x: np.ndarray) -> np.ndarray:
 
 class FusionModel:
     def __init__(self, config: ModelConfig):
+        self._build(config, np.random.default_rng(config.seed))
+
+    def _build(self, config: ModelConfig, rng: np.random.Generator | None):
+        """Build the layers; ``rng=None`` leaves every weight zero, for a checkpoint to fill."""
         self.config = config
         self.dtype = np.dtype(config.dtype)
         self.feature_stats: FeatureStats | None = None
-        rng = np.random.default_rng(config.seed)
         rec = Gru if config.recurrent == "gru" else Lstm
 
         self.audio_stack = []
@@ -449,7 +452,8 @@ def _model_from_header(path, header: dict, blob: bytes) -> tuple[FusionModel, Rm
     cfg_dict = dict(header["config"])
     cfg_dict["audio_hidden"] = tuple(cfg_dict["audio_hidden"])
     cfg_dict["video_hidden"] = tuple(cfg_dict["video_hidden"])
-    model = FusionModel(ModelConfig(**cfg_dict))
+    model = FusionModel.__new__(FusionModel)
+    model._build(ModelConfig(**cfg_dict), None)  # no initial draws: every weight is loaded
 
     loaded: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:

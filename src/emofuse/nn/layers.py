@@ -53,13 +53,15 @@ class Layer:
 
 
 class Dense(Layer):
-    """y = x @ W.T + b, applied per timestep on sequences."""
+    """y = x @ W.T + b, applied per timestep on sequences; ``rng=None`` leaves W zero."""
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float32, name="dense"):
         super().__init__(name)
         self.in_dim, self.out_dim = in_dim, out_dim
         self.params = {
-            "W": glorot_uniform((out_dim, in_dim), rng, dtype),
+            "W": np.zeros((out_dim, in_dim), dtype=dtype)
+            if rng is None
+            else glorot_uniform((out_dim, in_dim), rng, dtype),
             "b": np.zeros(out_dim, dtype=dtype),
         }
 

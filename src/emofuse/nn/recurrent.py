@@ -10,13 +10,15 @@ GRU recurrence (the convention every test in this repo targets):
     hc_t = tanh(Wh x_t + Uh (r_t * h_{t-1}) + bh)
     h_t = (1 - z_t) * h_{t-1} + z_t * hc_t
 
-Parameters are stored per gate (``Wz``, ``Uz``, ``bz``, ...), which fixes
-the checkpoint layout. Each call stacks them into one matrix per gate group
-(GRU: ``[Wz;Wr;Wh]`` and ``[Uz;Ur]``; LSTM: ``[Wi;Wf;Wo;Wg]`` and
-``[Ui;Uf;Uo;Ug]``), so the input projection for all timesteps is a single
-matmul with the bias folded in, each step costs one recurrent matmul per
-gate group, and backward accumulates the weight gradients over all B*T rows
-at once and returns them as per-gate row views.
+Parameters are named per gate (``Wz``, ``Uz``, ``bz``, ...), which fixes the
+checkpoint layout, and each is a row view of one gate-stacked array per kind
+(GRU: ``[Wz;Wr;Wh]``, ``[Uz;Ur;Uh]``, ``[bz;br;bh]``; LSTM: ``[Wi;Wf;Wo;Wg]``,
+...), so in-place updates land in the storage the kernels use. The input
+projection for all timesteps is one matmul with the bias folded in; the
+forward then runs time-major, one matmul per gate group per step against a
+contiguous transposed copy of the recurrent weights, with the gate math in
+place. Backward accumulates the weight gradients over all B*T rows at once in
+batch-major order and returns them as per-gate row views.
 """
 
 from __future__ import annotations
@@ -27,9 +29,14 @@ from ..errors import ShapeError
 from .layers import Layer, glorot_uniform, orthogonal
 
 
-def _sigmoid(x):
-    # tanh form: no overflow for any finite x, and no masked copies
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid(x, out=None):
+    """0.5 * (1 + tanh(0.5 * x)) into ``out`` (which may be ``x``) or a new array.
+    The tanh form has no overflow for any finite x and makes no masked copies."""
+    out = np.multiply(x, 0.5, out=np.empty_like(x) if out is None else out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 def _as_batched(x, in_dim, name):
@@ -46,16 +53,18 @@ def _as_batched(x, in_dim, name):
     return x, squeeze
 
 
-def _stack(p, kind, gates):
-    return np.concatenate([p[kind + g] for g in gates])
-
-
 def _project(x, W, b):
-    """x [B,T,in] -> x @ W.T + b as [B,T,G], the bias added in place."""
+    """x [B,T,in] -> x @ W.T + b as a [T,B,G] view of batch-major rows, the bias
+    added in place."""
     B, T, _ = x.shape
     xp = x.reshape(B * T, -1) @ W.T
     xp += b
-    return xp.reshape(B, T, -1)
+    return xp.reshape(B, T, -1).transpose(1, 0, 2)
+
+
+def _batch_major(a):
+    """A time-major [T,B,H] array as a contiguous [B,T,H] copy."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2))
 
 
 def _initial_state(h0, B, H, dtype, name):
@@ -84,65 +93,94 @@ def _per_gate(stacked, kind, gates):
     return {kind + g: stacked[k * H : (k + 1) * H] for k, g in enumerate(gates)}
 
 
-def _input_grads(da2, p, gates, x, dh0, squeeze, input_grad):
+def _input_grads(da2, W, x, dh0, squeeze, input_grad):
     """``(dx, dh0)`` for a backward call; ``dx`` is None without ``input_grad``."""
     dx = None
     if input_grad:
-        dx = (da2 @ _stack(p, "W", gates)).reshape(x.shape[1:] if squeeze else x.shape)
+        dx = (da2 @ W).reshape(x.shape[1:] if squeeze else x.shape)
     return dx, (dh0[0] if squeeze else dh0)
 
 
-class Gru(Layer):
-    def __init__(self, input_dim, hidden_dim, rng, dtype=np.float32, name="gru"):
-        super().__init__(name)
+class _Recurrent(Layer):
+    """Gate-stacked ``W`` [G*H,in], ``U`` [G*H,H] and ``b`` [G*H] storage whose
+    per-gate row views are ``params``; ``rng=None`` leaves the weights zero."""
+
+    GATES = ""
+
+    def __init__(self, input_dim, hidden_dim, rng, dtype=np.float32, name=None):
+        super().__init__(name or type(self).__name__.lower())
         self.input_dim, self.hidden_dim = input_dim, hidden_dim
-        p = {}
-        for gate in ("z", "r", "h"):
-            p["W" + gate] = glorot_uniform((hidden_dim, input_dim), rng, dtype)
-            p["U" + gate] = orthogonal((hidden_dim, hidden_dim), rng, dtype)
-            p["b" + gate] = np.zeros(hidden_dim, dtype=dtype)
-        self.params = p
+        G, H = len(self.GATES) * hidden_dim, hidden_dim
+        shapes = ((G, input_dim), (G, H), G)
+        W, U, b = self._storage = tuple(np.zeros(shape, dtype=dtype) for shape in shapes)
+        for k, g in enumerate(self.GATES):  # checkpoint order; initial draws in this order
+            rows = slice(k * H, (k + 1) * H)
+            self.params.update({"W" + g: W[rows], "U" + g: U[rows], "b" + g: b[rows]})
+            if rng is not None:
+                W[rows] = glorot_uniform((H, input_dim), rng, dtype)
+                U[rows] = orthogonal((H, H), rng, dtype)
+        self._views = dict(self.params)
+
+    def _stacked(self):
+        """``(W, U, b)``: the storage while every param is still its view, else
+        stacked afresh from ``params`` (a rebound param takes effect)."""
+        p = self.params
+        if all(p[k] is v for k, v in self._views.items()):
+            return self._storage
+        return tuple(np.concatenate([p[k + g] for g in self.GATES]) for k in "WUb")
+
+    def _start(self, x, h0):
+        """``x`` as [B,T,in], whether it was [T,in], its [T,B,G] input projection,
+        the stacked ``U`` and the [T+1,B,H] states with ``h0`` at step 0."""
+        x, squeeze = _as_batched(x, self.input_dim, self.name)
+        W, U, b = self._stacked()
+        B, T, _ = x.shape
+        h_all = np.empty((T + 1, B, self.hidden_dim), dtype=x.dtype)
+        h_all[0] = _initial_state(h0, B, self.hidden_dim, x.dtype, self.name)
+        return x, squeeze, _project(x, W, b), U, h_all
+
+
+class Gru(_Recurrent):
+    GATES = "zrh"
 
     def forward(self, x, h0=None, training=False, rng=None):
-        x, squeeze = _as_batched(x, self.input_dim, self.name)
-        p = self.params
-        B, T, _ = x.shape
-        H = self.hidden_dim
-
-        Uzr, Uh = _stack(p, "U", "zr"), p["Uh"]
-        xp = _project(x, _stack(p, "W", "zrh"), _stack(p, "b", "zrh"))
-
-        h_all = np.empty((B, T + 1, H), dtype=x.dtype)
-        h_all[:, 0] = _initial_state(h0, B, H, x.dtype, self.name)
-        zr_all = np.empty((B, T, 2 * H), dtype=x.dtype)
-        hc_all = np.empty((B, T, H), dtype=x.dtype)
+        x, squeeze, xp, U, h_all = self._start(x, h0)
+        T, B, H = xp.shape[0], xp.shape[1], self.hidden_dim
+        Uzr_t, Uh_t = (np.ascontiguousarray(u.T) for u in (U[: 2 * H], U[2 * H :]))
+        zr_all = np.empty((T, B, 2 * H), dtype=x.dtype)
+        hc_all = np.empty((T, B, H), dtype=x.dtype)
+        tmp = np.empty((B, H), dtype=x.dtype)
         for t in range(T):
-            h_prev = h_all[:, t]
-            zr = zr_all[:, t]
-            zr[...] = _sigmoid(xp[:, t, : 2 * H] + h_prev @ Uzr.T)
+            h_prev, zr, hc, h = h_all[t], zr_all[t], hc_all[t], h_all[t + 1]
+            np.matmul(h_prev, Uzr_t, out=zr)
+            zr += xp[t, :, : 2 * H]
+            _sigmoid(zr, out=zr)
             z, r = zr[:, :H], zr[:, H:]
-            hc = np.tanh(xp[:, t, 2 * H :] + (r * h_prev) @ Uh.T)
-            h_all[:, t + 1] = (1.0 - z) * h_prev + z * hc
-            hc_all[:, t] = hc
+            np.matmul(np.multiply(r, h_prev, out=tmp), Uh_t, out=hc)
+            hc += xp[t, :, 2 * H :]
+            np.tanh(hc, out=hc)
+            np.subtract(1.0, z, out=h)  # h = (1 - z) * h_prev + z * hc
+            h *= h_prev
+            h += np.multiply(z, hc, out=tmp)
         self._cache = (x, h_all, zr_all, hc_all, squeeze)
-        h_seq = h_all[:, 1:]
+        h_seq = _batch_major(h_all[1:])
         return h_seq[0] if squeeze else h_seq
 
     def backward(self, dh_seq, input_grad=True):
         """Returns ``(dx, dh0)``; ``input_grad=False`` skips ``dx`` (None) for data inputs."""
         x, h_all, zr_all, hc_all, squeeze = self._take_cache()
-        p = self.params
-        B, T, H = hc_all.shape
-        Uzr, Uh = _stack(p, "U", "zr"), p["Uh"]
+        W, U, _ = self._stacked()
+        T, B, H = hc_all.shape
+        Uzr, Uh = U[: 2 * H], U[2 * H :]
         dh_seq = _upstream(dh_seq, (B, T, H), squeeze, x.dtype, self.name)
 
         da = np.empty((B, T, 3 * H), dtype=x.dtype)  # pre-activations z, r, hc
         dh = np.zeros((B, H), dtype=x.dtype)
         for t in range(T - 1, -1, -1):
             dh = dh + dh_seq[:, t]
-            h_prev = h_all[:, t]
-            z, r = zr_all[:, t, :H], zr_all[:, t, H:]
-            hc = hc_all[:, t]
+            h_prev = h_all[t]
+            z, r = zr_all[t, :, :H], zr_all[t, :, H:]
+            hc = hc_all[t]
             da_t = da[:, t]
 
             da_t[:, :H] = dh * (hc - h_prev) * z * (1.0 - z)
@@ -153,62 +191,49 @@ class Gru(Layer):
             dh = dh * (1.0 - z) + da_t[:, : 2 * H] @ Uzr + drh * r
 
         da2 = da.reshape(B * T, 3 * H)
-        h_prev = h_all[:, :T].reshape(B * T, H)
-        rh = zr_all[:, :, H:].reshape(B * T, H) * h_prev
+        h_prev = _batch_major(h_all[:T]).reshape(B * T, H)
+        rh = _batch_major(zr_all[:, :, H:]).reshape(B * T, H) * h_prev
         self.grads = {
             **_per_gate(da2.T @ x.reshape(B * T, -1), "W", "zrh"),
             **_per_gate(da2[:, : 2 * H].T @ h_prev, "U", "zr"),
             "Uh": da2[:, 2 * H :].T @ rh,
             **_per_gate(da2.sum(axis=0), "b", "zrh"),
         }
-        return _input_grads(da2, p, "zrh", x, dh, squeeze, input_grad)
+        return _input_grads(da2, W, x, dh, squeeze, input_grad)
 
 
-class Lstm(Layer):
+class Lstm(_Recurrent):
     """Standard LSTM (input/forget/output gates, no peepholes)."""
 
-    def __init__(self, input_dim, hidden_dim, rng, dtype=np.float32, name="lstm"):
-        super().__init__(name)
-        self.input_dim, self.hidden_dim = input_dim, hidden_dim
-        p = {}
-        for gate in ("i", "f", "o", "g"):
-            p["W" + gate] = glorot_uniform((hidden_dim, input_dim), rng, dtype)
-            p["U" + gate] = orthogonal((hidden_dim, hidden_dim), rng, dtype)
-            p["b" + gate] = np.zeros(hidden_dim, dtype=dtype)
-        self.params = p
+    GATES = "ifog"
 
     def forward(self, x, h0=None, training=False, rng=None):
-        x, squeeze = _as_batched(x, self.input_dim, self.name)
-        p = self.params
-        B, T, _ = x.shape
-        H = self.hidden_dim
-
-        U = _stack(p, "U", "ifog")
-        gates = _project(x, _stack(p, "W", "ifog"), _stack(p, "b", "ifog"))
-        c_all = np.empty((B, T + 1, H), dtype=x.dtype)
-        h_all = np.empty((B, T + 1, H), dtype=x.dtype)
-        c_all[:, 0] = 0.0
-        h_all[:, 0] = _initial_state(h0, B, H, x.dtype, self.name)
+        x, squeeze, gates, U, h_all = self._start(x, h0)
+        T, B, H = gates.shape[0], gates.shape[1], self.hidden_dim
+        U_t = np.ascontiguousarray(U.T)
+        c_all = np.zeros((T + 1, B, H), dtype=x.dtype)  # c_0 = 0
+        tmp = np.empty((B, 4 * H), dtype=x.dtype)
         for t in range(T):
-            a = gates[:, t]  # pre-activations, overwritten by the gate values
-            a += h_all[:, t] @ U.T
-            a[:, : 3 * H] = _sigmoid(a[:, : 3 * H])
+            a = gates[t]  # pre-activations, overwritten by the gate values
+            a += np.matmul(h_all[t], U_t, out=tmp)
+            _sigmoid(a[:, : 3 * H], out=a[:, : 3 * H])
             np.tanh(a[:, 3 * H :], out=a[:, 3 * H :])
             i, f, o, g = (a[:, k * H : (k + 1) * H] for k in range(4))
-            c = f * c_all[:, t] + i * g
-            c_all[:, t + 1] = c
-            h_all[:, t + 1] = o * np.tanh(c)
+            c, h = c_all[t + 1], h_all[t + 1]
+            np.multiply(f, c_all[t], out=c)  # c = f * c_prev + i * g
+            c += np.multiply(i, g, out=tmp[:, :H])
+            np.tanh(c, out=h)  # h = o * tanh(c)
+            h *= o
         self._cache = (x, h_all, c_all, gates, squeeze)
-        h_seq = h_all[:, 1:]
+        h_seq = _batch_major(h_all[1:])
         return h_seq[0] if squeeze else h_seq
 
     def backward(self, dh_seq, input_grad=True):
         """Returns ``(dx, dh0)``; ``input_grad=False`` skips ``dx`` (None) for data inputs."""
         x, h_all, c_all, gates, squeeze = self._take_cache()
-        p = self.params
-        B, T, _ = gates.shape
+        W, U, _ = self._stacked()
+        T, B, _ = gates.shape
         H = self.hidden_dim
-        U = _stack(p, "U", "ifog")
         dh_seq = _upstream(dh_seq, (B, T, H), squeeze, x.dtype, self.name)
 
         da = np.empty((B, T, 4 * H), dtype=x.dtype)  # pre-activations i, f, o, g
@@ -216,9 +241,9 @@ class Lstm(Layer):
         dc = np.zeros((B, H), dtype=x.dtype)
         for t in range(T - 1, -1, -1):
             dh = dh + dh_seq[:, t]
-            i, f, o, g = (gates[:, t, k * H : (k + 1) * H] for k in range(4))
-            c_prev = c_all[:, t]
-            tc = np.tanh(c_all[:, t + 1])
+            i, f, o, g = (gates[t, :, k * H : (k + 1) * H] for k in range(4))
+            c_prev = c_all[t]
+            tc = np.tanh(c_all[t + 1])
             da_t = da[:, t]
 
             da_t[:, 2 * H : 3 * H] = dh * tc * o * (1.0 - o)
@@ -233,7 +258,7 @@ class Lstm(Layer):
         da2 = da.reshape(B * T, 4 * H)
         self.grads = {
             **_per_gate(da2.T @ x.reshape(B * T, -1), "W", "ifog"),
-            **_per_gate(da2.T @ h_all[:, :T].reshape(B * T, H), "U", "ifog"),
+            **_per_gate(da2.T @ _batch_major(h_all[:T]).reshape(B * T, H), "U", "ifog"),
             **_per_gate(da2.sum(axis=0), "b", "ifog"),
         }
-        return _input_grads(da2, p, "ifog", x, dh, squeeze, input_grad)
+        return _input_grads(da2, W, x, dh, squeeze, input_grad)

@@ -70,15 +70,19 @@ class TrainReport:
     best_metric: float = -np.inf
     stopped_early: bool = False
     diverged: bool = False
+    earlier: list[EpochRecord] = field(default_factory=list)  # run before a resume; in summary()
+
+    def history(self) -> list[dict]:
+        return [asdict(r) for r in self.earlier + self.records]
 
     def summary(self) -> dict:
         return {
-            "epochs_run": len(self.records),
+            "epochs_run": len(self.earlier) + len(self.records),
             "best_epoch": self.best_epoch,
             "best_metric": self.best_metric if np.isfinite(self.best_metric) else None,
             "stopped_early": self.stopped_early,
             "diverged": self.diverged,
-            "history": [asdict(r) for r in self.records],
+            "history": self.history(),
         }
 
 
@@ -169,6 +173,7 @@ def run_training(
         report.best_metric = float(progress.get("best_metric", -np.inf))
         report.best_epoch = int(progress.get("best_epoch", -1))
         epochs_since_improve = int(progress.get("epochs_since_improve", 0))
+        report.earlier = [EpochRecord(**r) for r in progress.get("history", [])]
     else:
         model_cfg = ModelConfig(
             mode=config.mode,
@@ -242,6 +247,7 @@ def run_training(
                         "best_metric": report.best_metric,
                         "best_epoch": report.best_epoch,
                         "epochs_since_improve": epochs_since_improve,
+                        "history": report.history(),
                     },
                 },
             )

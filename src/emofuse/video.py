@@ -83,9 +83,7 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
     without data rows raises :class:`SchemaError`.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh, utf8_text(path):
-        width, take, frame_col, conf_col, success_col = _columns(
-            csv.reader(fh, skipinitialspace=True), path, selection
-        )
+        width, take, frame_col, conf_col, success_col = _columns(_rows(fh, path), path, selection)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data rows: the fallback says so
@@ -123,10 +121,22 @@ def _plain_lines(lines):
         yield line
 
 
-def _columns(reader, path, selection: ColumnSelection):
+def _rows(fh, path):
+    """``(row number, cells)`` for each CSV row of ``fh``, the header being row 1;
+    a row ``csv`` refuses (a cell over its field size limit) raises ParseError."""
+    row_no = 1
+    try:
+        for row in csv.reader(fh, skipinitialspace=True):
+            yield row_no, row
+            row_no += 1
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {row_no}: {exc}") from None
+
+
+def _columns(rows, path, selection: ColumnSelection):
     """Header width, the selected column indices, then the frame/confidence/success indices."""
     try:
-        header = [h.strip() for h in next(reader)]
+        header = [h.strip() for h in next(rows)[1]]
     except StopIteration:
         raise SchemaError(f"{path}: empty CSV") from None
     col_index = {name: i for i, name in enumerate(header)}
@@ -141,10 +151,10 @@ def _parse_cells(path, selection: ColumnSelection) -> list[VideoFrameFeatures]:
     """The per-cell parser: ``float()`` on each cell of each row read by ``csv``."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh, utf8_text(path):
-        reader = csv.reader(fh, skipinitialspace=True)
-        _, take, frame_col, conf_col, success_col = _columns(reader, path, selection)
+        rows = _rows(fh, path)
+        _, take, frame_col, conf_col, success_col = _columns(rows, path, selection)
 
-        for row_no, row in enumerate(reader, start=2):
+        for row_no, row in rows:
             if not row:
                 continue
 

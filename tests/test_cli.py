@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emofuse.cli import main
+from emofuse.cli import _prediction_lines, main
 from emofuse.dataset import (
     VideoEntry,
     WindowDataset,
@@ -136,6 +138,23 @@ class TestIngestVideo:
         rc = main(["ingest-video", "--csv", str(csv), "--out", str(tmp_path / "v")])
         assert rc == 1
         assert one_error_line(capsys, "parse")
+        assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_oversized_quoted_cell_is_parse_error(self, pipeline, capsys, tmp_path, row):
+        # a cell beyond the csv module's field size limit (131,072 characters),
+        # in the header or in a column the selection does not use
+        csv = tmp_path / "huge.csv"
+        lines = pipeline["csv"].read_text().splitlines()
+        cells = lines[row - 1].split(", ")
+        cells[2] = '"' + "x" * 200_000 + '"'
+        lines[row - 1] = ", ".join(cells)
+        csv.write_text("\n".join(lines) + "\n")
+        rc = main(["ingest-video", "--csv", str(csv), "--out", str(tmp_path / "v")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: parse:")
+        assert "huge.csv" in err[0] and f"row {row}:" in err[0] and "field" in err[0]
         assert not (tmp_path / "v").exists()
 
     def test_header_only_csv_is_schema_error(self, pipeline, capsys, tmp_path):
@@ -294,6 +313,26 @@ class TestTrainCli:
         summary = json.loads(s1)
         assert summary["config"]["learning_rate"] == 1e-4
         assert len(summary["history"]) == 2
+
+    def test_resume_writes_the_full_history(self, tiny_training, tmp_path):
+        ds = str(tiny_training["dataset"])
+
+        def train(out, epochs, *extra):
+            assert main(["train", "--train", ds, "--val", ds, "--epochs", str(epochs),
+                         "--batch", "4", "--seed", "5", "--patience", "0",
+                         "--out", str(out), *extra]) == 0
+
+        train(tmp_path / "full", 4)
+        train(tmp_path / "cut", 2)
+        assert len(json.loads((tmp_path / "cut" / "summary.json").read_text())["history"]) == 2
+        train(tmp_path / "cut", 4, "--resume", str(tmp_path / "cut" / "checkpoint.ckpt"))
+        # best.ckpt is left out: its meta holds the config of the run that wrote it
+        for name in ("train_log.txt", "summary.json", "checkpoint.ckpt"):
+            assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+        assert len((tmp_path / "full" / "train_log.txt").read_text().splitlines()) == 4
+        assert json.loads((tmp_path / "full" / "summary.json").read_text())["epochs_run"] == 4
+        assert sorted(p.name for p in (tmp_path / "cut").iterdir()) == [
+            "best.ckpt", "checkpoint.ckpt", "summary.json", "train_log.txt"]
 
     def test_mode_flag_selects_variant(self, tiny_training):
         root = tiny_training["root"]
@@ -499,3 +538,37 @@ class TestMalformedEvaluateInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: schema:")
         assert [p for p in sorted(tmp_path.rglob("*")) if out not in (p, *p.parents)] == before
+
+
+def old_prediction_lines(labels, probs):
+    """The per-value f-string formatting the prediction files were first written with."""
+    out = []
+    for i in range(len(labels)):
+        row = ",".join(f"{p:.6f}" for p in probs[i])
+        out.append(f"{i},{labels[i]},{row}\n")
+    return "".join(out)
+
+
+# 6-decimal ties (k + 0.5) * 1e-6 and their float neighbours, plus the ends of [0, 1]
+_TIES = [(k + 0.5) * 1e-6 for k in (0, 1, 2, 499_999, 999_998, 123_456)]
+_EDGES = [0.0, 1.0, 5e-7, 1.0 - 5e-7, 0.5, *_TIES,
+          *(np.nextafter(t, d) for t in _TIES for d in (0.0, 1.0))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.tuples(
+                st.integers(0, c - 1),
+                st.lists(st.one_of(st.sampled_from(_EDGES), st.floats(0.0, 1.0)),
+                         min_size=c, max_size=c),
+            ),
+            min_size=1, max_size=12,
+        )
+    )
+)
+def test_prediction_lines_equal_per_value_formatting(rows):
+    labels = np.array([label for label, _ in rows], dtype=np.int64)
+    probs = np.array([p for _, p in rows], dtype=np.float64)
+    assert _prediction_lines(labels, probs) == old_prediction_lines(labels, probs)

@@ -456,6 +456,48 @@ class TestCheckpoint:
         assert load_checkpoint(path)[2] == {"epoch": 2}
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.ckpt"]
 
+    @pytest.mark.parametrize("recurrent", ["gru", "lstm"])
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch, recurrent):
+        import emofuse.nn.layers as layers_mod
+        import emofuse.nn.recurrent as recurrent_mod
+
+        cfg = ModelConfig(**{**TINY.__dict__, "recurrent": recurrent, "seed": 3, "dtype": "float32"})
+        model = FusionModel(cfg)
+        save_checkpoint(tmp_path / "m.ckpt", model)
+
+        def no_draw(*args):
+            raise AssertionError("load_checkpoint drew initial weights")
+
+        for mod in (layers_mod, recurrent_mod):
+            monkeypatch.setattr(mod, "glorot_uniform", no_draw)
+            monkeypatch.setattr(mod, "orthogonal", no_draw)
+        back, _, _ = load_checkpoint(tmp_path / "m.ckpt")
+        for name, value in model.parameters().items():
+            np.testing.assert_array_equal(back.parameters()[name], value)
+
+    @pytest.mark.parametrize("recurrent", ["gru", "lstm"])
+    def test_recurrent_params_stay_storage_views(self, tmp_path, rng, recurrent):
+        from test_recurrent import shares_storage
+
+        model = FusionModel(ModelConfig(**{**TINY.__dict__, "recurrent": recurrent, "dtype": "float32"}))
+        opt = RmsProp(learning_rate=1e-2)
+        cells = [layer for layer in model._layers if hasattr(layer, "_storage")]
+        assert len(cells) == 4
+        before = [[s.copy() for s in cell._storage] for cell in cells]
+        for step in range(2):
+            model.train_step(*random_batch(rng, TINY), opt, seed=step)
+        for cell, old in zip(cells, before):
+            assert shares_storage(cell)
+            assert all(not np.array_equal(s, o) for s, o in zip(cell._storage, old))
+        save_checkpoint(tmp_path / "m.ckpt", model, optimizer=opt)
+        back, opt2, _ = load_checkpoint(tmp_path / "m.ckpt")
+        for cell, trained in zip((c for c in back._layers if hasattr(c, "_storage")), cells):
+            assert shares_storage(cell)
+            for s, want in zip(cell._storage, trained._storage):
+                np.testing.assert_array_equal(s, want)
+        back.train_step(*random_batch(rng, TINY), opt2, seed=2)
+        assert all(shares_storage(c) for c in back._layers if hasattr(c, "_storage"))
+
     def test_corruption_detected(self, tmp_path):
         cfg = ModelConfig(audio_dim=6, video_dim=8, audio_hidden=(5, 4),
                           video_hidden=(6, 4), head_hidden=4)

@@ -213,3 +213,90 @@ def test_input_grad_false_skips_only_dx(cls, x_shape):
     assert layer.grads.keys() == full.keys() == layer.params.keys()
     for name, g in full.items():
         np.testing.assert_array_equal(layer.grads[name], g)
+
+
+GATES = {Gru: "zrh", Lstm: "ifog"}
+
+
+def shares_storage(layer):
+    """Every per-gate param is the row block of the stacked W/U/b storage."""
+    H = layer.hidden_dim
+    for kind, stacked in zip("WUb", layer._storage):
+        for k, g in enumerate(GATES[type(layer)]):
+            p = layer.params[kind + g]
+            if p.base is not stacked or not np.shares_memory(p, stacked[k * H : (k + 1) * H]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("cls", [Gru, Lstm])
+def test_initial_weights_drawn_per_gate_in_checkpoint_order(cls):
+    # the stacked storage holds exactly the draws of per-gate initialization:
+    # for each gate in turn, a Glorot W, an orthogonal U and a zero b
+    from emofuse.nn.layers import glorot_uniform, orthogonal
+
+    layer = cls(5, 3, np.random.default_rng(12))
+    rng = np.random.default_rng(12)
+    want = {}
+    for g in GATES[cls]:
+        want["W" + g] = glorot_uniform((3, 5), rng, np.float32)
+        want["U" + g] = orthogonal((3, 3), rng, np.float32)
+        want["b" + g] = np.zeros(3, dtype=np.float32)
+    assert list(layer.params) == list(want)
+    for name, value in want.items():
+        np.testing.assert_array_equal(layer.params[name], value)
+    assert shares_storage(layer)
+
+
+@pytest.mark.parametrize("cls", [Gru, Lstm])
+def test_no_rng_builds_zero_weights(cls):
+    layer = cls(5, 3, None, dtype=np.float64)
+    assert shares_storage(layer)
+    assert all((p == 0).all() and p.dtype == np.float64 for p in layer.params.values())
+
+
+@pytest.mark.parametrize("cls", [Gru, Lstm])
+def test_in_place_param_updates_reach_the_stacked_storage(cls):
+    rng = np.random.default_rng(8)
+    layer = cls(4, 3, rng, dtype=np.float64)
+    x = rng.standard_normal((2, 5, 4))
+    before = layer.forward(x)
+    name = "U" + GATES[cls][0]
+    layer.params[name] += 0.5  # what RMSProp does
+    assert shares_storage(layer)
+    after = layer.forward(x)
+    assert not np.allclose(before, after)
+    np.testing.assert_allclose(after, (gru_forward_direct if cls is Gru else lstm_forward_direct)(
+        x, layer.params), rtol=1e-12)
+
+
+@pytest.mark.parametrize("cls, name", [(Gru, "Uz"), (Gru, "Wh"), (Lstm, "Uf"), (Lstm, "bg")])
+def test_rebound_param_takes_effect_on_next_forward(cls, name):
+    rng = np.random.default_rng(6)
+    layer = cls(4, 3, rng, dtype=np.float64)
+    x = rng.standard_normal((2, 5, 4))
+    original = layer.params[name]
+    base = layer.forward(x)
+    layer.params[name] = original + rng.standard_normal(original.shape)
+    rebound = layer.forward(x)
+    oracle = gru_forward_direct if cls is Gru else lstm_forward_direct
+    np.testing.assert_allclose(rebound, oracle(x, layer.params), rtol=1e-12)
+    assert not np.allclose(rebound, base)
+    layer.backward(np.ones_like(rebound))  # backward uses the rebound value too
+    assert layer.grads[name].shape == original.shape
+    layer.params[name] = original
+    np.testing.assert_array_equal(layer.forward(x), base)
+
+
+@pytest.mark.parametrize("cls", [Gru, Lstm])
+def test_forward_does_not_write_its_input_or_weights(cls):
+    rng = np.random.default_rng(2)
+    layer = cls(4, 3, rng, dtype=np.float32)
+    x = rng.standard_normal((3, 6, 4)).astype(np.float32)
+    h0 = rng.standard_normal(3).astype(np.float32)
+    saved = (x.copy(), h0.copy(), [s.copy() for s in layer._storage])
+    layer.forward(x, h0=h0)
+    np.testing.assert_array_equal(x, saved[0])
+    np.testing.assert_array_equal(h0, saved[1])
+    for s, before in zip(layer._storage, saved[2]):
+        np.testing.assert_array_equal(s, before)
