@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -245,6 +246,8 @@ def _parse_weights(text: str) -> tuple[float, float]:
         w_f1, w_acc = (float(p) for p in text.split(","))
     except ValueError:
         raise ParseError(f"weights must be 'w_f1,w_acc', got {text!r}") from None
+    if not (math.isfinite(w_f1) and math.isfinite(w_acc)):
+        raise ParseError(f"weights must be finite, got {text!r}")
     return w_f1, w_acc
 
 
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--window", type=int, default=15)
     p.add_argument("--stride", type=int, default=10)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_build_dataset)
 
     p = sub.add_parser("train", help="train a model on window datasets")

@@ -63,6 +63,8 @@ class ModelConfig:
             raise SchemaError(f"unknown mode {self.mode!r}")
         if self.recurrent not in RECURRENT_KINDS:
             raise SchemaError(f"unknown recurrent kind {self.recurrent!r}")
+        if self.seed < 0:
+            raise SchemaError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

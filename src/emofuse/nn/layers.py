@@ -79,22 +79,34 @@ class Dense(Layer):
 
 
 class PReLU(Layer):
-    """max(0, x) + alpha * min(0, x) with a learned per-channel slope."""
+    """max(0, x) + alpha * min(0, x) with a learned per-channel slope.
+
+    Both passes multiply by a per-element slope, exactly 1 or alpha, instead
+    of selecting between branches (a data-dependent select is the slow part
+    on mixed-sign input). Equal to the select bit for bit for finite alpha.
+    """
 
     def __init__(self, channels, alpha0=0.25, dtype=np.float32, name="prelu"):
         super().__init__(name)
         self.params = {"alpha": np.full(channels, alpha0, dtype=dtype)}
 
     def forward(self, x, training=False, rng=None):
-        self._cache = x
-        return np.where(x > 0, x, self.params["alpha"] * x)
+        neg = x <= 0
+        # -(neg * -alpha - pos): neg * alpha + pos would add +0.0 to an alpha of -0.0
+        # and so flip its sign
+        slope = neg * -self.params["alpha"]
+        slope -= ~neg
+        np.negative(slope, out=slope)
+        self._cache = (x, neg, slope)
+        return x * slope
 
     def backward(self, dy):
-        x = self._take_cache()
-        neg = x <= 0
-        dalpha = (dy * x * neg).reshape(-1, x.shape[-1]).sum(axis=0)
+        x, neg, slope = self._take_cache()
+        dyx = dy * x
+        dyx *= neg
+        dalpha = dyx.reshape(-1, x.shape[-1]).sum(axis=0)
         self.grads = {"alpha": dalpha.astype(self.params["alpha"].dtype)}
-        return np.where(neg, self.params["alpha"] * dy, dy)
+        return dy * slope
 
 
 class Dropout(Layer):
@@ -112,17 +124,20 @@ class Dropout(Layer):
             return x
         if rng is None:
             raise StateError(f"{self.name}: training-mode dropout needs an rng")
-        keep = (rng.random(x.shape) >= self.rate).astype(x.dtype)
-        scale = x.dtype.type(1.0 / (1.0 - self.rate))
+        keep = rng.random(x.shape) >= self.rate
         self._cache = keep
-        return x * keep * scale
+        y = x * keep
+        y *= x.dtype.type(1.0 / (1.0 - self.rate))
+        return y
 
     def backward(self, dy):
         keep = self._cache
         self._cache = None
         if keep is None:
             return dy
-        return dy * keep / (1.0 - self.rate)
+        dx = dy * keep
+        dx /= 1.0 - self.rate
+        return dx
 
 
 class BatchNorm(Layer):
@@ -149,31 +164,37 @@ class BatchNorm(Layer):
         flat = _flat2d(x)
         if training:
             mean = flat.mean(axis=0)
-            var = flat.var(axis=0)
+            xc = flat - mean
+            sq = xc * xc
+            var = sq.mean(axis=0)  # np.var's own centred squares, summed and divided alike
             m = x.dtype.type(self.momentum)
             self.running_mean = (m * self.running_mean + (1 - m) * mean).astype(x.dtype)
             self.running_var = (m * self.running_var + (1 - m) * var).astype(x.dtype)
         else:
             mean, var = self.running_mean, self.running_var
+            xc = flat - mean
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean) * inv_std
-        self._cache = (xhat, inv_std, training)
-        return self.params["gamma"] * xhat + self.params["beta"]
+        xc *= inv_std  # now xhat
+        gamma, beta = self.params["gamma"], self.params["beta"]
+        out = sq if training and sq.dtype == np.result_type(gamma, beta, xc) else None
+        y = np.multiply(gamma, xc, out=out)
+        y += beta
+        self._cache = (xc, inv_std, training)
+        return y.reshape(x.shape)
 
     def backward(self, dy):
         xhat, inv_std, training = self._take_cache()
-        dy2, xhat2 = _flat2d(dy), _flat2d(xhat)
-        self.grads = {
-            "gamma": (dy2 * xhat2).sum(axis=0),
-            "beta": dy2.sum(axis=0),
-        }
-        dxhat = dy * self.params["gamma"]
-        if not training:
-            return dxhat * inv_std
-        dxhat2 = _flat2d(dxhat)
-        mean_dxhat = dxhat2.mean(axis=0)
-        mean_dxhat_xhat = (dxhat2 * xhat2).mean(axis=0)
-        return inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+        dy2 = _flat2d(dy)
+        scratch = dy2 * xhat
+        self.grads = {"gamma": scratch.sum(axis=0), "beta": dy2.sum(axis=0)}
+        dx = dy2 * self.params["gamma"]  # dxhat
+        if training:
+            mean_dxhat = dx.mean(axis=0)
+            mean_dxhat_xhat = np.multiply(dx, xhat, out=scratch).mean(axis=0)
+            dx -= mean_dxhat
+            dx -= np.multiply(xhat, mean_dxhat_xhat, out=scratch)
+        np.multiply(inv_std, dx, out=dx)
+        return dx.reshape(dy.shape)
 
 
 # --------------------------------------------------------------------------

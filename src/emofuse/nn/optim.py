@@ -15,14 +15,23 @@ class RmsProp:
         self.acc: dict[str, np.ndarray] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        """Update ``params`` and the accumulators in place, in the formula's order."""
         for name, p in params.items():
             g = grads[name]
             acc = self.acc.get(name)
             if acc is None:
-                acc = np.zeros_like(p)
-            acc = self.rho * acc + (1.0 - self.rho) * (g * g)
-            self.acc[name] = acc
-            p -= (self.learning_rate * g / np.sqrt(acc + self.eps)).astype(p.dtype)
+                acc = self.acc[name] = np.zeros_like(p)
+            acc *= self.rho
+            buf = g * g
+            buf *= 1.0 - self.rho
+            if acc.dtype.itemsize < buf.dtype.itemsize:
+                # float32 state read back for float64 grads: the sum widens it
+                acc = self.acc[name] = acc.astype(buf.dtype)
+            acc += buf
+            den = acc + self.eps
+            np.sqrt(den, out=den)
+            np.divide(np.multiply(self.learning_rate, g, out=buf), den, out=den)
+            p -= den.astype(p.dtype, copy=False)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return self.acc

@@ -8,6 +8,7 @@ uninterrupted trajectory.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -50,8 +51,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise SchemaError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise SchemaError("learning_rate must be positive")
+        if self.batch_size < 1:
+            raise SchemaError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise SchemaError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise SchemaError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -2,6 +2,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+
+
+def float_values(dtype, lo=-8.0, hi=8.0):
+    """Floats of ``dtype`` in [lo, hi] (any non-NaN float for ``None``) mixed with
+    signed zeros, infinities, subnormals and the largest finite values."""
+    tiny, big = float(np.finfo(dtype).smallest_subnormal), float(np.finfo(dtype).max)
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 7 * tiny, big, -big])
+    width = np.dtype(dtype).itemsize * 8
+    return st.one_of(special, st.floats(lo, hi, allow_nan=False, width=width))
 
 
 def wav_bytes(channels, sample_rate, bits=16, fmt_tag=1):

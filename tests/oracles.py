@@ -283,3 +283,79 @@ def frame_scores_direct(window_probs, starts, pads, n_frames):
                 best = c
         labels[f] = best
     return labels, probs
+
+
+# --------------------------------------------------------------------------
+# Post-recurrent layers and RMSProp in their first, out-of-place form
+# --------------------------------------------------------------------------
+# The package builds these from in-place, select-free passes; each must
+# equal the formula here bit for bit.
+
+
+def prelu_select(x, alpha, dy):
+    """PReLU forward, input gradient and slope gradient through ``np.where``."""
+    y = np.where(x > 0, x, alpha * x)
+    neg = x <= 0
+    dalpha = (dy * x * neg).reshape(-1, x.shape[-1]).sum(axis=0).astype(alpha.dtype)
+    return y, np.where(neg, alpha * dy, dy), dalpha
+
+
+def batchnorm_np_var(x, gamma, beta, running_mean, running_var, momentum, eps, training, dy):
+    """Batch normalization through ``np.mean``/``np.var`` and whole-array temporaries.
+
+    Returns ``(y, dx, dgamma, dbeta, running_mean, running_var)``.
+    """
+    flat = x.reshape(-1, x.shape[-1])
+    if training:
+        mean = flat.mean(axis=0)
+        var = flat.var(axis=0)
+        m = x.dtype.type(momentum)
+        running_mean = (m * running_mean + (1 - m) * mean).astype(x.dtype)
+        running_var = (m * running_var + (1 - m) * var).astype(x.dtype)
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mean) * inv_std
+    y = gamma * xhat + beta
+    dy2, xhat2 = dy.reshape(flat.shape), xhat.reshape(flat.shape)
+    dgamma, dbeta = (dy2 * xhat2).sum(axis=0), dy2.sum(axis=0)
+    dxhat = dy * gamma
+    if training:
+        dxhat2 = dxhat.reshape(flat.shape)
+        mean_dxhat = dxhat2.mean(axis=0)
+        mean_dxhat_xhat = (dxhat2 * xhat2).mean(axis=0)
+        dx = inv_std * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    else:
+        dx = dxhat * inv_std
+    return y, dx, dgamma, dbeta, running_mean, running_var
+
+
+def dropout_float_mask(x, rate, rng, dy):
+    """Inverted dropout through a float mask cast from one ``rng.random`` draw."""
+    if rate == 0.0:
+        return x, dy
+    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    scale = x.dtype.type(1.0 / (1.0 - rate))
+    return x * keep * scale, dy * keep / (1.0 - rate)
+
+
+def rmsprop_out_of_place(params, grads, acc, learning_rate, rho, eps):
+    """One RMSProp step that rebinds every accumulator to a new array."""
+    for name, p in params.items():
+        g = grads[name]
+        a = acc.get(name)
+        if a is None:
+            a = np.zeros_like(p)
+        a = rho * a + (1.0 - rho) * (g * g)
+        acc[name] = a
+        p -= (learning_rate * g / np.sqrt(a + eps)).astype(p.dtype)
+
+
+def assert_same_bits(new, old):
+    """Equal dtype, shape and bits; a NaN matches any NaN."""
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.dtype == old.dtype and new.shape == old.shape, (new.dtype, new.shape, old.dtype, old.shape)
+    nan = np.isnan(old)
+    assert (np.isnan(new) == nan).all()
+    uint = np.dtype(f"u{old.dtype.itemsize}")
+    assert (new.view(uint)[~nan] == old.view(uint)[~nan]).all()

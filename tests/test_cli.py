@@ -354,6 +354,20 @@ class TestTrainCli:
         assert model.config.recurrent == "lstm"
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--batch", "0"), ("--batch", "-3"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
+        ("--seed", "-1"),
+    ])
+    def test_bad_number_is_schema_error(self, tiny_training, tmp_path, capsys, flag, value):
+        ds = str(tiny_training["dataset"])
+        out = tmp_path / "run"
+        rc = main(["train", "--train", ds, "--val", ds, "--epochs", "1", "--patience", "0",
+                   "--out", str(out), flag, value])
+        assert rc == 1
+        assert one_error_line(capsys, "schema")
+        assert not out.exists()
+
+
 class TestEvaluateCli:
     def test_perfect_fit_scores_one(self, tiny_training, capsys):
         root = tiny_training["root"]
@@ -466,6 +480,14 @@ class TestMalformedEvaluateInputs:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: parse:")
+
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,0", "0.5,-inf"])
+    def test_non_finite_weights_is_parse_error(self, tiny_training, untrained, tmp_path, capsys,
+                                               weights):
+        out = tmp_path / "out"
+        assert self.run_evaluate(untrained, tiny_training["dataset"], out, "--weights", weights) == 1
+        assert one_error_line(capsys, "parse")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "manifest, category",

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from emofuse.errors import ShapeError, StateError
 from emofuse.nn.layers import (
@@ -12,7 +15,15 @@ from emofuse.nn.layers import (
     sparse_ce,
 )
 
-from oracles import max_rel_err, numeric_gradient
+from conftest import float_values
+from oracles import (
+    assert_same_bits,
+    batchnorm_np_var,
+    dropout_float_mask,
+    max_rel_err,
+    numeric_gradient,
+    prelu_select,
+)
 
 FD_TOL = 1e-4
 
@@ -261,3 +272,81 @@ class TestSoftmaxAndLoss:
         loss, dlogits, _ = softmax_cross_entropy(logits, labels, mask)
         assert loss == pytest.approx(np.log(8.0))
         np.testing.assert_array_equal(dlogits[0, 2:], 0.0)
+
+
+# --------------------------------------------------------------------------
+# The in-place kernels against their first, out-of-place formulas
+# --------------------------------------------------------------------------
+
+FLOATS = st.sampled_from([np.float32, np.float64])
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 6), st.integers(1, 4)),
+    st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)),
+)
+
+
+def array(draw, dtype, shape, elements=None):
+    return draw(hnp.arrays(dtype, shape, elements=float_values(dtype) if elements is None else elements))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), x_dtype=FLOATS, dtype=FLOATS, shape=SHAPES)
+def test_prelu_equals_select(data, x_dtype, dtype, shape):
+    slopes = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 0.25, -0.5, -3.0, 2.5]),
+        st.floats(-4, 4, width=np.dtype(dtype).itemsize * 8),
+    )
+    alpha = array(data.draw, dtype, shape[-1:], slopes)
+    x = array(data.draw, x_dtype, shape)
+    dy = array(data.draw, np.result_type(x_dtype, dtype), shape)
+    layer = PReLU(shape[-1], dtype=dtype)
+    layer.params["alpha"][...] = alpha
+    with np.errstate(all="ignore"):
+        y = layer.forward(x, training=True)
+        dx = layer.backward(dy)
+        y0, dx0, dalpha0 = prelu_select(x, alpha, dy)
+    assert_same_bits(y, y0)
+    assert_same_bits(dx, dx0)
+    assert_same_bits(layer.grads["alpha"], dalpha0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(), x_dtype=FLOATS, dtype=FLOATS, shape=SHAPES, training=st.booleans(),
+    momentum=st.sampled_from([0.99, 0.9, 0.0]),
+)
+def test_batchnorm_equals_np_var(data, x_dtype, dtype, shape, training, momentum):
+    c = shape[-1:]
+    gamma, beta, mean = (array(data.draw, dtype, c, float_values(dtype, -3, 3)) for _ in range(3))
+    var = array(data.draw, dtype, c, st.floats(0, 4, width=np.dtype(dtype).itemsize * 8))
+    x = array(data.draw, x_dtype, shape)
+    layer = BatchNorm(shape[-1], momentum=momentum, dtype=dtype)
+    layer.params["gamma"][...], layer.params["beta"][...] = gamma, beta
+    layer.running_mean, layer.running_var = mean.copy(), var.copy()
+    with np.errstate(all="ignore"):
+        y = layer.forward(x, training=training)
+        dy = array(data.draw, y.dtype, shape)
+        dx = layer.backward(dy)
+        want = batchnorm_np_var(x, gamma, beta, mean, var, momentum, layer.eps, training, dy)
+    got = (y, dx, layer.grads["gamma"], layer.grads["beta"], layer.running_mean, layer.running_var)
+    for new, old in zip(got, want):
+        assert_same_bits(new, old)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(), dtype=FLOATS, shape=SHAPES, rate=st.sampled_from([0.0, 0.25, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dropout_equals_float_mask(data, dtype, shape, rate, seed):
+    x = array(data.draw, dtype, shape, float_values(dtype, None, None))
+    dy = array(data.draw, dtype, shape)
+    rng, rng0 = np.random.default_rng(seed), np.random.default_rng(seed)
+    layer = Dropout(rate)
+    with np.errstate(all="ignore"):
+        y = layer.forward(x, training=True, rng=rng)
+        dx = layer.backward(dy)
+        y0, dx0 = dropout_float_mask(x, rate, rng0, dy)
+    assert_same_bits(y, y0)
+    assert_same_bits(dx, dx0)
+    assert rng.random() == rng0.random()  # the mask took the same draws

@@ -215,6 +215,11 @@ class TestTrainStep:
             assert max_rel_err([analytic], [numeric], atol=1e-8) < 1e-3, name
 
 
+def test_negative_seed_is_schema_error():
+    with pytest.raises(SchemaError, match="seed"):
+        ModelConfig(seed=-1)
+
+
 class TestVariants:
     def test_audio_only_drops_video_branch(self, rng):
         cfg = ModelConfig(mode="audio_only", audio_dim=6, video_dim=8,

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from emofuse.nn.optim import RmsProp
+
+from conftest import float_values
+from oracles import assert_same_bits, rmsprop_out_of_place
 
 
 class TestRmsProp:
@@ -54,3 +60,43 @@ class TestRmsProp:
         clone = RmsProp()
         clone.load_state(opt.state_arrays())
         np.testing.assert_array_equal(clone.acc["w"], opt.acc["w"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    dtypes=st.lists(
+        st.tuples(*[st.sampled_from([np.float32, np.float64])] * 2), min_size=1, max_size=3
+    ),
+    steps=st.integers(1, 3),
+    hyper=st.tuples(
+        st.sampled_from([1e-4, 1e-3, 0.5]), st.sampled_from([0.9, 0.5, 0.0]),
+        st.sampled_from([1e-7, 1e-6]),
+    ),
+    resumed=st.booleans(),
+)
+def test_in_place_step_equals_out_of_place(data, dtypes, steps, hyper, resumed):
+    # (param dtype, grad dtype) per parameter; ``resumed`` starts from float32
+    # accumulators, as load_checkpoint gives back whatever the params' dtype
+    shapes = [data.draw(hnp.array_shapes(max_dims=2, max_side=4)) for _ in dtypes]
+    params = {
+        f"p{i}": data.draw(hnp.arrays(p_dt, shape, elements=float_values(p_dt)))
+        for i, ((p_dt, _), shape) in enumerate(zip(dtypes, shapes))
+    }
+    params0 = {k: v.copy() for k, v in params.items()}
+    opt, acc0 = RmsProp(*hyper), {}
+    if resumed:
+        for k, v in params.items():
+            acc0[k] = data.draw(hnp.arrays(np.float32, v.shape, elements=st.floats(0, 4, width=32)))
+        opt.load_state(acc0)
+    for _ in range(steps):
+        grads = {
+            f"p{i}": data.draw(hnp.arrays(g_dt, shape, elements=float_values(g_dt)))
+            for i, ((_, g_dt), shape) in enumerate(zip(dtypes, shapes))
+        }
+        with np.errstate(all="ignore"):
+            opt.step(params, grads)
+            rmsprop_out_of_place(params0, grads, acc0, *hyper)
+        for k in params:
+            assert_same_bits(params[k], params0[k])
+            assert_same_bits(opt.acc[k], acc0[k])

@@ -120,6 +120,14 @@ class TestRunTraining:
         with pytest.raises(SchemaError):
             TrainConfig(learning_rate=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -3), ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")), ("learning_rate", -1e-4), ("seed", -1),
+    ])
+    def test_config_rejects_bad_numbers(self, field, value):
+        with pytest.raises(SchemaError, match=field):
+            TrainConfig(**{field: value})
+
 
 class TestCheckpointDeterminism:
     def test_two_runs_bit_identical_state(self, small_sets, tmp_path):
