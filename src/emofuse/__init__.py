@@ -1,7 +1,6 @@
 """Bimodal (audio + facial features) frame-level expression recognition."""
 
 from .audio import (
-    AudioChunkFeatures,
     AudioSignal,
     DspConfig,
     chunk_boundaries,

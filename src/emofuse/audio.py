@@ -70,16 +70,6 @@ class DspConfig:
         return fmax
 
 
-@dataclass(frozen=True)
-class AudioChunkFeatures:
-    """One chunk's features; ``fused`` is mfcc (40) ++ melspec (128)."""
-
-    mfcc: np.ndarray
-    melspec: np.ndarray
-    fused: np.ndarray
-    chunk_index: int
-
-
 # --------------------------------------------------------------------------
 # WAV decoding
 # --------------------------------------------------------------------------
@@ -305,14 +295,12 @@ def extract_chunk_features(
     signal: AudioSignal,
     boundaries: np.ndarray,
     cfg: DspConfig = DspConfig(),
-) -> list[AudioChunkFeatures]:
-    """One AudioChunkFeatures per (start_s, end_s) boundary row.
-
-    Each row's ``mfcc`` and ``melspec`` are views of its ``fused`` vector.
-    """
+) -> np.ndarray:
+    """A float64 [n_chunks, n_mfcc + n_mels] matrix, one row per (start_s, end_s)
+    boundary row: the chunk's MFCCs, then its log-mel spectrum."""
     bounds = np.asarray(boundaries, dtype=np.float64)
     if bounds.size == 0:
-        return []
+        return np.zeros((0, cfg.n_mfcc + cfg.n_mels))
     if bounds.ndim != 2 or bounds.shape[1] != 2:
         raise ShapeError(f"boundaries must be [n_chunks, 2], got {bounds.shape}")
     start_s, end_s = bounds[:, 0], bounds[:, 1]
@@ -329,9 +317,4 @@ def extract_chunk_features(
     a = np.clip(np.rint(start_s * signal.sample_rate).astype(np.intp), 0, n - 1)
     b = np.clip(np.rint(end_s * signal.sample_rate).astype(np.intp), a + 1, n)
     samples = np.asarray(signal.samples, dtype=np.float64)
-    fused = _fused_rows(samples, a, b, signal.sample_rate, cfg)
-    k = cfg.n_mfcc
-    return [
-        AudioChunkFeatures(mfcc=row[:k], melspec=row[k:], fused=row, chunk_index=i)
-        for i, row in enumerate(fused)
-    ]
+    return _fused_rows(samples, a, b, signal.sample_rate, cfg)

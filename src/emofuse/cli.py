@@ -70,8 +70,7 @@ def cmd_extract_audio(args) -> int:
         n_mfcc=args.n_mfcc,
     )
     bounds = audio_mod.chunk_boundaries(signal.duration_s, n_chunks)
-    feats = audio_mod.extract_chunk_features(signal, bounds, cfg)
-    matrix = np.stack([f.fused for f in feats]).astype(np.float32)
+    matrix = audio_mod.extract_chunk_features(signal, bounds, cfg).astype(np.float32)
     write_frame_features(
         args.out,
         matrix,
@@ -123,10 +122,6 @@ def cmd_ingest_video(args) -> int:
 # --------------------------------------------------------------------------
 # build-dataset
 # --------------------------------------------------------------------------
-
-
-def _is_container(path) -> bool:
-    return os.path.isfile(os.path.join(path, "manifest.json"))
 
 
 def _collect_videos(args) -> list[tuple[str, str, str]]:

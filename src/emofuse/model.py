@@ -354,6 +354,7 @@ def _window_probs(model: FusionModel, dataset: WindowDataset, order: np.ndarray)
 # --------------------------------------------------------------------------
 
 _MAGIC = b"EMFCKPT1"
+FORMAT_VERSION = 2  # 1 stored each recurrent cell's params per gate
 
 
 def save_checkpoint(path, model: FusionModel, optimizer: RmsProp | None = None, meta: dict | None = None):
@@ -393,7 +394,7 @@ def save_checkpoint(path, model: FusionModel, optimizer: RmsProp | None = None, 
 
     header = {
         "format": "emofuse-checkpoint",
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
         "optimizer": None
         if optimizer is None
@@ -446,10 +447,35 @@ def load_checkpoint(path) -> tuple[FusionModel, RmsProp | None, dict]:
         return _model_from_header(path, header, data[header_end:])
 
 
+def _stack_gates(loaded: dict[str, np.ndarray], model: FusionModel) -> dict[str, np.ndarray]:
+    """A format-1 checkpoint's arrays under format-2 names. Format 1 stored each
+    recurrent cell's params, and their RMSProp accumulators, per gate
+    (``video.rnn1.Wz``, ``optimizer.video.rnn1.Wz``, ...); each complete group
+    is stacked in gate order where its first gate stood (``video.rnn1.W``)."""
+    groups = {}  # first per-gate name -> the group's names in gate order
+    for layer in model._layers:
+        if isinstance(layer, (Gru, Lstm)):
+            for prefix in ("", "optimizer."):
+                for kind in "WUb":
+                    name = f"{prefix}{layer.name}.{kind}"
+                    groups[name + layer.GATES[0]] = [name + g for g in layer.GATES]
+    per_gate = {n for names in groups.values() for n in names}
+    out = {}
+    for name, arr in loaded.items():
+        if name in groups and all(n in loaded for n in groups[name]):
+            out[name[:-1]] = np.concatenate([loaded[n] for n in groups[name]])
+        elif name not in per_gate:
+            out[name] = arr
+    return out
+
+
 def _model_from_header(path, header: dict, blob: bytes) -> tuple[FusionModel, RmsProp | None, dict]:
     sha = hashlib.sha256(blob).hexdigest()
     if sha != header["blob_sha256"]:
         raise CorruptionError(f"{path}: blob checksum mismatch")
+    version = header["format_version"]
+    if version not in (1, FORMAT_VERSION):
+        raise SchemaError(f"{path}: unsupported checkpoint format_version {version!r}")
 
     cfg_dict = dict(header["config"])
     cfg_dict["audio_hidden"] = tuple(cfg_dict["audio_hidden"])
@@ -464,6 +490,8 @@ def _model_from_header(path, header: dict, blob: bytes) -> tuple[FusionModel, Rm
             raise CorruptionError(f"{path}: array {entry['name']} extends past blob")
         arr = np.frombuffer(blob[lo:hi], dtype="<f4").reshape(entry["shape"])
         loaded[entry["name"]] = arr.astype(model.dtype)
+    if version == 1:
+        loaded = _stack_gates(loaded, model)
 
     for name, arr in {**model.parameters(), **model.buffers()}.items():
         if name not in loaded:
@@ -480,11 +508,8 @@ def _model_from_header(path, header: dict, blob: bytes) -> tuple[FusionModel, Rm
     if header.get("optimizer"):
         o = header["optimizer"]
         optimizer = RmsProp(o["learning_rate"], o["rho"], o["eps"])
+        prefix = "optimizer."
         optimizer.load_state(
-            {
-                e["name"][len("optimizer.") :]: loaded[e["name"]].copy()
-                for e in header["arrays"]
-                if e["kind"] == "optimizer"
-            }
+            {k[len(prefix) :]: v for k, v in loaded.items() if k.startswith(prefix)}
         )
     return model, optimizer, header.get("meta", {})

@@ -3,22 +3,22 @@
 Both accept [T, in] (one sequence) or [B, T, in] and return the hidden
 state at every timestep.
 
-GRU recurrence (the convention every test in this repo targets):
+Each cell's parameters are one gate-stacked array per kind: ``W`` [G*H,in],
+``U`` [G*H,H] and ``b`` [G*H], gates in ``GATES`` order. Writing ``X[k]`` for
+gate k's row block ``X[k*H:(k+1)*H]``, the GRU recurrence (the convention
+every test in this repo targets, gates ``z, r, h``) is
 
-    z_t = sigmoid(Wz x_t + Uz h_{t-1} + bz)
-    r_t = sigmoid(Wr x_t + Ur h_{t-1} + br)
-    hc_t = tanh(Wh x_t + Uh (r_t * h_{t-1}) + bh)
+    z_t = sigmoid(W[0] x_t + U[0] h_{t-1} + b[0])
+    r_t = sigmoid(W[1] x_t + U[1] h_{t-1} + b[1])
+    hc_t = tanh(W[2] x_t + U[2] (r_t * h_{t-1}) + b[2])
     h_t = (1 - z_t) * h_{t-1} + z_t * hc_t
 
-Parameters are named per gate (``Wz``, ``Uz``, ``bz``, ...), which fixes the
-checkpoint layout, and each is a row view of one gate-stacked array per kind
-(GRU: ``[Wz;Wr;Wh]``, ``[Uz;Ur;Uh]``, ``[bz;br;bh]``; LSTM: ``[Wi;Wf;Wo;Wg]``,
-...), so in-place updates land in the storage the kernels use. The input
-projection for all timesteps is one matmul with the bias folded in; the
-forward then runs time-major, one matmul per gate group per step against a
-contiguous transposed copy of the recurrent weights, with the gate math in
-place. Backward accumulates the weight gradients over all B*T rows at once in
-batch-major order and returns them as per-gate row views.
+and the LSTM's gates are ``i, f, o, g``. The input projection for all
+timesteps is one matmul with the bias folded in; the forward then runs
+time-major, one matmul per gate group per step against a contiguous
+transposed copy of the recurrent weights, with the gate math in place.
+Backward accumulates the weight gradients over all B*T rows at once in
+batch-major order, in the same stacked layout.
 """
 
 from __future__ import annotations
@@ -87,12 +87,6 @@ def _upstream(dh_seq, shape, squeeze, dtype, name):
     return dh_seq
 
 
-def _per_gate(stacked, kind, gates):
-    """Split a gate-stacked array into per-gate row views named ``kind + gate``."""
-    H = stacked.shape[0] // len(gates)
-    return {kind + g: stacked[k * H : (k + 1) * H] for k, g in enumerate(gates)}
-
-
 def _input_grads(da2, W, x, dh0, squeeze, input_grad):
     """``(dx, dh0)`` for a backward call; ``dx`` is None without ``input_grad``."""
     dx = None
@@ -102,8 +96,8 @@ def _input_grads(da2, W, x, dh0, squeeze, input_grad):
 
 
 class _Recurrent(Layer):
-    """Gate-stacked ``W`` [G*H,in], ``U`` [G*H,H] and ``b`` [G*H] storage whose
-    per-gate row views are ``params``; ``rng=None`` leaves the weights zero."""
+    """Gate-stacked params ``W`` [G*H,in], ``U`` [G*H,H] and ``b`` [G*H], gates in
+    ``GATES`` order; ``rng=None`` leaves the weights zero."""
 
     GATES = ""
 
@@ -111,41 +105,29 @@ class _Recurrent(Layer):
         super().__init__(name or type(self).__name__.lower())
         self.input_dim, self.hidden_dim = input_dim, hidden_dim
         G, H = len(self.GATES) * hidden_dim, hidden_dim
-        shapes = ((G, input_dim), (G, H), G)
-        W, U, b = self._storage = tuple(np.zeros(shape, dtype=dtype) for shape in shapes)
-        for k, g in enumerate(self.GATES):  # checkpoint order; initial draws in this order
-            rows = slice(k * H, (k + 1) * H)
-            self.params.update({"W" + g: W[rows], "U" + g: U[rows], "b" + g: b[rows]})
-            if rng is not None:
-                W[rows] = glorot_uniform((H, input_dim), rng, dtype)
-                U[rows] = orthogonal((H, H), rng, dtype)
-        self._views = dict(self.params)
-
-    def _stacked(self):
-        """``(W, U, b)``: the storage while every param is still its view, else
-        stacked afresh from ``params`` (a rebound param takes effect)."""
-        p = self.params
-        if all(p[k] is v for k, v in self._views.items()):
-            return self._storage
-        return tuple(np.concatenate([p[k + g] for g in self.GATES]) for k in "WUb")
+        W, U = np.zeros((G, input_dim), dtype=dtype), np.zeros((G, H), dtype=dtype)
+        if rng is not None:
+            for k in range(len(self.GATES)):  # initial draws per gate, in gate order
+                W[k * H : (k + 1) * H] = glorot_uniform((H, input_dim), rng, dtype)
+                U[k * H : (k + 1) * H] = orthogonal((H, H), rng, dtype)
+        self.params = {"W": W, "U": U, "b": np.zeros(G, dtype=dtype)}
 
     def _start(self, x, h0):
-        """``x`` as [B,T,in], whether it was [T,in], its [T,B,G] input projection,
-        the stacked ``U`` and the [T+1,B,H] states with ``h0`` at step 0."""
+        """``x`` as [B,T,in], whether it was [T,in], its [T,B,G] input projection
+        and the [T+1,B,H] states with ``h0`` at step 0."""
         x, squeeze = _as_batched(x, self.input_dim, self.name)
-        W, U, b = self._stacked()
         B, T, _ = x.shape
         h_all = np.empty((T + 1, B, self.hidden_dim), dtype=x.dtype)
         h_all[0] = _initial_state(h0, B, self.hidden_dim, x.dtype, self.name)
-        return x, squeeze, _project(x, W, b), U, h_all
+        return x, squeeze, _project(x, self.params["W"], self.params["b"]), h_all
 
 
 class Gru(_Recurrent):
     GATES = "zrh"
 
     def forward(self, x, h0=None, training=False, rng=None):
-        x, squeeze, xp, U, h_all = self._start(x, h0)
-        T, B, H = xp.shape[0], xp.shape[1], self.hidden_dim
+        x, squeeze, xp, h_all = self._start(x, h0)
+        T, B, H, U = xp.shape[0], xp.shape[1], self.hidden_dim, self.params["U"]
         Uzr_t, Uh_t = (np.ascontiguousarray(u.T) for u in (U[: 2 * H], U[2 * H :]))
         zr_all = np.empty((T, B, 2 * H), dtype=x.dtype)
         hc_all = np.empty((T, B, H), dtype=x.dtype)
@@ -169,9 +151,8 @@ class Gru(_Recurrent):
     def backward(self, dh_seq, input_grad=True):
         """Returns ``(dx, dh0)``; ``input_grad=False`` skips ``dx`` (None) for data inputs."""
         x, h_all, zr_all, hc_all, squeeze = self._take_cache()
-        W, U, _ = self._stacked()
         T, B, H = hc_all.shape
-        Uzr, Uh = U[: 2 * H], U[2 * H :]
+        Uzr, Uh = self.params["U"][: 2 * H], self.params["U"][2 * H :]
         dh_seq = _upstream(dh_seq, (B, T, H), squeeze, x.dtype, self.name)
 
         da = np.empty((B, T, 3 * H), dtype=x.dtype)  # pre-activations z, r, hc
@@ -194,12 +175,11 @@ class Gru(_Recurrent):
         h_prev = _batch_major(h_all[:T]).reshape(B * T, H)
         rh = _batch_major(zr_all[:, :, H:]).reshape(B * T, H) * h_prev
         self.grads = {
-            **_per_gate(da2.T @ x.reshape(B * T, -1), "W", "zrh"),
-            **_per_gate(da2[:, : 2 * H].T @ h_prev, "U", "zr"),
-            "Uh": da2[:, 2 * H :].T @ rh,
-            **_per_gate(da2.sum(axis=0), "b", "zrh"),
+            "W": da2.T @ x.reshape(B * T, -1),
+            "U": np.concatenate([da2[:, : 2 * H].T @ h_prev, da2[:, 2 * H :].T @ rh]),
+            "b": da2.sum(axis=0),
         }
-        return _input_grads(da2, W, x, dh, squeeze, input_grad)
+        return _input_grads(da2, self.params["W"], x, dh, squeeze, input_grad)
 
 
 class Lstm(_Recurrent):
@@ -208,9 +188,9 @@ class Lstm(_Recurrent):
     GATES = "ifog"
 
     def forward(self, x, h0=None, training=False, rng=None):
-        x, squeeze, gates, U, h_all = self._start(x, h0)
+        x, squeeze, gates, h_all = self._start(x, h0)
         T, B, H = gates.shape[0], gates.shape[1], self.hidden_dim
-        U_t = np.ascontiguousarray(U.T)
+        U_t = np.ascontiguousarray(self.params["U"].T)
         c_all = np.zeros((T + 1, B, H), dtype=x.dtype)  # c_0 = 0
         tmp = np.empty((B, 4 * H), dtype=x.dtype)
         for t in range(T):
@@ -231,8 +211,8 @@ class Lstm(_Recurrent):
     def backward(self, dh_seq, input_grad=True):
         """Returns ``(dx, dh0)``; ``input_grad=False`` skips ``dx`` (None) for data inputs."""
         x, h_all, c_all, gates, squeeze = self._take_cache()
-        W, U, _ = self._stacked()
         T, B, _ = gates.shape
+        U = self.params["U"]
         H = self.hidden_dim
         dh_seq = _upstream(dh_seq, (B, T, H), squeeze, x.dtype, self.name)
 
@@ -257,8 +237,8 @@ class Lstm(_Recurrent):
 
         da2 = da.reshape(B * T, 4 * H)
         self.grads = {
-            **_per_gate(da2.T @ x.reshape(B * T, -1), "W", "ifog"),
-            **_per_gate(da2.T @ _batch_major(h_all[:T]).reshape(B * T, H), "U", "ifog"),
-            **_per_gate(da2.sum(axis=0), "b", "ifog"),
+            "W": da2.T @ x.reshape(B * T, -1),
+            "U": da2.T @ _batch_major(h_all[:T]).reshape(B * T, H),
+            "b": da2.sum(axis=0),
         }
-        return _input_grads(da2, W, x, dh, squeeze, input_grad)
+        return _input_grads(da2, self.params["W"], x, dh, squeeze, input_grad)

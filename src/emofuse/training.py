@@ -26,6 +26,7 @@ from .model import (
     predict_dataset,
     save_checkpoint,
 )
+from .sequencing import UNANNOTATED_CLASS
 
 logger = logging.getLogger(__name__)
 
@@ -119,24 +120,14 @@ def _loss_mask(dataset: WindowDataset, include_class7: bool) -> np.ndarray:
     rows = np.arange(L)[None, :]
     mask = (rows < (L - dataset.pad_counts)[:, None]).astype(np.float32)
     if not include_class7:
-        mask *= (dataset.labels != 7).astype(np.float32)
+        mask *= (dataset.labels != UNANNOTATED_CLASS).astype(np.float32)
     return mask
 
 
-def _pooled_frames(model: FusionModel, dataset: WindowDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted and true labels of every frame, videos in container order."""
-    _, preds, _, truths = zip(*predict_dataset(model, dataset))
-    return np.concatenate(preds), np.concatenate(truths)
-
-
 def dataset_metrics(model: FusionModel, dataset: WindowDataset, w_f1: float, w_acc: float):
-    """Frame-level evaluation over every video in the container."""
-    return evaluate(*_pooled_frames(model, dataset), w_f1=w_f1, w_acc=w_acc)
-
-
-def train_accuracy(model: FusionModel, dataset: WindowDataset) -> float:
-    """Plain per-frame accuracy over all frames, class 7 included."""
-    return evaluate(*_pooled_frames(model, dataset), exclude_unannotated=False).accuracy
+    """Frame-level evaluation over every video in the container, videos in container order."""
+    _, preds, _, truths = zip(*predict_dataset(model, dataset))
+    return evaluate(np.concatenate(preds), np.concatenate(truths), w_f1=w_f1, w_acc=w_acc)
 
 
 def _epoch_seed(seed: int, epoch: int) -> np.random.Generator:

@@ -40,3 +40,21 @@ def test_train_gru_traced_smoke_run():
     for name in ("nn.layers.PReLU.forward.ms", "nn.layers.BatchNorm.backward.ms",
                  "nn.optim.RmsProp.step.ms"):
         assert metrics[name]["value"] > 0, name
+
+
+def test_ingest_traced_smoke_run():
+    # one short traced ingest run: its per-call hooks read what the ingest
+    # functions return (the chunk count, the CSV rows and their validity), and
+    # the traced build-dataset passes --jobs 1
+    proc = subprocess.run(
+        [sys.executable, os.path.join("bench", "run.py"), "--workload", "ingest",
+         "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stdout
+    assert result["failed"] == 0 and result["attempted"] >= 2
+    metrics = result["metrics"]
+    for name in ("video.rows", "video.invalid_rows", "audio.chunks", "cli.build_dataset.jobs1.s"):
+        assert metrics[name]["value"] > 0, name

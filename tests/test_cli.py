@@ -514,6 +514,17 @@ class TestMalformedEvaluateInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: corruption:")
 
+    @pytest.mark.parametrize("version", [0, 3])
+    def test_unknown_checkpoint_format_version(self, tiny_training, untrained, tmp_path, capsys,
+                                               version):
+        from test_model import rewrite_header
+
+        rewrite_header(untrained, lambda h: h.update(format_version=version))
+        rc = self.run_evaluate(untrained, tiny_training["dataset"], tmp_path / "out")
+        assert rc == 1
+        assert one_error_line(capsys, "schema")
+        assert not (tmp_path / "out").exists()
+
     def test_zero_video_container_is_coverage_error(self, untrained, tmp_path, capsys):
         empty = WindowDataset(
             audio=np.zeros((0, 15, 168)), video=np.zeros((0, 15, 3)),

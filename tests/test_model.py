@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -22,6 +23,8 @@ from emofuse.sequencing import AnnotationTrack, remap_label
 from emofuse.video import default_selection
 
 from oracles import frame_scores_direct, max_rel_err
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 TINY = ModelConfig(
     audio_dim=6,
@@ -480,29 +483,6 @@ class TestCheckpoint:
         for name, value in model.parameters().items():
             np.testing.assert_array_equal(back.parameters()[name], value)
 
-    @pytest.mark.parametrize("recurrent", ["gru", "lstm"])
-    def test_recurrent_params_stay_storage_views(self, tmp_path, rng, recurrent):
-        from test_recurrent import shares_storage
-
-        model = FusionModel(ModelConfig(**{**TINY.__dict__, "recurrent": recurrent, "dtype": "float32"}))
-        opt = RmsProp(learning_rate=1e-2)
-        cells = [layer for layer in model._layers if hasattr(layer, "_storage")]
-        assert len(cells) == 4
-        before = [[s.copy() for s in cell._storage] for cell in cells]
-        for step in range(2):
-            model.train_step(*random_batch(rng, TINY), opt, seed=step)
-        for cell, old in zip(cells, before):
-            assert shares_storage(cell)
-            assert all(not np.array_equal(s, o) for s, o in zip(cell._storage, old))
-        save_checkpoint(tmp_path / "m.ckpt", model, optimizer=opt)
-        back, opt2, _ = load_checkpoint(tmp_path / "m.ckpt")
-        for cell, trained in zip((c for c in back._layers if hasattr(c, "_storage")), cells):
-            assert shares_storage(cell)
-            for s, want in zip(cell._storage, trained._storage):
-                np.testing.assert_array_equal(s, want)
-        back.train_step(*random_batch(rng, TINY), opt2, seed=2)
-        assert all(shares_storage(c) for c in back._layers if hasattr(c, "_storage"))
-
     def test_corruption_detected(self, tmp_path):
         cfg = ModelConfig(audio_dim=6, video_dim=8, audio_hidden=(5, 4),
                           video_hidden=(6, 4), head_hidden=4)
@@ -518,20 +498,13 @@ class TestCheckpoint:
 
 
 def gate_entries(layer, gates, in_dim, hidden):
-    """Names and shapes of one recurrent layer's per-gate parameters, in storage order."""
-    return [
-        entry
-        for g in gates
-        for entry in (
-            (f"{layer}.W{g}", (hidden, in_dim)),
-            (f"{layer}.U{g}", (hidden, hidden)),
-            (f"{layer}.b{g}", (hidden,)),
-        )
-    ]
+    """Names and shapes of one recurrent layer's gate-stacked parameters."""
+    G = len(gates) * hidden
+    return [(f"{layer}.W", (G, in_dim)), (f"{layer}.U", (G, hidden)), (f"{layer}.b", (G,))]
 
 
 def fused_layout(gates):
-    """Every parameter of the paper-size fused model, as ``EMFCKPT1`` stores it."""
+    """Every parameter of the paper-size fused model, as checkpoint format 2 stores it."""
     return [
         *gate_entries("audio.rnn1", gates, 168, 128),
         ("audio.bn1.gamma", (128,)), ("audio.bn1.beta", (128,)), ("audio.prelu1.alpha", (128,)),
@@ -547,7 +520,7 @@ def fused_layout(gates):
 
 
 class TestCheckpointLayout:
-    """Checkpoints written by older versions must keep loading: names and shapes are pinned."""
+    """Checkpoints written now must keep loading later: names and shapes are pinned."""
 
     @pytest.mark.parametrize("recurrent, gates", [("gru", "zrh"), ("lstm", "ifog")])
     def test_parameter_names_and_shapes(self, tmp_path, rng, recurrent, gates):
@@ -563,9 +536,9 @@ class TestCheckpointLayout:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, optimizer=opt)
 
-        data = path.read_bytes()
-        (n,) = struct.unpack_from("<Q", data, 8)
-        stored = json.loads(data[16 : 16 + n])["arrays"]
+        header, _ = read_checkpoint_raw(path)
+        assert header["format_version"] == 2
+        stored = header["arrays"]
         assert [(e["name"], tuple(e["shape"])) for e in stored if e["kind"] == "param"] == layout
         assert [(e["name"], tuple(e["shape"])) for e in stored if e["kind"] == "optimizer"] == [
             (f"optimizer.{name}", shape) for name, shape in layout
@@ -577,6 +550,72 @@ class TestCheckpointLayout:
         for name, value in opt.state_arrays().items():
             np.testing.assert_array_equal(opt2.state_arrays()[name], value)
         np.testing.assert_array_equal(back.forward(audio, video), model.forward(audio, video))
+
+
+def read_checkpoint_raw(path):
+    """A checkpoint's JSON header and its arrays by stored name, parsed by hand."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    (n,) = struct.unpack_from("<Q", data, 8)
+    header, blob = json.loads(data[16 : 16 + n]), data[16 + n :]
+    return header, {
+        e["name"]: np.frombuffer(blob[e["offset"] : e["offset"] + e["nbytes"]], "<f4").reshape(
+            e["shape"])
+        for e in header["arrays"]
+    }
+
+
+class TestFormat1Checkpoint:
+    """Checkpoint format 1 stored each recurrent cell's params, and their RMSProp
+    accumulators, per gate (``audio.rnn1.Wz``, ``optimizer.audio.rnn1.Wz``, ...).
+
+    ``data/format1_{gru,lstm}.ckpt`` were written by the format-1 writer: a fused
+    model with TINY's sizes at float32, seed 11, feature stats, and two RMSProp
+    steps (learning rate 1e-2) on random batches. ``data/format1_forward.npz``
+    holds a fixed input and each model's forward output from that writer's code.
+    """
+
+    @pytest.mark.parametrize("recurrent, gates", [("gru", "zrh"), ("lstm", "ifog")])
+    def test_loads_per_gate_arrays_stacked_in_gate_order(self, recurrent, gates):
+        path = os.path.join(DATA, f"format1_{recurrent}.ckpt")
+        header, raw = read_checkpoint_raw(path)
+        assert header["format_version"] == 1
+        model, opt, meta = load_checkpoint(path)
+        assert meta == {"epoch": 2} and model.config.recurrent == recurrent
+
+        stats = model.feature_stats
+        loaded = {**model.parameters(), **model.buffers(),
+                  **{f"optimizer.{k}": v for k, v in opt.state_arrays().items()},
+                  **{f"stats.{k}": getattr(stats, k)
+                     for k in ("audio_mean", "audio_std", "video_mean", "video_std")}}
+        used = set()
+        for name, value in loaded.items():
+            layer, kind = name.rsplit(".", 1)
+            stored = [f"{layer}.{kind}{g}" for g in gates] if ".rnn" in layer else [name]
+            used.update(stored)
+            np.testing.assert_array_equal(value, np.concatenate([raw[n] for n in stored]),
+                                          err_msg=name)
+        assert used == set(raw)
+
+        # float32 BLAS kernels may round differently on another CPU; a gate
+        # taken from the wrong rows moves these probabilities far more
+        with np.load(os.path.join(DATA, "format1_forward.npz")) as fixture:
+            np.testing.assert_allclose(model.forward(fixture["audio"], fixture["video"]),
+                                       fixture[f"{recurrent}_probs"], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("recurrent", ["gru", "lstm"])
+    def test_resaved_as_format_2_and_trains_on(self, tmp_path, rng, recurrent):
+        model, opt, _ = load_checkpoint(os.path.join(DATA, f"format1_{recurrent}.ckpt"))
+        save_checkpoint(tmp_path / "m.ckpt", model, optimizer=opt)
+        header, _ = read_checkpoint_raw(tmp_path / "m.ckpt")
+        assert header["format_version"] == 2
+        back, opt2, _ = load_checkpoint(tmp_path / "m.ckpt")
+        assert list(opt2.state_arrays()) == list(opt.state_arrays()) == list(model.parameters())
+        batch = random_batch(rng, ModelConfig(**{**TINY.__dict__, "dtype": "float32"}))
+        losses = [m.train_step(*batch, o, seed=1) for m, o in ((model, opt), (back, opt2))]
+        assert losses[0] == losses[1]
+        for name, value in model.parameters().items():
+            np.testing.assert_array_equal(back.parameters()[name], value)
 
 
 class TestLogits:
@@ -799,6 +838,12 @@ class TestMalformedCheckpoint:
     def test_missing_header_key_is_schema_error(self, ckpt, key):
         rewrite_header(ckpt, lambda h: h.pop(key))
         with pytest.raises(SchemaError, match=key):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("version", [0, 3, "2", None])
+    def test_unknown_format_version_is_schema_error(self, ckpt, version):
+        rewrite_header(ckpt, lambda h: h.update(format_version=version))
+        with pytest.raises(SchemaError, match="format_version"):
             load_checkpoint(ckpt)
 
     def test_undecodable_header_is_corruption(self, ckpt):

@@ -9,9 +9,23 @@ from oracles import gru_forward_direct, lstm_forward_direct, max_rel_err, numeri
 FD_TOL = 1e-4
 
 
+GATES = {Gru: "zrh", Lstm: "ifog"}
+
+
 def zero_params(layer):
     for p in layer.params.values():
         p[...] = 0.0
+
+
+def per_gate(layer):
+    """Row views of the stacked params named per gate (``Wz``, ``Uz``, ``bz``, ...),
+    the form the scalar and unit-by-unit oracles take."""
+    H = layer.hidden_dim
+    return {
+        kind + g: layer.params[kind][k * H : (k + 1) * H]
+        for k, g in enumerate(GATES[type(layer)])
+        for kind in "WUb"
+    }
 
 
 def scalar_gru_oracle(x_seq, Wz, Uz, bz, Wr, Ur, br, Wh, Uh, bh):
@@ -41,8 +55,8 @@ class TestGruForward:
     def test_scalar_hand_oracle_single_step(self):
         layer = Gru(1, 1, np.random.default_rng(0), dtype=np.float64)
         zero_params(layer)
-        layer.params["bz"][...] = 10.0  # z ~ 1
-        layer.params["Wh"][...] = 1.0
+        layer.params["b"][0] = 10.0  # z ~ 1
+        layer.params["W"][2] = 1.0  # the candidate's input weight
         h = layer.forward(np.array([[0.5]]))
         expected = _sigmoid(np.array(10.0)) * np.tanh(0.5)
         assert h[0, 0] == pytest.approx(float(expected), rel=1e-12)
@@ -50,9 +64,10 @@ class TestGruForward:
     def test_scalar_hand_oracle_multi_step(self):
         rng = np.random.default_rng(5)
         layer = Gru(1, 1, rng, dtype=np.float64)
-        vals = {k: float(rng.standard_normal()) for k in layer.params}
+        gates = per_gate(layer)
+        vals = {k: float(rng.standard_normal()) for k in gates}
         for k, v in vals.items():
-            layer.params[k][...] = v
+            gates[k][...] = v
         x_seq = rng.standard_normal(7)
         got = layer.forward(x_seq[:, None])[:, 0]
         want = scalar_gru_oracle(
@@ -151,9 +166,8 @@ class TestLstm:
         # with h0 = c0 = 0: h1 = sigmoid(bo) * tanh(sigmoid(Wi x) * tanh(Wg x))
         layer = Lstm(1, 1, np.random.default_rng(0), dtype=np.float64)
         zero_params(layer)
-        layer.params["Wi"][...] = 2.0
-        layer.params["Wg"][...] = 1.0
-        layer.params["bo"][...] = 0.5
+        layer.params["W"][[0, 3]] = [[2.0], [1.0]]  # input gate, candidate
+        layer.params["b"][2] = 0.5  # output gate
         x = 0.3
         got = layer.forward(np.array([[x]]))[0, 0]
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
@@ -193,7 +207,7 @@ def test_multi_unit_forward_matches_unit_by_unit_oracle(cls, oracle):
     for value in layer.params.values():
         value[...] = rng.standard_normal(value.shape) * 0.8
     x = rng.standard_normal((2, 4, 3))
-    np.testing.assert_allclose(layer.forward(x), oracle(x, layer.params), rtol=1e-12)
+    np.testing.assert_allclose(layer.forward(x), oracle(x, per_gate(layer)), rtol=1e-12)
 
 
 @pytest.mark.parametrize("cls", [Gru, Lstm])
@@ -215,43 +229,29 @@ def test_input_grad_false_skips_only_dx(cls, x_shape):
         np.testing.assert_array_equal(layer.grads[name], g)
 
 
-GATES = {Gru: "zrh", Lstm: "ifog"}
-
-
-def shares_storage(layer):
-    """Every per-gate param is the row block of the stacked W/U/b storage."""
-    H = layer.hidden_dim
-    for kind, stacked in zip("WUb", layer._storage):
-        for k, g in enumerate(GATES[type(layer)]):
-            p = layer.params[kind + g]
-            if p.base is not stacked or not np.shares_memory(p, stacked[k * H : (k + 1) * H]):
-                return False
-    return True
-
-
 @pytest.mark.parametrize("cls", [Gru, Lstm])
 def test_initial_weights_drawn_per_gate_in_checkpoint_order(cls):
-    # the stacked storage holds exactly the draws of per-gate initialization:
+    # the stacked params hold exactly the draws of per-gate initialization:
     # for each gate in turn, a Glorot W, an orthogonal U and a zero b
     from emofuse.nn.layers import glorot_uniform, orthogonal
 
     layer = cls(5, 3, np.random.default_rng(12))
     rng = np.random.default_rng(12)
-    want = {}
-    for g in GATES[cls]:
-        want["W" + g] = glorot_uniform((3, 5), rng, np.float32)
-        want["U" + g] = orthogonal((3, 3), rng, np.float32)
-        want["b" + g] = np.zeros(3, dtype=np.float32)
+    want = {"W": [], "U": [], "b": []}
+    for _ in GATES[cls]:
+        want["W"].append(glorot_uniform((3, 5), rng, np.float32))
+        want["U"].append(orthogonal((3, 3), rng, np.float32))
+        want["b"].append(np.zeros(3, dtype=np.float32))
     assert list(layer.params) == list(want)
-    for name, value in want.items():
-        np.testing.assert_array_equal(layer.params[name], value)
-    assert shares_storage(layer)
+    for name, blocks in want.items():
+        np.testing.assert_array_equal(layer.params[name], np.concatenate(blocks))
 
 
 @pytest.mark.parametrize("cls", [Gru, Lstm])
 def test_no_rng_builds_zero_weights(cls):
     layer = cls(5, 3, None, dtype=np.float64)
-    assert shares_storage(layer)
+    G = 3 * len(GATES[cls])
+    assert {k: v.shape for k, v in layer.params.items()} == {"W": (G, 5), "U": (G, 3), "b": (G,)}
     assert all((p == 0).all() and p.dtype == np.float64 for p in layer.params.values())
 
 
@@ -261,30 +261,32 @@ def test_in_place_param_updates_reach_the_stacked_storage(cls):
     layer = cls(4, 3, rng, dtype=np.float64)
     x = rng.standard_normal((2, 5, 4))
     before = layer.forward(x)
-    name = "U" + GATES[cls][0]
-    layer.params[name] += 0.5  # what RMSProp does
-    assert shares_storage(layer)
+    layer.params["U"][:3] += 0.5  # the first gate's block, in place as RMSProp updates
     after = layer.forward(x)
     assert not np.allclose(before, after)
     np.testing.assert_allclose(after, (gru_forward_direct if cls is Gru else lstm_forward_direct)(
-        x, layer.params), rtol=1e-12)
+        x, per_gate(layer)), rtol=1e-12)
 
 
 @pytest.mark.parametrize("cls, name", [(Gru, "Uz"), (Gru, "Wh"), (Lstm, "Uf"), (Lstm, "bg")])
 def test_rebound_param_takes_effect_on_next_forward(cls, name):
+    # rebinding a stacked param to a new array whose block for one gate differs
     rng = np.random.default_rng(6)
     layer = cls(4, 3, rng, dtype=np.float64)
     x = rng.standard_normal((2, 5, 4))
-    original = layer.params[name]
+    kind, k = name[0], GATES[cls].index(name[1])
+    original = layer.params[kind]
     base = layer.forward(x)
-    layer.params[name] = original + rng.standard_normal(original.shape)
+    rebound_value = original.copy()
+    rebound_value[k * 3 : (k + 1) * 3] += rng.standard_normal(rebound_value[:3].shape)
+    layer.params[kind] = rebound_value
     rebound = layer.forward(x)
     oracle = gru_forward_direct if cls is Gru else lstm_forward_direct
-    np.testing.assert_allclose(rebound, oracle(x, layer.params), rtol=1e-12)
+    np.testing.assert_allclose(rebound, oracle(x, per_gate(layer)), rtol=1e-12)
     assert not np.allclose(rebound, base)
     layer.backward(np.ones_like(rebound))  # backward uses the rebound value too
-    assert layer.grads[name].shape == original.shape
-    layer.params[name] = original
+    assert layer.grads[kind].shape == original.shape
+    layer.params[kind] = original
     np.testing.assert_array_equal(layer.forward(x), base)
 
 
@@ -294,9 +296,9 @@ def test_forward_does_not_write_its_input_or_weights(cls):
     layer = cls(4, 3, rng, dtype=np.float32)
     x = rng.standard_normal((3, 6, 4)).astype(np.float32)
     h0 = rng.standard_normal(3).astype(np.float32)
-    saved = (x.copy(), h0.copy(), [s.copy() for s in layer._storage])
+    saved = (x.copy(), h0.copy(), {k: p.copy() for k, p in layer.params.items()})
     layer.forward(x, h0=h0)
     np.testing.assert_array_equal(x, saved[0])
     np.testing.assert_array_equal(h0, saved[1])
-    for s, before in zip(layer._storage, saved[2]):
-        np.testing.assert_array_equal(s, before)
+    for k, before in saved[2].items():
+        np.testing.assert_array_equal(layer.params[k], before)
