@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError, CorruptionError, DomainError, SchemaError, schema_fields
-from .sequencing import WINDOW_LEN, WINDOW_STRIDE, AnnotationTrack, remap_label, window_starts
+from .sequencing import (
+    N_CLASSES,
+    WINDOW_LEN,
+    WINDOW_STRIDE,
+    AnnotationTrack,
+    remap_label,
+    window_starts,
+)
 
 FORMAT_VERSION = 1
 
@@ -204,11 +211,28 @@ def _features(video_id: str, modality: str, x, widths: dict) -> np.ndarray:
         raise SchemaError(
             f"video {video_id!r}: {modality} width {x.shape[1]}, earlier videos have {width}"
         )
-    finite = np.isfinite(x)
-    if not finite.all():
-        frame = int(np.flatnonzero(~finite.all(axis=1))[0])
-        raise DomainError(f"video {video_id!r}: non-finite {modality} feature at frame {frame}")
+    _require_finite(f"video {video_id!r}", modality, x, np.arange(len(x)))
     return x
+
+
+def _require_finite(where: str, modality: str, rows: np.ndarray, frames: np.ndarray):
+    """Raise DomainError naming ``where`` and the lowest frame whose row of
+    ``rows`` [n, width] is not finite; row i holds frame ``frames[i]``."""
+    finite = np.isfinite(rows)
+    if not finite.all():
+        frame = int(frames[~finite.all(axis=1)].min())
+        raise DomainError(f"{where}: non-finite {modality} feature at frame {frame}")
+
+
+def _require_counts(path, name: str, values: np.ndarray, high):
+    """Raise SchemaError naming the first window holding a ``name`` value that
+    is not an integer in [0, high)."""
+    bad = (values != np.floor(values)) | (values < 0) | (values >= high)
+    if bad.any():
+        w = int(np.flatnonzero(bad.any(axis=tuple(range(1, bad.ndim))))[0])
+        raise SchemaError(
+            f"{path}: window {w} has {name} {values[w][bad[w]][0]:g}, not an integer in [0, {high})"
+        )
 
 
 def write_dataset(dataset: WindowDataset, path):
@@ -305,6 +329,15 @@ def read_dataset(path) -> WindowDataset:
             videos.append(entry)
         if next_offset != w:
             raise SchemaError(f"{path}: per-video window counts do not sum to {w}")
+        _require_counts(path, "label", labels, N_CLASSES)
+        _require_counts(path, "start_frame", start_frames, 2**24)  # exact in float32
+        _require_counts(path, "pad_count", pad_counts, length)
+        for e in videos:
+            sl = slice(e.window_offset, e.window_offset + e.window_count)
+            frames = np.minimum(start_frames[sl, None] + np.arange(length), e.n_frames - 1).ravel()
+            for modality, x in (("audio", audio), ("video", video)):
+                rows = x[sl].reshape(-1, x.shape[2])
+                _require_finite(f"{path}: video {e.video_id!r}", modality, rows, frames)
         return WindowDataset(
             audio=audio,
             video=video,

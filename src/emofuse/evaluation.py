@@ -2,7 +2,7 @@
 
 The combined score is w_f1 * macro_f1 + w_acc * accuracy. Macro F1 averages
 over the seven expression classes {0..6}; frames whose truth is class 7
-(unannotated) are excluded from scoring by default, and classes absent from
+(unannotated) are excluded from scoring, and classes absent from
 both truth and predictions are left out of the macro average so short clips
 are not deflated by classes they never contained.
 """
@@ -55,8 +55,6 @@ def evaluate(
     truth,
     w_f1: float = DEFAULT_W_F1,
     w_acc: float = DEFAULT_W_ACC,
-    eval_classes=EXPRESSION_CLASSES,
-    exclude_unannotated: bool = True,
 ) -> EvalReport:
     """Score per-frame predictions against per-frame truth labels."""
     predictions = np.asarray(predictions, dtype=np.int64)
@@ -75,9 +73,7 @@ def evaluate(
         raise AlignmentError("labels must lie in {0..7}")
 
     n_frames = truth.size
-    keep = np.ones(n_frames, dtype=bool)
-    if exclude_unannotated:
-        keep = truth != UNANNOTATED_CLASS
+    keep = truth != UNANNOTATED_CLASS
     p, t = predictions[keep], truth[keep]
     n_eval = int(keep.sum())
 
@@ -100,7 +96,7 @@ def evaluate(
     accuracy = float(np.trace(confusion)) / n_eval
     per_class_f1 = {}
     f1_values = []
-    for c in eval_classes:
+    for c in EXPRESSION_CLASSES:
         tp = confusion[c, c]
         fn = confusion[c].sum() - tp
         fp = confusion[:, c].sum() - tp

@@ -186,11 +186,8 @@ class FusionModel:
         layer, a recurrent cell fed by data, skips its input gradient."""
         for k in range(len(stack) - 1, -1, -1):
             if k == 0 and not input_grad:
-                stack[0].backward(dy, input_grad=False)
-                return None
+                return stack[0].backward(dy, input_grad=False)
             dy = stack[k].backward(dy)
-            if isinstance(dy, tuple):  # recurrent layers also return dh0
-                dy = dy[0]
         return dy
 
     def _branch_inputs(self, audio, video) -> list[tuple[list, np.ndarray]]:
@@ -230,9 +227,7 @@ class FusionModel:
         Inference runs in slices of ``INFER_WINDOWS`` windows, the last one
         zero-padded. BLAS sums a GEMM row differently at different row
         counts, so a fixed slice size keeps each window's scores independent
-        of the windows it is batched with. Each slice first drops the forward
-        caches the layers still hold, so at most one slice's caches are alive
-        and the next slice reuses their memory.
+        of the windows it is batched with.
         """
         branches = self._branch_inputs(audio, video)
         if training:
@@ -240,16 +235,10 @@ class FusionModel:
         B, T = branches[0][1].shape[:2]
         out = np.empty((B, T, self.config.n_classes), dtype=self.dtype)
         for lo in range(0, B, INFER_WINDOWS):
-            self._drop_caches()
             n = min(INFER_WINDOWS, B - lo)
             part = [(stack, _fixed_rows(x[lo : lo + n])) for stack, x in branches]
             out[lo : lo + n] = self._run_branches(part, False, seed)[:n]
         return out
-
-    def _drop_caches(self):
-        """Release every layer's forward cache; a following backward raises StateError."""
-        for layer in self._layers:
-            layer._cache = None
 
     def forward(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
         """Per-timestep class distributions, shape [B, T, n_classes]."""
@@ -339,7 +328,6 @@ def predict_dataset(model: FusionModel, dataset: WindowDataset):
             truth[starts[i] : starts[i] + real[i]] = dataset.labels[i, : real[i]]
         probs = acc / count[:, None]
         yield entry.video_id, np.argmax(probs, axis=1), probs, truth
-    model._drop_caches()
 
 
 def _window_probs(model: FusionModel, dataset: WindowDataset, order: np.ndarray):

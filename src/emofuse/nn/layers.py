@@ -3,7 +3,9 @@
 Every layer stores its parameters in ``self.params`` and, after a backward
 call, matching gradients in ``self.grads``. Inputs may be [N, C] or
 [B, T, C]; dense/PReLU act per position and batch normalization normalizes
-over every axis except the channel axis.
+over every axis except the channel axis. Only a training forward keeps what
+``backward(dy) -> dx`` needs, so a backward after an inference forward raises
+:class:`StateError`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def _flat2d(x: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """Base: parameter dict plus a single-use forward cache."""
+    """Base: parameter dict plus a single-use cache that only a training forward sets."""
 
     def __init__(self, name: str = ""):
         self.name = name
@@ -68,7 +70,7 @@ class Dense(Layer):
     def forward(self, x, training=False, rng=None):
         if x.shape[-1] != self.in_dim:
             raise ShapeError(f"{self.name}: expected last dim {self.in_dim}, got {x.shape}")
-        self._cache = x
+        self._cache = x if training else None
         return x @ self.params["W"].T + self.params["b"]
 
     def backward(self, dy):
@@ -97,7 +99,7 @@ class PReLU(Layer):
         slope = neg * -self.params["alpha"]
         slope -= ~neg
         np.negative(slope, out=slope)
-        self._cache = (x, neg, slope)
+        self._cache = (x, neg, slope) if training else None
         return x * slope
 
     def backward(self, dy):
@@ -119,8 +121,11 @@ class Dropout(Layer):
         self.rate = rate
 
     def forward(self, x, training=False, rng=None):
-        if not training or self.rate == 0.0:
-            self._cache = None
+        self._cache = None
+        if not training:
+            return x
+        if self.rate == 0.0:
+            self._cache = True  # an all-keep mask
             return x
         if rng is None:
             raise StateError(f"{self.name}: training-mode dropout needs an rng")
@@ -131,9 +136,8 @@ class Dropout(Layer):
         return y
 
     def backward(self, dy):
-        keep = self._cache
-        self._cache = None
-        if keep is None:
+        keep = self._take_cache()
+        if keep is True:
             return dy
         dx = dy * keep
         dx /= 1.0 - self.rate
@@ -179,20 +183,19 @@ class BatchNorm(Layer):
         out = sq if training and sq.dtype == np.result_type(gamma, beta, xc) else None
         y = np.multiply(gamma, xc, out=out)
         y += beta
-        self._cache = (xc, inv_std, training)
+        self._cache = (xc, inv_std) if training else None
         return y.reshape(x.shape)
 
     def backward(self, dy):
-        xhat, inv_std, training = self._take_cache()
+        xhat, inv_std = self._take_cache()
         dy2 = _flat2d(dy)
         scratch = dy2 * xhat
         self.grads = {"gamma": scratch.sum(axis=0), "beta": dy2.sum(axis=0)}
         dx = dy2 * self.params["gamma"]  # dxhat
-        if training:
-            mean_dxhat = dx.mean(axis=0)
-            mean_dxhat_xhat = np.multiply(dx, xhat, out=scratch).mean(axis=0)
-            dx -= mean_dxhat
-            dx -= np.multiply(xhat, mean_dxhat_xhat, out=scratch)
+        mean_dxhat = dx.mean(axis=0)
+        mean_dxhat_xhat = np.multiply(dx, xhat, out=scratch).mean(axis=0)
+        dx -= mean_dxhat
+        dx -= np.multiply(xhat, mean_dxhat_xhat, out=scratch)
         np.multiply(inv_std, dx, out=dx)
         return dx.reshape(dy.shape)
 

@@ -1,7 +1,8 @@
 """GRU and LSTM layers with full backpropagation through time.
 
-Both accept [T, in] (one sequence) or [B, T, in] and return the hidden
-state at every timestep.
+Both take [B, T, in] and return the hidden state [B, T, H] at every
+timestep, starting from a zero state. A training forward keeps the states
+and gates its backward needs; an inference forward keeps nothing.
 
 Each cell's parameters are one gate-stacked array per kind: ``W`` [G*H,in],
 ``U`` [G*H,H] and ``b`` [G*H], gates in ``GATES`` order. Writing ``X[k]`` for
@@ -39,20 +40,6 @@ def _sigmoid(x, out=None):
     return out
 
 
-def _as_batched(x, in_dim, name):
-    x = np.asarray(x)
-    if x.ndim == 2:
-        x = x[None, :, :]
-        squeeze = True
-    elif x.ndim == 3:
-        squeeze = False
-    else:
-        raise ShapeError(f"{name}: input must be [T,in] or [B,T,in], got {x.shape}")
-    if x.shape[-1] != in_dim:
-        raise ShapeError(f"{name}: expected input dim {in_dim}, got {x.shape[-1]}")
-    return x, squeeze
-
-
 def _project(x, W, b):
     """x [B,T,in] -> x @ W.T + b as a [T,B,G] view of batch-major rows, the bias
     added in place."""
@@ -67,32 +54,12 @@ def _batch_major(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2))
 
 
-def _initial_state(h0, B, H, dtype, name):
-    """h0 ([H], [1,H] or [B,H]) as [B,H] in ``dtype``; zeros when None."""
-    if h0 is None:
-        return np.zeros((B, H), dtype=dtype)
-    h0 = np.asarray(h0, dtype=dtype)
-    if h0.shape not in ((H,), (1, H), (B, H)):
-        raise ShapeError(f"{name}: h0 shape {h0.shape} does not fit batch {B}, hidden {H}")
-    return np.broadcast_to(h0, (B, H))
-
-
-def _upstream(dh_seq, shape, squeeze, dtype, name):
+def _upstream(dh_seq, shape, dtype, name):
     """The upstream gradient as [B,T,H] in ``dtype``, checked against ``shape``."""
     dh_seq = np.asarray(dh_seq, dtype=dtype)
-    if squeeze:
-        dh_seq = dh_seq[None, :, :]
     if dh_seq.shape != shape:
         raise ShapeError(f"{name}: upstream gradient shape {dh_seq.shape}")
     return dh_seq
-
-
-def _input_grads(da2, W, x, dh0, squeeze, input_grad):
-    """``(dx, dh0)`` for a backward call; ``dx`` is None without ``input_grad``."""
-    dx = None
-    if input_grad:
-        dx = (da2 @ W).reshape(x.shape[1:] if squeeze else x.shape)
-    return dx, (dh0[0] if squeeze else dh0)
 
 
 class _Recurrent(Layer):
@@ -112,21 +79,22 @@ class _Recurrent(Layer):
                 U[k * H : (k + 1) * H] = orthogonal((H, H), rng, dtype)
         self.params = {"W": W, "U": U, "b": np.zeros(G, dtype=dtype)}
 
-    def _start(self, x, h0):
-        """``x`` as [B,T,in], whether it was [T,in], its [T,B,G] input projection
-        and the [T+1,B,H] states with ``h0`` at step 0."""
-        x, squeeze = _as_batched(x, self.input_dim, self.name)
+    def _start(self, x):
+        """``x`` [B,T,in]'s [T,B,G] input projection and the [T+1,B,H] states,
+        zero at step 0."""
+        if x.ndim != 3 or x.shape[-1] != self.input_dim:
+            raise ShapeError(f"{self.name}: input must be [B,T,{self.input_dim}], got {x.shape}")
         B, T, _ = x.shape
         h_all = np.empty((T + 1, B, self.hidden_dim), dtype=x.dtype)
-        h_all[0] = _initial_state(h0, B, self.hidden_dim, x.dtype, self.name)
-        return x, squeeze, _project(x, self.params["W"], self.params["b"]), h_all
+        h_all[0] = 0.0
+        return _project(x, self.params["W"], self.params["b"]), h_all
 
 
 class Gru(_Recurrent):
     GATES = "zrh"
 
-    def forward(self, x, h0=None, training=False, rng=None):
-        x, squeeze, xp, h_all = self._start(x, h0)
+    def forward(self, x, training=False, rng=None):
+        xp, h_all = self._start(x)
         T, B, H, U = xp.shape[0], xp.shape[1], self.hidden_dim, self.params["U"]
         Uzr_t, Uh_t = (np.ascontiguousarray(u.T) for u in (U[: 2 * H], U[2 * H :]))
         zr_all = np.empty((T, B, 2 * H), dtype=x.dtype)
@@ -144,16 +112,15 @@ class Gru(_Recurrent):
             np.subtract(1.0, z, out=h)  # h = (1 - z) * h_prev + z * hc
             h *= h_prev
             h += np.multiply(z, hc, out=tmp)
-        self._cache = (x, h_all, zr_all, hc_all, squeeze)
-        h_seq = _batch_major(h_all[1:])
-        return h_seq[0] if squeeze else h_seq
+        self._cache = (x, h_all, zr_all, hc_all) if training else None
+        return _batch_major(h_all[1:])
 
     def backward(self, dh_seq, input_grad=True):
-        """Returns ``(dx, dh0)``; ``input_grad=False`` skips ``dx`` (None) for data inputs."""
-        x, h_all, zr_all, hc_all, squeeze = self._take_cache()
+        """Returns ``dx``; ``input_grad=False`` skips it (None) for data inputs."""
+        x, h_all, zr_all, hc_all = self._take_cache()
         T, B, H = hc_all.shape
         Uzr, Uh = self.params["U"][: 2 * H], self.params["U"][2 * H :]
-        dh_seq = _upstream(dh_seq, (B, T, H), squeeze, x.dtype, self.name)
+        dh_seq = _upstream(dh_seq, (B, T, H), x.dtype, self.name)
 
         da = np.empty((B, T, 3 * H), dtype=x.dtype)  # pre-activations z, r, hc
         dh = np.zeros((B, H), dtype=x.dtype)
@@ -169,7 +136,8 @@ class Gru(_Recurrent):
             drh = da_t[:, 2 * H :] @ Uh
             da_t[:, H : 2 * H] = drh * h_prev * r * (1.0 - r)
 
-            dh = dh * (1.0 - z) + da_t[:, : 2 * H] @ Uzr + drh * r
+            if t:  # the gradient into the zero initial state is never used
+                dh = dh * (1.0 - z) + da_t[:, : 2 * H] @ Uzr + drh * r
 
         da2 = da.reshape(B * T, 3 * H)
         h_prev = _batch_major(h_all[:T]).reshape(B * T, H)
@@ -179,7 +147,7 @@ class Gru(_Recurrent):
             "U": np.concatenate([da2[:, : 2 * H].T @ h_prev, da2[:, 2 * H :].T @ rh]),
             "b": da2.sum(axis=0),
         }
-        return _input_grads(da2, self.params["W"], x, dh, squeeze, input_grad)
+        return (da2 @ self.params["W"]).reshape(x.shape) if input_grad else None
 
 
 class Lstm(_Recurrent):
@@ -187,8 +155,8 @@ class Lstm(_Recurrent):
 
     GATES = "ifog"
 
-    def forward(self, x, h0=None, training=False, rng=None):
-        x, squeeze, gates, h_all = self._start(x, h0)
+    def forward(self, x, training=False, rng=None):
+        gates, h_all = self._start(x)
         T, B, H = gates.shape[0], gates.shape[1], self.hidden_dim
         U_t = np.ascontiguousarray(self.params["U"].T)
         c_all = np.zeros((T + 1, B, H), dtype=x.dtype)  # c_0 = 0
@@ -204,17 +172,16 @@ class Lstm(_Recurrent):
             c += np.multiply(i, g, out=tmp[:, :H])
             np.tanh(c, out=h)  # h = o * tanh(c)
             h *= o
-        self._cache = (x, h_all, c_all, gates, squeeze)
-        h_seq = _batch_major(h_all[1:])
-        return h_seq[0] if squeeze else h_seq
+        self._cache = (x, h_all, c_all, gates) if training else None
+        return _batch_major(h_all[1:])
 
     def backward(self, dh_seq, input_grad=True):
-        """Returns ``(dx, dh0)``; ``input_grad=False`` skips ``dx`` (None) for data inputs."""
-        x, h_all, c_all, gates, squeeze = self._take_cache()
+        """Returns ``dx``; ``input_grad=False`` skips it (None) for data inputs."""
+        x, h_all, c_all, gates = self._take_cache()
         T, B, _ = gates.shape
         U = self.params["U"]
         H = self.hidden_dim
-        dh_seq = _upstream(dh_seq, (B, T, H), squeeze, x.dtype, self.name)
+        dh_seq = _upstream(dh_seq, (B, T, H), x.dtype, self.name)
 
         da = np.empty((B, T, 4 * H), dtype=x.dtype)  # pre-activations i, f, o, g
         dh = np.zeros((B, H), dtype=x.dtype)
@@ -232,8 +199,9 @@ class Lstm(_Recurrent):
             da_t[:, H : 2 * H] = dc * c_prev * f * (1.0 - f)
             da_t[:, 3 * H :] = dc * i * (1.0 - g * g)
 
-            dh = da_t @ U
-            dc = dc * f
+            if t:  # the gradients into the zero initial state are never used
+                dh = da_t @ U
+                dc = dc * f
 
         da2 = da.reshape(B * T, 4 * H)
         self.grads = {
@@ -241,4 +209,4 @@ class Lstm(_Recurrent):
             "U": da2.T @ _batch_major(h_all[:T]).reshape(B * T, H),
             "b": da2.sum(axis=0),
         }
-        return _input_grads(da2, self.params["W"], x, dh, squeeze, input_grad)
+        return (da2 @ self.params["W"]).reshape(x.shape) if input_grad else None

@@ -53,8 +53,7 @@ def announce(name, ok, detail):
 def train_accuracy(model, dataset):
     """Plain per-frame accuracy over every frame of the container, class 7 included."""
     _, preds, _, truths = zip(*predict_dataset(model, dataset))
-    report = evaluate(np.concatenate(preds), np.concatenate(truths), exclude_unannotated=False)
-    return report.accuracy
+    return float(np.mean(np.concatenate(preds) == np.concatenate(truths)))
 
 
 # -----------------------------------------------------------------------
@@ -71,16 +70,10 @@ def test_criterion_1_gradient_correctness():
     trials += 20
     check_layer_gradients(lambda rng: PReLU(6, dtype=np.float64), (9, 6), trials=15)
     trials += 15
-    check_layer_gradients(
-        lambda rng: Dropout(0.25), (6, 5), trials=10, training=False
-    )  # dropout-off: identity path
+    check_layer_gradients(lambda rng: Dropout(0.0), (6, 5), trials=10)  # dropout-off: identity path
     trials += 10
-    check_layer_gradients(
-        lambda rng: BatchNorm(5, dtype=np.float64), (8, 5), trials=10, training=True
-    )
-    check_layer_gradients(
-        lambda rng: BatchNorm(3, dtype=np.float64), (3, 6, 3), trials=5, training=True
-    )
+    check_layer_gradients(lambda rng: BatchNorm(5, dtype=np.float64), (8, 5), trials=10)
+    check_layer_gradients(lambda rng: BatchNorm(3, dtype=np.float64), (3, 6, 3), trials=5)
     trials += 15
 
     rng = np.random.default_rng(42)

@@ -353,6 +353,25 @@ class TestTrainCli:
         model, _, _ = load_checkpoint(root / "lstm_run" / "best.ckpt")
         assert model.config.recurrent == "lstm"
 
+    @pytest.mark.parametrize("label", [9, -3, 2.5])
+    def test_label_outside_classes_in_container_is_schema_error(
+        self, tiny_training, tmp_path, capsys, label
+    ):
+        import shutil
+
+        from test_dataset import rewrite_blob
+
+        ds, broken, out = tiny_training["dataset"], tmp_path / "broken", tmp_path / "run"
+        shutil.copytree(ds, broken)
+        rewrite_blob(broken, "labels", {(0, 4): label})
+        rc = main(["train", "--train", str(broken), "--val", str(ds), "--epochs", "1",
+                   "--patience", "0", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: schema:")
+        assert f"broken: window 0 has label {label:g}" in err[0]
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch", "0"), ("--batch", "-3"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
@@ -504,6 +523,22 @@ class TestMalformedEvaluateInputs:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {category}:")
+
+    def test_non_finite_feature_in_container_is_domain_error(
+        self, tiny_training, untrained, tmp_path, capsys
+    ):
+        import shutil
+
+        from test_dataset import rewrite_blob
+
+        broken, out = tmp_path / "broken", tmp_path / "out"
+        shutil.copytree(tiny_training["dataset"], broken)
+        rewrite_blob(broken, "video", {(0, 6, 1): np.nan})
+        assert self.run_evaluate(untrained, broken, out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: domain:")
+        assert err[0].endswith("broken: video 'clip': non-finite video feature at frame 6")
+        assert not out.exists()
 
     def test_undecodable_checkpoint_header(self, tiny_training, untrained, tmp_path, capsys):
         data = bytearray(untrained.read_bytes())

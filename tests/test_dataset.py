@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +27,21 @@ def build_dataset(rng, n_videos=2, audio_dim=5, video_dim=9):
         for v in range(n_videos)
     ]
     return WindowDataset.from_videos(videos, meta={"dsp": {"n_fft": 2048}})
+
+
+def rewrite_blob(path, name, cells):
+    """Set ``{index: value}`` ``cells`` of container blob ``name`` and store it with
+    a matching checksum, as a hand edit that keeps the container well-formed would."""
+    mpath = path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    entry = manifest["blobs"][name]
+    blob = path / entry["file"]
+    array = np.frombuffer(blob.read_bytes(), dtype="<f4").reshape(entry["shape"]).copy()
+    for index, value in cells.items():
+        array[index] = value
+    blob.write_bytes(array.tobytes())
+    entry["sha256"] = hashlib.sha256(array.tobytes()).hexdigest()
+    mpath.write_text(json.dumps(manifest))
 
 
 class TestFrameFeatureContainer:
@@ -110,6 +127,64 @@ class TestWindowDatasetContainer:
         back = read_dataset(tmp_path / "d")
         assert back.labels.dtype == np.int64
         assert set(np.unique(back.labels)) <= set(range(8))
+
+
+class TestBlobValues:
+    @pytest.mark.parametrize(
+        "blob, value",
+        [
+            ("labels", 9), ("labels", 8), ("labels", -3), ("labels", 2.5), ("labels", np.nan),
+            ("start_frames", -1), ("start_frames", 10.5), ("start_frames", np.nan),
+            ("start_frames", 3e19),  # integral, but no int64 holds it
+            ("pad_counts", -2), ("pad_counts", 0.5), ("pad_counts", 15), ("pad_counts", np.inf),
+        ],
+    )
+    def test_bad_window_value_is_schema_error_naming_the_first_window(
+        self, tmp_path, rng, blob, value
+    ):
+        write_dataset(build_dataset(rng), tmp_path / "d")
+        rewrite_blob(tmp_path / "d", blob, {4: value, 2: value})  # window 2 is named
+        name = blob.rstrip("s")
+        with pytest.raises(SchemaError, match=rf"d: window 2 has {name} {re.escape(f'{value:g}')}, "):
+            read_dataset(tmp_path / "d")
+
+    def test_boundary_values_read(self, tmp_path, rng):
+        write_dataset(build_dataset(rng), tmp_path / "d")
+        rewrite_blob(tmp_path / "d", "labels", {(1, 3): 7})
+        rewrite_blob(tmp_path / "d", "pad_counts", {1: 14})
+        back = read_dataset(tmp_path / "d")
+        assert back.labels[1, 3] == 7 and back.pad_counts[1] == 14
+
+    @pytest.mark.parametrize("modality", ["audio", "video"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_container_video_and_frame(
+        self, tmp_path, rng, modality, value
+    ):
+        ds = build_dataset(rng, n_videos=3)
+        entry = ds.videos[2]
+        w = entry.window_offset + 1
+        write_dataset(ds, tmp_path / "d")
+        cells = {
+            (w, 0, 1): value,
+            (w - 1, 14, 0): value,  # a later frame, but an earlier row
+            (w + 1, 5, 2): value,  # a later window
+        }
+        rewrite_blob(tmp_path / "d", modality, cells)
+        frame = ds.start_frames[w]
+        assert ds.start_frames[w - 1] + 14 > frame
+        with pytest.raises(
+            DomainError,
+            match=rf"d: video '{entry.video_id}': non-finite {modality} feature at frame {frame}$",
+        ):
+            read_dataset(tmp_path / "d")
+
+    def test_non_finite_padded_row_names_the_last_frame(self, tmp_path):
+        ds = WindowDataset.from_videos([make_video(10, 5, 9, video_id="short")])
+        assert ds.n_windows == 1 and ds.pad_counts[0] == 5
+        write_dataset(ds, tmp_path / "d")
+        rewrite_blob(tmp_path / "d", "video", {(0, 14, 0): np.nan})
+        with pytest.raises(DomainError, match=r"non-finite video feature at frame 9$"):
+            read_dataset(tmp_path / "d")
 
 
 class TestMalformedManifest:

@@ -46,11 +46,6 @@ class TestBasics:
         assert report.n_evaluated == 1
         assert report.accuracy == 1.0
 
-    def test_class7_can_be_included(self):
-        report = evaluate([7, 0], [7, 0], exclude_unannotated=False)
-        assert report.n_evaluated == 2
-        assert report.accuracy == 1.0
-
     def test_length_mismatch(self):
         with pytest.raises(AlignmentError):
             evaluate([0, 1], [0])

@@ -14,6 +14,7 @@ from emofuse.nn.layers import (
     softmax_cross_entropy,
     sparse_ce,
 )
+from emofuse.nn.recurrent import Gru, Lstm
 
 from conftest import float_values
 from oracles import (
@@ -28,14 +29,15 @@ from oracles import (
 FD_TOL = 1e-4
 
 
-def upstream_loss(layer, x, weights, training=False, rng_seed=None):
-    """Scalar probe loss sum(forward(x) * weights) with a reproducible rng."""
+def upstream_loss(layer, x, weights, rng_seed=None):
+    """Scalar probe loss sum(forward(x) * weights) of a training forward with a
+    reproducible rng."""
     rng = None if rng_seed is None else np.random.default_rng(rng_seed)
-    return float((layer.forward(x, training=training, rng=rng) * weights).sum())
+    return float((layer.forward(x, training=True, rng=rng) * weights).sum())
 
 
-def check_layer_gradients(make_layer, x_shape, trials, training=False, use_rng=False):
-    """Finite-difference check of dx and every parameter gradient."""
+def check_layer_gradients(make_layer, x_shape, trials, use_rng=False):
+    """Finite-difference check of dx and every parameter gradient of a training forward."""
     for trial in range(trials):
         rng = np.random.default_rng(1000 + trial)
         layer = make_layer(rng)
@@ -44,19 +46,15 @@ def check_layer_gradients(make_layer, x_shape, trials, training=False, use_rng=F
         seed = 77 + trial if use_rng else None
 
         lrng = None if seed is None else np.random.default_rng(seed)
-        y = layer.forward(x, training=training, rng=lrng)
+        y = layer.forward(x, training=True, rng=lrng)
         dx = layer.backward(np.broadcast_to(w_up, y.shape).astype(y.dtype))
 
-        num_dx = numeric_gradient(
-            lambda v: upstream_loss(layer, v, w_up, training, seed), x.copy()
-        )
+        num_dx = numeric_gradient(lambda v: upstream_loss(layer, v, w_up, seed), x.copy())
         assert max_rel_err(dx, num_dx) < FD_TOL
 
         for pname, param in layer.params.items():
-            analytic = layer_grad(layer, x, w_up, pname, training, seed)
-            num = numeric_gradient(
-                make_param_loss(layer, x, w_up, pname, training, seed), param.copy()
-            )
+            analytic = layer_grad(layer, x, w_up, pname, seed)
+            num = numeric_gradient(make_param_loss(layer, x, w_up, pname, seed), param.copy())
             assert max_rel_err(analytic, num) < FD_TOL, pname
 
 
@@ -66,20 +64,20 @@ def out_dim(layer, x_shape):
     return x_shape[-1]
 
 
-def layer_grad(layer, x, w_up, pname, training, seed):
+def layer_grad(layer, x, w_up, pname, seed):
     lrng = None if seed is None else np.random.default_rng(seed)
-    y = layer.forward(x, training=training, rng=lrng)
+    y = layer.forward(x, training=True, rng=lrng)
     layer.backward(np.broadcast_to(w_up, y.shape).astype(y.dtype))
     return layer.grads[pname]
 
 
-def make_param_loss(layer, x, w_up, pname, training, seed):
+def make_param_loss(layer, x, w_up, pname, seed):
     original = layer.params[pname]
 
     def f(value):
         layer.params[pname] = value
         try:
-            return upstream_loss(layer, x, w_up, training, seed)
+            return upstream_loss(layer, x, w_up, seed)
         finally:
             layer.params[pname] = original
 
@@ -112,7 +110,7 @@ class TestDense:
         layer = Dense(4, 2, np.random.default_rng(0))
         with pytest.raises(StateError):
             layer.backward(np.zeros((3, 2)))
-        layer.forward(np.zeros((3, 4)))
+        layer.forward(np.zeros((3, 4)), training=True)
         layer.backward(np.zeros((3, 2)))
         with pytest.raises(StateError):  # cache is single-use
             layer.backward(np.zeros((3, 2)))
@@ -168,7 +166,7 @@ class TestDropout:
 
     def test_gradients_fixed_mask(self):
         check_layer_gradients(
-            lambda rng: Dropout(0.25), (6, 5), trials=8, training=True, use_rng=True
+            lambda rng: Dropout(0.25), (6, 5), trials=8, use_rng=True
         )
 
 
@@ -202,20 +200,46 @@ class TestBatchNorm:
 
     def test_gradients_training_mode(self):
         check_layer_gradients(
-            lambda rng: BatchNorm(5, dtype=np.float64), (8, 5), trials=8, training=True
+            lambda rng: BatchNorm(5, dtype=np.float64), (8, 5), trials=8
         )
         check_layer_gradients(
-            lambda rng: BatchNorm(3, dtype=np.float64), (3, 6, 3), trials=6, training=True
+            lambda rng: BatchNorm(3, dtype=np.float64), (3, 6, 3), trials=6
         )
 
-    def test_gradients_inference_mode(self):
-        def make(rng):
-            layer = BatchNorm(5, dtype=np.float64)
-            layer.running_mean = rng.standard_normal(5)
-            layer.running_var = rng.random(5) + 0.5
-            return layer
 
-        check_layer_gradients(make, (8, 5), trials=6, training=False)
+# --------------------------------------------------------------------------
+# The layer contract: only a training forward leaves a cache for backward
+# --------------------------------------------------------------------------
+
+CACHING_LAYERS = {
+    "Dense": lambda rng: Dense(4, 3, rng),
+    "PReLU": lambda rng: PReLU(4),
+    "BatchNorm": lambda rng: BatchNorm(4),
+    "Dropout": lambda rng: Dropout(0.5),
+    "Gru": lambda rng: Gru(4, 3, rng),
+    "Lstm": lambda rng: Lstm(4, 3, rng),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CACHING_LAYERS))
+def test_backward_after_inference_forward_is_state_error(kind):
+    rng = np.random.default_rng(0)
+    layer = CACHING_LAYERS[kind](rng)
+    y = layer.forward(rng.standard_normal((2, 5, 4)).astype(np.float32))
+    assert layer._cache is None
+    with pytest.raises(StateError):
+        layer.backward(np.ones_like(y))
+
+
+@pytest.mark.parametrize("kind", sorted(CACHING_LAYERS))
+def test_inference_forward_drops_a_stale_training_cache(kind):
+    rng = np.random.default_rng(1)
+    layer = CACHING_LAYERS[kind](rng)
+    x = rng.standard_normal((2, 5, 4)).astype(np.float32)
+    layer.forward(x, training=True, rng=rng)
+    assert layer._cache is not None
+    layer.forward(x)
+    assert layer._cache is None
 
 
 class TestSoftmaxAndLoss:
@@ -326,11 +350,13 @@ def test_batchnorm_equals_np_var(data, x_dtype, dtype, shape, training, momentum
     with np.errstate(all="ignore"):
         y = layer.forward(x, training=training)
         dy = array(data.draw, y.dtype, shape)
-        dx = layer.backward(dy)
         want = batchnorm_np_var(x, gamma, beta, mean, var, momentum, layer.eps, training, dy)
-    got = (y, dx, layer.grads["gamma"], layer.grads["beta"], layer.running_mean, layer.running_var)
+        got = [y, None, None, None, layer.running_mean, layer.running_var]
+        if training:  # only a training forward has a backward
+            got[1:4] = layer.backward(dy), layer.grads["gamma"], layer.grads["beta"]
     for new, old in zip(got, want):
-        assert_same_bits(new, old)
+        if new is not None:
+            assert_same_bits(new, old)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

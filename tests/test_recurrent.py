@@ -49,17 +49,17 @@ class TestGruForward:
     def test_zero_parameters_give_zero_states(self):
         layer = Gru(3, 4, np.random.default_rng(0), dtype=np.float64)
         zero_params(layer)
-        x = np.random.default_rng(1).standard_normal((6, 3))
-        np.testing.assert_array_equal(layer.forward(x), np.zeros((6, 4)))
+        x = np.random.default_rng(1).standard_normal((1, 6, 3))
+        np.testing.assert_array_equal(layer.forward(x), np.zeros((1, 6, 4)))
 
     def test_scalar_hand_oracle_single_step(self):
         layer = Gru(1, 1, np.random.default_rng(0), dtype=np.float64)
         zero_params(layer)
         layer.params["b"][0] = 10.0  # z ~ 1
         layer.params["W"][2] = 1.0  # the candidate's input weight
-        h = layer.forward(np.array([[0.5]]))
+        h = layer.forward(np.array([[[0.5]]]))
         expected = _sigmoid(np.array(10.0)) * np.tanh(0.5)
-        assert h[0, 0] == pytest.approx(float(expected), rel=1e-12)
+        assert h[0, 0, 0] == pytest.approx(float(expected), rel=1e-12)
 
     def test_scalar_hand_oracle_multi_step(self):
         rng = np.random.default_rng(5)
@@ -69,7 +69,7 @@ class TestGruForward:
         for k, v in vals.items():
             gates[k][...] = v
         x_seq = rng.standard_normal(7)
-        got = layer.forward(x_seq[:, None])[:, 0]
+        got = layer.forward(x_seq[None, :, None])[0, :, 0]
         want = scalar_gru_oracle(
             x_seq,
             vals["Wz"], vals["Uz"], vals["bz"],
@@ -81,26 +81,12 @@ class TestGruForward:
     def test_output_shapes(self):
         rng = np.random.default_rng(0)
         layer = Gru(5, 3, rng, dtype=np.float64)
-        assert layer.forward(rng.standard_normal((7, 5))).shape == (7, 3)
         assert layer.forward(rng.standard_normal((2, 7, 5))).shape == (2, 7, 3)
 
     def test_input_dim_checked(self):
         layer = Gru(5, 3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((7, 4)))
-
-    def test_initial_state_used(self):
-        rng = np.random.default_rng(0)
-        for cls in (Gru, Lstm):
-            layer = cls(2, 3, rng, dtype=np.float64)
-            x = rng.standard_normal((1, 4, 2))
-            h0 = rng.standard_normal((1, 3))
-            a = layer.forward(x, h0=h0)
-            b = layer.forward(x)
-            assert not np.allclose(a, b), cls.__name__
-            for bad in ((1, 7), (7,), (3, 3)):
-                with pytest.raises(ShapeError, match="h0 shape"):
-                    layer.forward(x, h0=np.zeros(bad))
+            layer.forward(np.zeros((1, 7, 4)))
 
 
 def check_recurrent_gradients(cls, trials, T_max=5, dim_max=7):
@@ -114,10 +100,9 @@ def check_recurrent_gradients(cls, trials, T_max=5, dim_max=7):
         x = rng.standard_normal((B, T, in_dim))
         w_up = rng.standard_normal((B, T, hid))
 
-        y = layer.forward(x)
-        dx, dh0 = layer.backward(w_up)
+        layer.forward(x, training=True)
+        dx = layer.backward(w_up)
         assert dx.shape == x.shape
-        assert dh0.shape == (B, hid)
         analytic = {k: v.copy() for k, v in layer.grads.items()}
 
         num_dx = numeric_gradient(lambda v: float((layer.forward(v) * w_up).sum()), x.copy())
@@ -142,25 +127,18 @@ class TestGruBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(0)
         layer = Gru(3, 4, rng, dtype=np.float64)
-        layer.forward(rng.standard_normal((2, 5, 3)))
-        dx, dh0 = layer.backward(np.zeros((2, 5, 4)))
-        assert (dx == 0).all() and (dh0 == 0).all()
+        layer.forward(rng.standard_normal((2, 5, 3)), training=True)
+        dx = layer.backward(np.zeros((2, 5, 4)))
+        assert (dx == 0).all()
         assert all((g == 0).all() for g in layer.grads.values())
-
-    def test_dx_matches_input_shape_both_ranks(self):
-        rng = np.random.default_rng(0)
-        layer = Gru(3, 4, rng, dtype=np.float64)
-        layer.forward(rng.standard_normal((5, 3)))
-        dx, dh0 = layer.backward(rng.standard_normal((5, 4)))
-        assert dx.shape == (5, 3) and dh0.shape == (4,)
 
 
 class TestLstm:
     def test_zero_parameters_give_zero_states(self):
         layer = Lstm(3, 4, np.random.default_rng(0), dtype=np.float64)
         zero_params(layer)
-        x = np.random.default_rng(1).standard_normal((6, 3))
-        np.testing.assert_array_equal(layer.forward(x), np.zeros((6, 4)))
+        x = np.random.default_rng(1).standard_normal((1, 6, 3))
+        np.testing.assert_array_equal(layer.forward(x), np.zeros((1, 6, 4)))
 
     def test_single_step_gate_arithmetic(self):
         # with h0 = c0 = 0: h1 = sigmoid(bo) * tanh(sigmoid(Wi x) * tanh(Wg x))
@@ -169,7 +147,7 @@ class TestLstm:
         layer.params["W"][[0, 3]] = [[2.0], [1.0]]  # input gate, candidate
         layer.params["b"][2] = 0.5  # output gate
         x = 0.3
-        got = layer.forward(np.array([[x]]))[0, 0]
+        got = layer.forward(np.array([[[x]]]))[0, 0, 0]
         sig = lambda v: 1.0 / (1.0 + np.exp(-v))
         want = sig(0.5) * np.tanh(sig(2.0 * x) * np.tanh(x))
         assert got == pytest.approx(want, rel=1e-12)
@@ -211,19 +189,18 @@ def test_multi_unit_forward_matches_unit_by_unit_oracle(cls, oracle):
 
 
 @pytest.mark.parametrize("cls", [Gru, Lstm])
-@pytest.mark.parametrize("x_shape", [(2, 6, 4), (6, 4)])
+@pytest.mark.parametrize("x_shape", [(2, 6, 4)])
 def test_input_grad_false_skips_only_dx(cls, x_shape):
     rng = np.random.default_rng(4)
     layer = cls(4, 3, rng, dtype=np.float32)
     x = rng.standard_normal(x_shape).astype(np.float32)
     dy = rng.standard_normal((*x.shape[:-1], 3)).astype(np.float32)
-    layer.forward(x)
-    dx, dh0 = layer.backward(dy)
+    layer.forward(x, training=True)
+    dx = layer.backward(dy)
     full = {k: v.copy() for k, v in layer.grads.items()}
-    layer.forward(x)
-    skipped, dh0_skipped = layer.backward(dy, input_grad=False)
+    layer.forward(x, training=True)
+    skipped = layer.backward(dy, input_grad=False)
     assert dx.shape == x.shape and skipped is None
-    np.testing.assert_array_equal(dh0_skipped, dh0)
     assert layer.grads.keys() == full.keys() == layer.params.keys()
     for name, g in full.items():
         np.testing.assert_array_equal(layer.grads[name], g)
@@ -280,7 +257,7 @@ def test_rebound_param_takes_effect_on_next_forward(cls, name):
     rebound_value = original.copy()
     rebound_value[k * 3 : (k + 1) * 3] += rng.standard_normal(rebound_value[:3].shape)
     layer.params[kind] = rebound_value
-    rebound = layer.forward(x)
+    rebound = layer.forward(x, training=True)
     oracle = gru_forward_direct if cls is Gru else lstm_forward_direct
     np.testing.assert_allclose(rebound, oracle(x, per_gate(layer)), rtol=1e-12)
     assert not np.allclose(rebound, base)
@@ -295,10 +272,19 @@ def test_forward_does_not_write_its_input_or_weights(cls):
     rng = np.random.default_rng(2)
     layer = cls(4, 3, rng, dtype=np.float32)
     x = rng.standard_normal((3, 6, 4)).astype(np.float32)
-    h0 = rng.standard_normal(3).astype(np.float32)
-    saved = (x.copy(), h0.copy(), {k: p.copy() for k, p in layer.params.items()})
-    layer.forward(x, h0=h0)
+    saved = (x.copy(), {k: p.copy() for k, p in layer.params.items()})
+    layer.forward(x)
     np.testing.assert_array_equal(x, saved[0])
-    np.testing.assert_array_equal(h0, saved[1])
-    for k, before in saved[2].items():
+    for k, before in saved[1].items():
         np.testing.assert_array_equal(layer.params[k], before)
+
+
+@pytest.mark.parametrize("cls", [Gru, Lstm])
+def test_input_is_batched_and_starts_from_zero(cls):
+    # a single [T,in] sequence and an initial state are not part of the interface
+    rng = np.random.default_rng(3)
+    layer = cls(4, 3, rng)
+    with pytest.raises(ShapeError, match=r"\[B,T,4\]"):
+        layer.forward(np.zeros((6, 4), dtype=np.float32))
+    with pytest.raises(TypeError):
+        layer.forward(np.zeros((1, 6, 4), dtype=np.float32), h0=np.zeros(3, dtype=np.float32))
