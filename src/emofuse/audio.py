@@ -8,6 +8,7 @@ vector: 40 MFCC coefficients followed by 128 log-mel band energies.
 from __future__ import annotations
 
 import functools
+import math
 import struct
 from dataclasses import dataclass
 
@@ -54,12 +55,12 @@ class DspConfig:
             raise DomainError("n_fft and hop_length must be positive")
         if self.n_mels < 1:
             raise DomainError("n_mels must be positive")
-        if self.n_mfcc > self.n_mels:
+        if not 0 <= self.n_mfcc <= self.n_mels:
             raise DomainError(
-                f"n_mfcc ({self.n_mfcc}) cannot exceed n_mels ({self.n_mels})"
+                f"n_mfcc ({self.n_mfcc}) must be in [0, n_mels ({self.n_mels})]"
             )
-        if self.log_floor <= 0:
-            raise DomainError("log_floor must be positive")
+        if not (math.isfinite(self.log_floor) and self.log_floor > 0):
+            raise DomainError(f"log_floor must be finite and positive, got {self.log_floor}")
 
     def resolved_fmax(self, sample_rate: int) -> float:
         fmax = sample_rate / 2 if self.fmax is None else self.fmax
@@ -202,10 +203,12 @@ def mel_filterbank(sample_rate: int, cfg: DspConfig) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_filterbank(sample_rate: int, cfg: DspConfig) -> np.ndarray:
-    """``mel_filterbank`` built once per (sample_rate, cfg), read-only."""
-    fb = mel_filterbank(sample_rate, cfg)
-    fb.flags.writeable = False
+def _cached_filterbank(sample_rate: int, cfg: DspConfig):
+    """Read-only CSR ``mel_filterbank(...).T``; ``power @ fb`` adds each band's bins in order."""
+    import scipy.sparse  # loaded by feature extraction only, not by train or evaluate
+    fb = scipy.sparse.csr_array(mel_filterbank(sample_rate, cfg).T)
+    for part in (fb.data, fb.indices, fb.indptr):
+        part.flags.writeable = False
     return fb
 
 
@@ -256,9 +259,7 @@ def _fused_rows(samples, starts, stops, sample_rate, cfg) -> np.ndarray:
         for lo in range(0, len(rows), _BLOCK):
             block = rows[lo : lo + _BLOCK]
             power = _stft_power(samples, starts[block], frame_index, window).mean(axis=1)
-            # one mat-vec per chunk, as in the one-chunk path; a single GEMM over
-            # the block would change the sums at ulp level
-            band[block] = (fb @ power[:, :, None])[:, :, 0]
+            band[block] = power @ fb
     logmel = np.log10(np.maximum(band, cfg.log_floor))
     mfccs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=-1)[:, : cfg.n_mfcc]
     return np.concatenate([mfccs, logmel], axis=1)

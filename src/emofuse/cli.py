@@ -28,7 +28,8 @@ from .dataset import (
     write_dataset,
     write_frame_features,
 )
-from .errors import CorruptionError, EmofuseError, ParseError, SchemaError, schema_fields
+from .errors import (CorruptionError, DomainError, EmofuseError, ParseError, SchemaError,
+                     schema_fields)
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
 from .model import _write_atomic, load_checkpoint, predict_dataset
 from .sequencing import parse_annotations
@@ -59,9 +60,6 @@ def _require_file(path, what):
 def cmd_extract_audio(args) -> int:
     _require_file(args.wav, "wav file")
     _require_file(args.annotations, "annotation file")
-    track = parse_annotations(args.annotations)
-    n_chunks = len(track.labels)
-    signal = audio_mod.load_wav(args.wav)
     cfg = audio_mod.DspConfig(
         n_fft=args.n_fft,
         hop_length=args.hop,
@@ -69,6 +67,9 @@ def cmd_extract_audio(args) -> int:
         n_mels=args.n_mels,
         n_mfcc=args.n_mfcc,
     )
+    track = parse_annotations(args.annotations)
+    n_chunks = len(track.labels)
+    signal = audio_mod.load_wav(args.wav)
     bounds = audio_mod.chunk_boundaries(signal.duration_s, n_chunks)
     matrix = audio_mod.extract_chunk_features(signal, bounds, cfg).astype(np.float32)
     write_frame_features(
@@ -143,6 +144,9 @@ def _collect_videos(args) -> list[tuple[str, str, str]]:
 
 
 def cmd_build_dataset(args) -> int:
+    if args.stride > args.window:
+        # a longer stride leaves frames that no window covers
+        raise DomainError(f"--stride ({args.stride}) cannot exceed --window ({args.window})")
     triples = _collect_videos(args)
 
     def assemble(triple):

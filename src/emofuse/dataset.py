@@ -30,7 +30,9 @@ FORMAT_VERSION = 1
 
 
 def _write_blob(dirpath, name: str, array: np.ndarray) -> dict:
-    data = np.ascontiguousarray(array, dtype="<f4").tobytes()
+    # a byte view of the float32 buffer, not a copy; unlike memoryview.cast it
+    # also works on zero-size arrays
+    data = np.ascontiguousarray(array, dtype="<f4").reshape(-1).view(np.uint8)
     with open(os.path.join(dirpath, name), "wb") as fh:
         fh.write(data)
     return {

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emofuse import audio
 from emofuse.audio import (
@@ -170,6 +172,18 @@ class TestMelSpectrogram:
         a = mel_spectrogram(x, 16000, SMALL)
         b = mel_spectrogram(x.copy(), 16000, SMALL)
         assert (a == b).all()
+
+
+class TestDspConfig:
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_log_floor_must_be_finite_and_positive(self, floor):
+        with pytest.raises(DomainError, match="log_floor"):
+            DspConfig(log_floor=floor)
+
+    @pytest.mark.parametrize("n_mfcc", [-1, 129])
+    def test_n_mfcc_outside_zero_to_n_mels(self, n_mfcc):
+        with pytest.raises(DomainError, match="n_mfcc"):
+            DspConfig(n_mfcc=n_mfcc)
 
 
 class TestMelFilterbank:
@@ -343,15 +357,60 @@ class TestBatchedExtraction:
             sig = AudioSignal(samples=rng.standard_normal(sr // 10), sample_rate=sr)
             bounds = chunk_boundaries(sig.duration_s, 7)
             _check_rows_against_oracle(sig, bounds, cfg, extract_chunk_features(sig, bounds, cfg))
-            np.testing.assert_array_equal(audio._cached_filterbank(sr, cfg), mel_filterbank(sr, cfg))
+            # the cached operator is the transposed filterbank, exactly
+            np.testing.assert_array_equal(audio._cached_filterbank(sr, cfg).toarray().T,
+                                          mel_filterbank(sr, cfg))
         assert audio._cached_filterbank(8000, TINY) is audio._cached_filterbank(8000, TINY)
         assert audio._cached_filterbank(8000, TINY) is not audio._cached_filterbank(16000, TINY)
         assert audio._cached_filterbank(8000, TINY) is not audio._cached_filterbank(8000, other)
 
     def test_cached_filterbank_is_read_only(self):
         fb = audio._cached_filterbank(8000, TINY)
+        assert not any(a.flags.writeable for a in (fb.data, fb.indices, fb.indptr))
+        band, bin_ = fb.nonzero()
         with pytest.raises(ValueError):
-            fb[0, 0] = 1.0
+            fb[band[0], bin_[0]] = 1.0
+        with pytest.raises(ValueError):
+            fb *= 2.0
         public = mel_filterbank(8000, TINY)
         public += 1.0  # the public builder returns a fresh, writable array
-        np.testing.assert_array_equal(fb, mel_filterbank(8000, TINY))
+        np.testing.assert_array_equal(fb.toarray().T, mel_filterbank(8000, TINY))
+
+    def test_band_energies_match_the_dense_filterbank(self, rng):
+        sr, cfg = 16000, DspConfig()
+        starts = rng.integers(0, sr, size=40)
+        frame_index = audio._frame_index(1280, cfg)
+        power = audio._stft_power(rng.standard_normal(2 * sr), starts, frame_index,
+                                  audio.hann_window(cfg.n_fft)).mean(axis=1)
+        dense = power @ mel_filterbank(sr, cfg).T
+        np.testing.assert_allclose(power @ audio._cached_filterbank(sr, cfg), dense,
+                                   rtol=1e-12, atol=0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_samples=st.integers(1, 6000),
+    n_chunks=st.integers(1, 2 * audio._BLOCK + 40),
+    tiled=st.booleans(),
+)
+@example(seed=0, n_samples=4000, n_chunks=2 * audio._BLOCK + 40, tiled=True)
+def test_every_row_equals_its_chunk_alone(seed, n_samples, n_chunks, tiled):
+    """A batched row does not depend on which chunks share its block: it is
+    bit-equal to ``mfcc`` ++ ``mel_spectrogram`` of its chunk alone."""
+    sr = 8000
+    rng = np.random.default_rng(seed)
+    sig = AudioSignal(samples=rng.standard_normal(n_samples) * rng.uniform(1e-3, 1.0),
+                      sample_rate=sr)
+    if tiled:  # few distinct lengths, so blocks fill up to _BLOCK chunks
+        bounds = chunk_boundaries(sig.duration_s, n_chunks)
+    else:
+        ends = rng.uniform(0.0, sig.duration_s, size=(n_chunks, 2))
+        bounds = np.sort(ends, axis=1)
+        bounds[:, 1] = np.maximum(bounds[:, 1], np.nextafter(bounds[:, 0], np.inf))
+    feats = extract_chunk_features(sig, bounds, TINY)
+    lengths, starts = _sample_lengths(sig, bounds)
+    for row, a, n in zip(feats, starts, lengths):
+        chunk = sig.samples[a : a + n]
+        np.testing.assert_array_equal(row[: TINY.n_mfcc], mfcc(chunk, sr, TINY))
+        np.testing.assert_array_equal(row[TINY.n_mfcc :], mel_spectrogram(chunk, sr, TINY))

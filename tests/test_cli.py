@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emofuse
 from emofuse.cli import _prediction_lines, main
 from emofuse.dataset import (
     VideoEntry,
@@ -99,6 +103,16 @@ class TestExtractAudio:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: format:") and "index 100" in err[0]
+
+    @pytest.mark.parametrize("flag,value", [("--floor", "nan"), ("--floor", "inf"),
+                                            ("--n-mfcc", "-1")])
+    def test_bad_dsp_setting_is_domain_error(self, pipeline, capsys, tmp_path, flag, value):
+        rc = main(["extract-audio", "--wav", str(pipeline["wav"]),
+                   "--annotations", str(pipeline["ann"]), "--out", str(tmp_path / "x"),
+                   flag, value])
+        assert rc == 1
+        assert one_error_line(capsys, "domain")
+        assert not (tmp_path / "x").exists()
 
 
 class TestIngestVideo:
@@ -210,6 +224,15 @@ class TestBuildDataset:
         err = capsys.readouterr().err
         assert err.startswith("error: alignment:")
         assert "annotations=25" in err and "audio=27" in err
+
+    def test_stride_beyond_window_is_domain_error(self, pipeline, capsys, tmp_path):
+        # the feature containers do not exist: the flags are refused before any input is read
+        rc = main(["build-dataset", "--audio", str(tmp_path / "a"), "--video", str(tmp_path / "v"),
+                   "--annotations", str(pipeline["ann"]), "--out", str(tmp_path / "d"),
+                   "--window", "15", "--stride", "20"])
+        assert rc == 1
+        assert one_error_line(capsys, "domain")
+        assert not (tmp_path / "d").exists()
 
     def test_non_utf8_annotations_is_parse_error(self, pipeline, capsys, tmp_path):
         ann = tmp_path / "vid.txt"
@@ -640,3 +663,13 @@ def test_prediction_lines_equal_per_value_formatting(rows):
     labels = np.array([label for label, _ in rows], dtype=np.int64)
     probs = np.array([p for _, p in rows], dtype=np.float64)
     assert _prediction_lines(labels, probs) == old_prediction_lines(labels, probs)
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    """Only feature extraction loads scipy.sparse, so train and evaluate
+    processes do not pay its memory."""
+    src = os.path.dirname(os.path.dirname(emofuse.__file__))
+    code = "import sys, emofuse.cli; print('scipy.sparse' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
