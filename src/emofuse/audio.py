@@ -55,6 +55,11 @@ class DspConfig:
             raise DomainError("n_fft and hop_length must be positive")
         if self.n_mels < 1:
             raise DomainError("n_mels must be positive")
+        if self.n_fft // 2 + 1 < self.n_mels:
+            raise DomainError(
+                f"n_fft {self.n_fft} gives {self.n_fft // 2 + 1} frequency bins, "
+                f"fewer than n_mels ({self.n_mels})"
+            )
         if not 0 <= self.n_mfcc <= self.n_mels:
             raise DomainError(
                 f"n_mfcc ({self.n_mfcc}) must be in [0, n_mels ({self.n_mels})]"

@@ -192,8 +192,8 @@ class WindowDataset:
             audio = _features(vid, "audio", audio, widths)
             video = _features(vid, "video", video, widths)
             starts = np.array(window_starts(n, window_len, stride), dtype=np.int64)
-            idx = np.minimum(starts[:, None] + np.arange(window_len), n - 1)
             pads = np.maximum(0, starts + window_len - n)
+            idx = np.minimum(window_rows(starts, pads, window_len)[0], n - 1)
             entries.append(VideoEntry(vid, n, offset, len(starts)))
             parts.append((audio[idx], video[idx], labels[idx], starts, pads))
             offset += len(starts)
@@ -201,6 +201,17 @@ class WindowDataset:
             raise SchemaError("dataset has no windows")
         audio, video, labels, starts, pads = (np.concatenate(p) for p in zip(*parts))
         return cls(audio, video, labels, starts, pads, entries, window_len, stride, dict(meta or {}))
+
+
+def window_rows(start_frames, pad_counts, window_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each window row's frame within its video and whether the row is real, both [W, L].
+
+    Row ``t`` of a window starting at frame ``s`` with ``p`` padded rows holds
+    frame ``s + t`` and is real when ``t < window_len - p``.
+    """
+    t = np.arange(window_len)
+    frames = np.asarray(start_frames, dtype=np.int64)[:, None] + t
+    return frames, t < window_len - np.asarray(pad_counts, dtype=np.int64)[:, None]
 
 
 def _features(video_id: str, modality: str, x, widths: dict) -> np.ndarray:
@@ -219,10 +230,10 @@ def _features(video_id: str, modality: str, x, widths: dict) -> np.ndarray:
 
 def _require_finite(where: str, modality: str, rows: np.ndarray, frames: np.ndarray):
     """Raise DomainError naming ``where`` and the lowest frame whose row of
-    ``rows`` [n, width] is not finite; row i holds frame ``frames[i]``."""
+    ``rows`` [..., width] is not finite; each row holds its entry of ``frames`` [...]."""
     finite = np.isfinite(rows)
     if not finite.all():
-        frame = int(frames[~finite.all(axis=1)].min())
+        frame = int(frames[~finite.all(axis=-1)].min())
         raise DomainError(f"{where}: non-finite {modality} feature at frame {frame}")
 
 
@@ -334,12 +345,13 @@ def read_dataset(path) -> WindowDataset:
         _require_counts(path, "label", labels, N_CLASSES)
         _require_counts(path, "start_frame", start_frames, 2**24)  # exact in float32
         _require_counts(path, "pad_count", pad_counts, length)
+        frames, _ = window_rows(start_frames, pad_counts, length)
         for e in videos:
             sl = slice(e.window_offset, e.window_offset + e.window_count)
-            frames = np.minimum(start_frames[sl, None] + np.arange(length), e.n_frames - 1).ravel()
+            # a padded row repeats the video's last frame
+            held = np.minimum(frames[sl], e.n_frames - 1)
             for modality, x in (("audio", audio), ("video", video)):
-                rows = x[sl].reshape(-1, x.shape[2])
-                _require_finite(f"{path}: video {e.video_id!r}", modality, rows, frames)
+                _require_finite(f"{path}: video {e.video_id!r}", modality, x[sl], held)
         return WindowDataset(
             audio=audio,
             video=video,

@@ -80,33 +80,19 @@ def evaluate(
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(confusion, (t, p), 1)
 
-    if n_eval == 0:
-        return EvalReport(
-            accuracy=None,
-            per_class_f1={},
-            macro_f1=None,
-            combined=None,
-            confusion=confusion,
-            n_evaluated=0,
-            n_frames=n_frames,
-            w_f1=w_f1,
-            w_acc=w_acc,
-        )
-
-    accuracy = float(np.trace(confusion)) / n_eval
+    accuracy = macro_f1 = combined = None
     per_class_f1 = {}
-    f1_values = []
-    for c in EXPRESSION_CLASSES:
-        tp = confusion[c, c]
-        fn = confusion[c].sum() - tp
-        fp = confusion[:, c].sum() - tp
-        if tp + fn + fp == 0:
-            continue  # absent from truth and predictions alike
-        f1 = 0.0 if tp == 0 else 2.0 * tp / (2.0 * tp + fp + fn)
-        per_class_f1[c] = f1
-        f1_values.append(f1)
-    macro_f1 = float(np.mean(f1_values)) if f1_values else 0.0
-    combined = w_f1 * macro_f1 + w_acc * accuracy
+    if n_eval:
+        accuracy = float(np.trace(confusion)) / n_eval
+        for c in EXPRESSION_CLASSES:
+            tp = confusion[c, c]
+            fn = confusion[c].sum() - tp
+            fp = confusion[:, c].sum() - tp
+            if tp + fn + fp == 0:
+                continue  # absent from truth and predictions alike
+            per_class_f1[c] = 0.0 if tp == 0 else 2.0 * tp / (2.0 * tp + fp + fn)
+        macro_f1 = float(np.mean(list(per_class_f1.values()))) if per_class_f1 else 0.0
+        combined = w_f1 * macro_f1 + w_acc * accuracy
     return EvalReport(
         accuracy=accuracy,
         per_class_f1=per_class_f1,

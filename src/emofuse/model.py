@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import WindowDataset
+from .dataset import WindowDataset, window_rows
 from .errors import (
     CorruptionError,
     CoverageError,
@@ -271,28 +271,6 @@ class FusionModel:
         return loss
 
 
-def _frame_counts(entry, spans) -> np.ndarray:
-    """How many of the ``(start_frame, real_rows)`` windows cover each frame of ``entry``.
-
-    Raises :class:`CoverageError` naming the video when a window runs past
-    the video's end or a frame is left uncovered.
-    """
-    if not spans:
-        raise CoverageError(f"video {entry.video_id!r} has no windows")
-    counts = np.zeros(entry.n_frames, dtype=np.int64)
-    for start, n in spans:
-        if start < 0 or start + n > entry.n_frames:
-            raise CoverageError(
-                f"video {entry.video_id!r}: window at {start} (+{n} real rows) "
-                f"exceeds {entry.n_frames} frames"
-            )
-        counts[start : start + n] += 1
-    if (counts == 0).any():
-        missing = int(np.flatnonzero(counts == 0)[0])
-        raise CoverageError(f"video {entry.video_id!r}: frame {missing} not covered by any window")
-    return counts
-
-
 def predict_dataset(model: FusionModel, dataset: WindowDataset):
     """Yield ``(video_id, labels, probs, truth)`` for each video in the container.
 
@@ -301,40 +279,61 @@ def predict_dataset(model: FusionModel, dataset: WindowDataset):
     resolving to the lowest class index. ``truth`` holds each frame's label
     from the real rows of the windows covering it. The forward runs over the
     windows of all videos, ``INFER_WINDOWS`` at a time. A container without
-    videos, or with a video whose windows leave a frame uncovered or run past
-    its end, raises :class:`CoverageError` before the first forward.
+    videos, or with a video whose windows leave a frame uncovered, run past
+    its end or disagree on a frame's label, raises :class:`CoverageError`
+    before the first forward.
     """
-    if not dataset.videos:
+    videos = dataset.videos
+    if not videos:
         raise CoverageError("dataset holds no videos")
-    starts, pads = dataset.start_frames, dataset.pad_counts
-    real = dataset.window_len - pads
-    orders, spans = [], []
-    for entry in dataset.videos:
-        lo = entry.window_offset
-        hi = lo + entry.window_count
-        # a fixed accumulation order, by (start_frame, pad_count) with ties in
-        # container order, makes the result exactly window-order-invariant
-        order = lo + np.lexsort((pads[lo:hi], starts[lo:hi]))
-        orders.append(order)
-        spans.append(list(zip(starts[order].tolist(), real[order].tolist())))
-    counts = [_frame_counts(entry, s) for entry, s in zip(dataset.videos, spans)]
-    rows = _window_probs(model, dataset, np.concatenate(orders))
-    for entry, video_spans, count in zip(dataset.videos, spans, counts):
-        acc = np.zeros((entry.n_frames, model.config.n_classes), dtype=np.float64)
-        for start, n in video_spans:
-            acc[start : start + n] += next(rows)[:n]
-        truth = np.zeros(entry.n_frames, dtype=np.int64)
-        for i in range(entry.window_offset, entry.window_offset + entry.window_count):
-            truth[starts[i] : starts[i] + real[i]] = dataset.labels[i, : real[i]]
-        probs = acc / count[:, None]
-        yield entry.video_id, np.argmax(probs, axis=1), probs, truth
+    # each video's windows directly follow the previous video's, as read_dataset
+    # checks, and keep their slice of ``order``; video v's frames are the
+    # outputs' rows from first[v]
+    owner = np.repeat(np.arange(len(videos)), [e.window_count for e in videos])
+    n_frames = np.array([e.n_frames for e in videos])
+    first, total = np.cumsum(n_frames) - n_frames, int(n_frames.sum())
+    # a fixed accumulation order, by (video, start_frame, pad_count) with ties in
+    # container order, makes the result exactly window-order-invariant
+    order = np.lexsort((dataset.pad_counts, dataset.start_frames, owner))
+    frames, real = window_rows(
+        dataset.start_frames[order], dataset.pad_counts[order], dataset.window_len
+    )
+    inside = (frames >= 0) & (frames < n_frames[owner[order], None])
+    rows = first[owner[order], None] + frames
+    past = (real & ~inside).any(axis=1)
+    at, labels = rows[real & inside], dataset.labels[order][real & inside]
+    covered = np.bincount(at, minlength=total)
+    truth = np.zeros(total, dtype=np.int64)
+    truth[at] = labels  # where windows disagree, a row's label differs from the one kept
+    clashes = np.bincount(at[truth[at] != labels], minlength=total)
 
+    for v, e in enumerate(videos):
+        if e.window_count == 0:
+            raise CoverageError(f"video {e.video_id!r} has no windows")
+        overrun = past[e.window_offset : e.window_offset + e.window_count]
+        if overrun.any():
+            w = e.window_offset + np.argmax(overrun)
+            raise CoverageError(
+                f"video {e.video_id!r}: window at {frames[w, 0]} (+{real[w].sum()} real rows) "
+                f"exceeds {e.n_frames} frames"
+            )
+        f = slice(first[v], first[v] + e.n_frames)
+        for flagged, what in ((covered[f] == 0, "frame {} not covered by any window"),
+                              (clashes[f] > 0, "windows disagree on the label of frame {}")):
+            if flagged.any():
+                raise CoverageError(f"video {e.video_id!r}: " + what.format(np.argmax(flagged)))
 
-def _window_probs(model: FusionModel, dataset: WindowDataset, order: np.ndarray):
-    """Each window's [L, n_classes] softmax rows, in ``order``, one forward per slice."""
+    acc = np.zeros((total, model.config.n_classes), dtype=np.float64)
     for lo in range(0, len(order), INFER_WINDOWS):
-        idx = order[lo : lo + INFER_WINDOWS]
-        yield from model.forward(dataset.audio[idx], dataset.video[idx], training=False)
+        sl = slice(lo, lo + INFER_WINDOWS)
+        probs = model.forward(dataset.audio[order[sl]], dataset.video[order[sl]], training=False)
+        # np.add.at adds repeated rows in turn: each frame sums its windows in order
+        np.add.at(acc, rows[sl][real[sl]], probs[real[sl]])
+    probs = acc / covered[:, None]
+    labels = np.argmax(probs, axis=1)
+    for v, e in enumerate(videos):
+        f = slice(first[v], first[v] + e.n_frames)
+        yield e.video_id, labels[f], probs[f], truth[f]
 
 
 # --------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .dataset import WindowDataset
+from .dataset import WindowDataset, window_rows
 from .errors import DivergenceError, SchemaError
 from .evaluation import evaluate
 from .model import (
@@ -46,8 +46,6 @@ class TrainConfig:
     early_stop_patience: int = 5
     metric_w_f1: float = 0.67
     metric_w_acc: float = 0.33
-    window_len: int = 15
-    stride: int = 10
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -116,9 +114,8 @@ def fit_stats(train_set: WindowDataset) -> FeatureStats:
 
 def _loss_mask(dataset: WindowDataset, include_class7: bool) -> np.ndarray:
     # padded tail rows never contribute to the loss
-    L = dataset.window_len
-    rows = np.arange(L)[None, :]
-    mask = (rows < (L - dataset.pad_counts)[:, None]).astype(np.float32)
+    _, real = window_rows(dataset.start_frames, dataset.pad_counts, dataset.window_len)
+    mask = real.astype(np.float32)
     if not include_class7:
         mask *= (dataset.labels != UNANNOTATED_CLASS).astype(np.float32)
     return mask

@@ -185,6 +185,15 @@ class TestDspConfig:
         with pytest.raises(DomainError, match="n_mfcc"):
             DspConfig(n_mfcc=n_mfcc)
 
+    @pytest.mark.parametrize("n_fft, n_mels", [(1, 128), (2, 128), (4, 128), (252, 128), (64, 40)])
+    def test_n_fft_with_fewer_bins_than_mel_bands(self, n_fft, n_mels):
+        with pytest.raises(DomainError, match="n_fft"):
+            DspConfig(n_fft=n_fft, n_mels=n_mels, n_mfcc=13)
+
+    @pytest.mark.parametrize("n_fft, n_mels", [(254, 128), (256, 128), (78, 40), (1, 1)])
+    def test_n_fft_with_a_bin_per_mel_band_is_accepted(self, n_fft, n_mels):
+        assert DspConfig(n_fft=n_fft, n_mels=n_mels, n_mfcc=1).n_mels == n_mels
+
 
 class TestMelFilterbank:
     def test_rows_nonempty_and_nonnegative(self):

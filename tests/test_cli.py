@@ -105,7 +105,8 @@ class TestExtractAudio:
         assert len(err) == 1 and err[0].startswith("error: format:") and "index 100" in err[0]
 
     @pytest.mark.parametrize("flag,value", [("--floor", "nan"), ("--floor", "inf"),
-                                            ("--n-mfcc", "-1")])
+                                            ("--n-mfcc", "-1"), ("--n-fft", "1"),
+                                            ("--n-fft", "2"), ("--n-fft", "252")])
     def test_bad_dsp_setting_is_domain_error(self, pipeline, capsys, tmp_path, flag, value):
         rc = main(["extract-audio", "--wav", str(pipeline["wav"]),
                    "--annotations", str(pipeline["ann"]), "--out", str(tmp_path / "x"),

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from emofuse.dataset import VideoEntry, WindowDataset
 from emofuse.errors import CorruptionError, CoverageError, DivergenceError, SchemaError, ShapeError
@@ -771,6 +773,30 @@ class TestPredictDataset:
         with pytest.raises(CoverageError, match=message):
             next(predict_dataset(FusionModel(TINY), dataset))
 
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_disagreeing_labels_are_coverage_error(self, rng, order):
+        cfg = ModelConfig(**{**TINY.__dict__, "window_len": 4})
+        dataset = one_video(rng, cfg, [0, 2], n_frames=6)
+        dataset.labels[:] = [[0, 0, 1, 1], [2, 2, 2, 2]]
+        with pytest.raises(CoverageError, match="video 'v': windows disagree on the label of frame 2"):
+            next(predict_dataset(FusionModel(cfg), reordered(dataset, order)))
+
+    def test_disagreement_checked_before_the_first_video(self, rng):
+        dataset = one_video(rng, TINY, [0, 0, 2], n_frames=7)
+        dataset.videos[:] = [VideoEntry("a", 5, 0, 1), VideoEntry("b", 7, 1, 2)]
+        dataset.labels[2, 1] = 3  # frame 3 of b: 0 in its first window, 3 in its second
+        with pytest.raises(CoverageError, match="video 'b': windows disagree on the label of frame 3"):
+            next(predict_dataset(FusionModel(TINY), dataset))
+
+    def test_padded_rows_may_hold_any_label(self, rng):
+        # the window at 0 holds frames 0-2 and a padded row at frame 3, whose
+        # label differs from the real row of the window at 2 there
+        cfg = ModelConfig(**{**TINY.__dict__, "window_len": 4})
+        dataset = one_video(rng, cfg, [0, 2], n_frames=6, pad_counts=[1, 0])
+        dataset.labels[:] = [[1, 1, 2, 5], [2, 3, 3, 3]]
+        ((_, _, _, truth),) = predict_dataset(FusionModel(cfg), dataset)
+        np.testing.assert_array_equal(truth, [1, 1, 2, 3, 3, 3])
+
     def test_truth_drops_padded_rows(self, rng):
         model = FusionModel(TINY)
         dataset, truths = labelled_dataset(rng, TINY, [11, 2])
@@ -778,6 +804,33 @@ class TestPredictDataset:
         for (_, labels, _, truth), want in zip(predict_dataset(model, dataset), truths):
             assert truth.shape == labels.shape == want.shape
             np.testing.assert_array_equal(truth, want)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    lengths=st.lists(st.integers(1, 3 * TINY.window_len), min_size=1, max_size=6),
+    stride=st.integers(1, TINY.window_len),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(lengths=[15, 15, 15], stride=1, seed=0)  # 33 windows: two forward slices
+def test_predict_dataset_equals_the_direct_frame_scores(lengths, stride, seed):
+    rng = np.random.default_rng(seed)
+    dataset, truths = labelled_dataset(rng, TINY, lengths, stride=stride)
+    shuffled = reordered(dataset, np.concatenate([
+        e.window_offset + rng.permutation(e.window_count) for e in dataset.videos
+    ]))
+    model = FusionModel(TINY)
+    results = list(predict_dataset(model, shuffled))
+    assert [r[0] for r in results] == [e.video_id for e in dataset.videos]
+    for (_, labels, probs, truth), entry, want_truth in zip(results, shuffled.videos, truths):
+        part = video_part(shuffled, entry)
+        want_labels, want_probs = frame_scores_direct(
+            model.forward(part.audio, part.video), part.start_frames.tolist(),
+            part.pad_counts.tolist(), entry.n_frames,
+        )
+        np.testing.assert_array_equal(labels, want_labels)
+        np.testing.assert_array_equal(probs, want_probs)
+        np.testing.assert_array_equal(truth, want_truth)
 
 
 class TestBatchInvariance:

@@ -4,7 +4,8 @@ import pytest
 from emofuse.dataset import WindowDataset
 from emofuse.errors import SchemaError
 from emofuse.model import FusionModel, ModelConfig, load_checkpoint, standardize
-from emofuse.training import TrainConfig, dataset_metrics, fit_stats, run_training
+from emofuse.sequencing import AnnotationTrack
+from emofuse.training import TrainConfig, _loss_mask, dataset_metrics, fit_stats, run_training
 
 from synth import synthetic_dataset
 
@@ -127,6 +128,35 @@ class TestRunTraining:
     def test_config_rejects_bad_numbers(self, field, value):
         with pytest.raises(SchemaError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["window_len", "stride"])
+    def test_config_has_no_window_fields(self, field):
+        # the window length comes from the dataset; a config field would do nothing
+        with pytest.raises(TypeError):
+            TrainConfig(**{field: 15})
+
+
+class TestLossMask:
+    @pytest.fixture
+    def dataset(self):
+        # L=5, stride 3: video a (7 frames) gets windows at 0 and 2; video b
+        # (3 frames) one window at 0 with its last 2 rows padded
+        videos = [
+            (AnnotationTrack([-1, 0, 1, 2, -1, 3, 4], "a"), np.zeros((7, 2)), np.zeros((7, 3))),
+            (AnnotationTrack([5, -1, 6], "b"), np.zeros((3, 2)), np.zeros((3, 3))),
+        ]
+        return WindowDataset.from_videos(videos, window_len=5, stride=3)
+
+    def test_padded_rows_are_masked(self, dataset):
+        mask = _loss_mask(dataset, include_class7=True)
+        assert mask.dtype == np.float32
+        np.testing.assert_array_equal(mask, [[1, 1, 1, 1, 1], [1, 1, 1, 1, 1], [1, 1, 1, 0, 0]])
+
+    def test_exclude_class7_masks_unannotated_rows(self, dataset):
+        np.testing.assert_array_equal(dataset.labels[:, :3], [[7, 0, 1], [1, 2, 7], [5, 7, 6]])
+        mask = _loss_mask(dataset, include_class7=False)
+        assert mask.dtype == np.float32
+        np.testing.assert_array_equal(mask, [[0, 1, 1, 1, 0], [1, 1, 0, 1, 1], [1, 0, 1, 0, 0]])
 
 
 class TestCheckpointDeterminism:
