@@ -256,7 +256,7 @@ def cmd_evaluate(args) -> int:
     dataset = read_dataset(args.dataset)
     w_f1, w_acc = _parse_weights(args.weights)
 
-    # --out is made once a video is predicted: an empty container leaves nothing behind
+    # --out is made once a video is predicted: a model that rejects the windows leaves nothing
     pred_dir = os.path.join(args.out, "predictions")
     all_preds, all_truth = [], []
     for video_id, labels, probs, truth in predict_dataset(model, dataset):
@@ -432,7 +432,7 @@ def main(argv=None) -> int:
     except EmofuseError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing input or an unusable --out
         print(f"error: file: {exc}", file=sys.stderr)
         return 1
 

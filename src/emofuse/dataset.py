@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, CorruptionError, DomainError, SchemaError, schema_fields
+from .errors import (AlignmentError, CorruptionError, CoverageError, DomainError, SchemaError,
+                     schema_fields)
 from .sequencing import (
     N_CLASSES,
     WINDOW_LEN,
@@ -237,6 +238,28 @@ def _require_finite(where: str, modality: str, rows: np.ndarray, frames: np.ndar
         raise DomainError(f"{where}: non-finite {modality} feature at frame {frame}")
 
 
+def _require_coverage(where: str, n: int, frames, real, labels):
+    """Raise CoverageError naming ``where`` unless the real rows of a video's
+    windows (``frames``, ``real``, ``labels``: [w, L]) stay inside its ``n``
+    frames, cover each one and agree on its label."""
+    if len(frames) == 0:
+        raise CoverageError(f"{where} has no windows")
+    past = (real & (frames >= n)).any(axis=1)
+    if past.any():
+        w = np.argmax(past)
+        raise CoverageError(f"{where}: window at {frames[w, 0]} (+{real[w].sum()} real rows) "
+                            f"exceeds {n} frames")
+    at, held = frames[real], labels[real]
+    uncovered = np.flatnonzero(np.bincount(at, minlength=n) == 0)
+    if len(uncovered):
+        raise CoverageError(f"{where}: frame {uncovered[0]} not covered by any window")
+    kept = np.zeros(n, dtype=labels.dtype)
+    kept[at] = held  # where windows disagree, some row's label differs from the one kept
+    clashes = at[kept[at] != held]
+    if len(clashes):
+        raise CoverageError(f"{where}: windows disagree on the label of frame {clashes.min()}")
+
+
 def _require_counts(path, name: str, values: np.ndarray, high):
     """Raise SchemaError naming the first window holding a ``name`` value that
     is not an integer in [0, high)."""
@@ -345,13 +368,17 @@ def read_dataset(path) -> WindowDataset:
         _require_counts(path, "label", labels, N_CLASSES)
         _require_counts(path, "start_frame", start_frames, 2**24)  # exact in float32
         _require_counts(path, "pad_count", pad_counts, length)
-        frames, _ = window_rows(start_frames, pad_counts, length)
+        if not videos:
+            raise CoverageError(f"{path}: dataset holds no videos")
+        frames, real = window_rows(start_frames, pad_counts, length)
         for e in videos:
+            where = f"{path}: video {e.video_id!r}"
             sl = slice(e.window_offset, e.window_offset + e.window_count)
+            _require_coverage(where, e.n_frames, frames[sl], real[sl], labels[sl])
             # a padded row repeats the video's last frame
             held = np.minimum(frames[sl], e.n_frames - 1)
             for modality, x in (("audio", audio), ("video", video)):
-                _require_finite(f"{path}: video {e.video_id!r}", modality, x[sl], held)
+                _require_finite(where, modality, x[sl], held)
         return WindowDataset(
             audio=audio,
             video=video,

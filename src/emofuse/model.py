@@ -25,7 +25,6 @@ import numpy as np
 from .dataset import WindowDataset, window_rows
 from .errors import (
     CorruptionError,
-    CoverageError,
     DivergenceError,
     SchemaError,
     ShapeError,
@@ -278,17 +277,12 @@ def predict_dataset(model: FusionModel, dataset: WindowDataset):
     covering it, padded rows discarded; ``labels`` are their argmax, ties
     resolving to the lowest class index. ``truth`` holds each frame's label
     from the real rows of the windows covering it. The forward runs over the
-    windows of all videos, ``INFER_WINDOWS`` at a time. A container without
-    videos, or with a video whose windows leave a frame uncovered, run past
-    its end or disagree on a frame's label, raises :class:`CoverageError`
-    before the first forward.
+    windows of all videos, ``INFER_WINDOWS`` at a time. ``dataset`` is a
+    container that :func:`~emofuse.dataset.read_dataset` accepts or
+    :meth:`WindowDataset.from_videos` builds; its coverage is not checked again.
     """
     videos = dataset.videos
-    if not videos:
-        raise CoverageError("dataset holds no videos")
-    # each video's windows directly follow the previous video's, as read_dataset
-    # checks, and keep their slice of ``order``; video v's frames are the
-    # outputs' rows from first[v]
+    # video v owns the window_count windows after the previous video's and rows from first[v]
     owner = np.repeat(np.arange(len(videos)), [e.window_count for e in videos])
     n_frames = np.array([e.n_frames for e in videos])
     first, total = np.cumsum(n_frames) - n_frames, int(n_frames.sum())
@@ -298,31 +292,10 @@ def predict_dataset(model: FusionModel, dataset: WindowDataset):
     frames, real = window_rows(
         dataset.start_frames[order], dataset.pad_counts[order], dataset.window_len
     )
-    inside = (frames >= 0) & (frames < n_frames[owner[order], None])
     rows = first[owner[order], None] + frames
-    past = (real & ~inside).any(axis=1)
-    at, labels = rows[real & inside], dataset.labels[order][real & inside]
-    covered = np.bincount(at, minlength=total)
+    covered = np.bincount(rows[real], minlength=total)
     truth = np.zeros(total, dtype=np.int64)
-    truth[at] = labels  # where windows disagree, a row's label differs from the one kept
-    clashes = np.bincount(at[truth[at] != labels], minlength=total)
-
-    for v, e in enumerate(videos):
-        if e.window_count == 0:
-            raise CoverageError(f"video {e.video_id!r} has no windows")
-        overrun = past[e.window_offset : e.window_offset + e.window_count]
-        if overrun.any():
-            w = e.window_offset + np.argmax(overrun)
-            raise CoverageError(
-                f"video {e.video_id!r}: window at {frames[w, 0]} (+{real[w].sum()} real rows) "
-                f"exceeds {e.n_frames} frames"
-            )
-        f = slice(first[v], first[v] + e.n_frames)
-        for flagged, what in ((covered[f] == 0, "frame {} not covered by any window"),
-                              (clashes[f] > 0, "windows disagree on the label of frame {}")):
-            if flagged.any():
-                raise CoverageError(f"video {e.video_id!r}: " + what.format(np.argmax(flagged)))
-
+    truth[rows[real]] = dataset.labels[order][real]
     acc = np.zeros((total, model.config.n_classes), dtype=np.float64)
     for lo in range(0, len(order), INFER_WINDOWS):
         sl = slice(lo, lo + INFER_WINDOWS)

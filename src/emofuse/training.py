@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dataset import WindowDataset, window_rows
-from .errors import DivergenceError, SchemaError
-from .evaluation import evaluate
+from .errors import DivergenceError, DomainError, SchemaError
+from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
 from .model import (
     STD_FLOOR,
     FeatureStats,
@@ -37,15 +37,11 @@ class TrainConfig:
     batch_size: int = 64
     seed: int = 0
     learning_rate: float = 1e-4
-    rho: float = 0.9
-    eps: float = 1e-7
     mode: str = "fused"
     recurrent: str = "gru"
     include_class7: bool = True
     standardize_features: bool = False
     early_stop_patience: int = 5
-    metric_w_f1: float = 0.67
-    metric_w_acc: float = 0.33
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -152,6 +148,10 @@ def run_training(
     """
     if train_set.audio_dim != val_set.audio_dim or train_set.video_dim != val_set.video_dim:
         raise SchemaError("train/val feature dims differ")
+    mask_all = _loss_mask(train_set, config.include_class7)
+    if not mask_all.any():
+        raise DomainError("no training row counts toward the loss: every real row is class 7")
+    n = train_set.n_windows
 
     report = TrainReport()
     start_epoch = 0
@@ -179,10 +179,7 @@ def run_training(
         model = FusionModel(model_cfg)
         if config.standardize_features:
             model.feature_stats = fit_stats(train_set)
-        optimizer = RmsProp(config.learning_rate, config.rho, config.eps)
-
-    mask_all = _loss_mask(train_set, config.include_class7)
-    n = train_set.n_windows
+        optimizer = RmsProp(config.learning_rate)
 
     for epoch in range(start_epoch, config.epochs):
         perm = _epoch_seed(config.seed, epoch).permutation(n)
@@ -190,6 +187,8 @@ def run_training(
         try:
             for step, lo in enumerate(range(0, n, config.batch_size)):
                 idx = perm[lo : lo + config.batch_size]
+                if not mask_all[idx].any():
+                    continue  # every row padded or class 7: no loss, no update
                 loss = model.train_step(
                     train_set.audio[idx],
                     train_set.video[idx],
@@ -204,7 +203,7 @@ def run_training(
             report.diverged = True
             break
 
-        val = dataset_metrics(model, val_set, config.metric_w_f1, config.metric_w_acc)
+        val = dataset_metrics(model, val_set, DEFAULT_W_F1, DEFAULT_W_ACC)
         combined = val.combined if val.combined is not None else 0.0
         record = EpochRecord(
             epoch=epoch + 1,

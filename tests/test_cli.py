@@ -410,6 +410,111 @@ class TestTrainCli:
         assert one_error_line(capsys, "schema")
         assert not out.exists()
 
+    def test_val_whose_windows_disagree_is_refused_before_training(
+        self, tiny_training, tmp_path, capsys, monkeypatch
+    ):
+        from test_dataset import rewrite_blob
+
+        rng = np.random.default_rng(4)
+        val = WindowDataset.from_videos([
+            (AnnotationTrack([i % 7 for i in range(20)], vid), rng.standard_normal((20, 168)),
+             rng.standard_normal((20, 3)))
+            for vid in ("a", "b")
+        ])
+        assert val.start_frames.tolist() == [0, 5, 0, 5]
+        write_dataset(val, tmp_path / "val")
+        # window 1 (frames 5-19 of 'a') holds the labels of frames 6-20 (wrapping to 5)
+        rewrite_blob(tmp_path / "val", "labels", {1: np.roll(val.labels[1], -1)})
+        monkeypatch.setattr(FusionModel, "train_step", None)  # a step would raise TypeError
+        out = tmp_path / "run"
+        rc = main(["train", "--train", str(tiny_training["dataset"]), "--val", str(tmp_path / "val"),
+                   "--epochs", "1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: coverage:")
+        assert err[0].endswith("val: video 'a': windows disagree on the label of frame 5")
+        assert not out.exists()
+
+    def test_zero_video_train_container_is_coverage_error(self, tiny_training, tmp_path, capsys):
+        empty = WindowDataset(
+            audio=np.zeros((0, 15, 168)), video=np.zeros((0, 15, 3)),
+            labels=np.zeros((0, 15)), start_frames=np.zeros(0), pad_counts=np.zeros(0),
+            videos=[],
+        )
+        write_dataset(empty, tmp_path / "empty")
+        out = tmp_path / "run"
+        rc = main(["train", "--train", str(tmp_path / "empty"), "--val", str(tiny_training["dataset"]),
+                   "--epochs", "1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("empty: dataset holds no videos")
+        assert err[0].startswith("error: coverage:")
+        assert not out.exists()
+
+    @staticmethod
+    def labelled_container(path, labels):
+        """A container of one 15-frame video per label list."""
+        rng = np.random.default_rng(8)
+        write_dataset(WindowDataset.from_videos([
+            (AnnotationTrack(track, f"v{i}"), rng.standard_normal((15, 168)),
+             rng.standard_normal((15, 3)))
+            for i, track in enumerate(labels)
+        ]), path)
+        return str(path)
+
+    def test_fully_masked_batch_is_skipped(self, tmp_path):
+        # with --batch 1, one of the two batches holds only unannotated rows
+        ds = self.labelled_container(tmp_path / "d", [[-1] * 15, [2] * 15])
+        assert main(["train", "--train", ds, "--val", ds, "--epochs", "2", "--batch", "1",
+                     "--exclude-class7", "--out", str(tmp_path / "run")]) == 0
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert all(np.isfinite(r["train_loss"]) for r in summary["history"])
+
+    def test_no_counted_row_is_domain_error(self, tmp_path, capsys):
+        ds = self.labelled_container(tmp_path / "d", [[-1] * 15, [-1] * 15])
+        rc = main(["train", "--train", ds, "--val", ds, "--epochs", "1", "--exclude-class7",
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert one_error_line(capsys, "domain")
+        assert not (tmp_path / "run" / "summary.json").exists()
+
+    def test_config_keys(self, tiny_training, tmp_path):
+        ds = str(tiny_training["dataset"])
+        out = tmp_path / "run"
+        assert main(["train", "--train", ds, "--val", ds, "--epochs", "1", "--patience", "0",
+                     "--out", str(out)]) == 0
+        keys = {"epochs", "batch_size", "seed", "learning_rate", "mode", "recurrent",
+                "include_class7", "standardize_features", "early_stop_patience"}
+        assert set(json.loads((out / "summary.json").read_text())["config"]) == keys
+        for name in ("best.ckpt", "checkpoint.ckpt"):
+            assert set(load_checkpoint(out / name)[2]["train_config"]) == keys
+
+
+class TestUnusableOut:
+    """An --out that exists as a regular file is one ``error: file:`` line."""
+
+    @pytest.mark.parametrize("command", [
+        "extract-audio", "ingest-video", "build-dataset", "train", "evaluate",
+    ])
+    def test_out_is_a_file(self, pipeline, tiny_training, tmp_path, capsys, command):
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(ckpt, FusionModel(ModelConfig(video_dim=3)))
+        tiny = str(tiny_training["dataset"])
+        inputs = {
+            "extract-audio": ["--wav", pipeline["wav"], "--annotations", pipeline["ann"]],
+            "ingest-video": ["--csv", pipeline["csv"]],
+            "build-dataset": ["--audio", pipeline["audio"], "--video", pipeline["video"],
+                              "--annotations", pipeline["ann"]],
+            "train": ["--train", tiny, "--val", tiny, "--epochs", "1"],
+            "evaluate": ["--checkpoint", ckpt, "--dataset", tiny],
+        }[command]
+        out = tmp_path / "out"
+        out.write_text("keep\n")
+        rc = main([command, *map(str, inputs), "--out", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys, "file")
+        assert out.read_text() == "keep\n"
+
 
 class TestEvaluateCli:
     def test_perfect_fit_scores_one(self, tiny_training, capsys):
@@ -602,7 +707,7 @@ class TestMalformedEvaluateInputs:
         video_a = (AnnotationTrack([0] * 20, "a"), rng.standard_normal((20, 168)),
                    rng.standard_normal((20, 3)))
         dataset = WindowDataset.from_videos([video_a], window_len=15, stride=10)
-        # a second video with frames but no windows, which read_dataset accepts
+        # a second video with frames but no windows
         dataset.videos.append(VideoEntry("b", 20, len(dataset.start_frames), 0))
         write_dataset(dataset, tmp_path / "data")
         rc = self.run_evaluate(untrained, tmp_path / "data", tmp_path / "out")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emofuse.dataset import (
+    VideoEntry,
     WindowDataset,
     read_dataset,
     read_frame_features,
     write_dataset,
     write_frame_features,
 )
-from emofuse.errors import CorruptionError, DomainError, SchemaError
+from emofuse.errors import CorruptionError, CoverageError, DomainError, SchemaError
 from emofuse.sequencing import AnnotationTrack
 
 from oracles import cut_windows_direct
@@ -148,12 +150,14 @@ class TestBlobValues:
         with pytest.raises(SchemaError, match=rf"d: window 2 has {name} {re.escape(f'{value:g}')}, "):
             read_dataset(tmp_path / "d")
 
-    def test_boundary_values_read(self, tmp_path, rng):
-        write_dataset(build_dataset(rng), tmp_path / "d")
-        rewrite_blob(tmp_path / "d", "labels", {(1, 3): 7})
-        rewrite_blob(tmp_path / "d", "pad_counts", {1: 14})
+    def test_boundary_values_read(self, tmp_path):
+        # a 1-frame video's one window holds the most padded rows a window can
+        ds = WindowDataset.from_videos([make_video(1, 5, 9)])
+        assert ds.pad_counts.tolist() == [14]
+        write_dataset(ds, tmp_path / "d")
+        rewrite_blob(tmp_path / "d", "labels", {(0, 0): 7})
         back = read_dataset(tmp_path / "d")
-        assert back.labels[1, 3] == 7 and back.pad_counts[1] == 14
+        assert back.labels[0, 0] == 7 and back.pad_counts[0] == 14
 
     @pytest.mark.parametrize("modality", ["audio", "video"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -185,6 +189,103 @@ class TestBlobValues:
         rewrite_blob(tmp_path / "d", "video", {(0, 14, 0): np.nan})
         with pytest.raises(DomainError, match=r"non-finite video feature at frame 9$"):
             read_dataset(tmp_path / "d")
+
+
+def windows_at(starts, n_frames, pad_counts=None, window_len=5, labels=None):
+    """A one-video container (``'v'``, ``n_frames`` frames) with windows at ``starts``."""
+    w = len(starts)
+    rng = np.random.default_rng(0)
+    return WindowDataset(
+        audio=rng.standard_normal((w, window_len, 3)).astype(np.float32),
+        video=rng.standard_normal((w, window_len, 4)).astype(np.float32),
+        labels=np.zeros((w, window_len), dtype=np.int64) if labels is None else np.array(labels),
+        start_frames=np.array(starts, dtype=np.int64),
+        pad_counts=np.array(pad_counts or [0] * w, dtype=np.int64),
+        videos=[VideoEntry("v", n_frames, 0, w)],
+        window_len=window_len,
+    )
+
+
+def reread(dataset, path):
+    write_dataset(dataset, path)
+    return read_dataset(path)
+
+
+class TestCoverage:
+    """read_dataset refuses a container whose windows leave a video's frame
+    uncovered, run past its end or disagree on a frame's label; every command
+    reads containers through it."""
+
+    def test_uncovered_frame_is_coverage_error(self, tmp_path):
+        with pytest.raises(CoverageError, match=r"d: video 'v': frame 5 not covered by any window$"):
+            reread(windows_at([0], n_frames=7), tmp_path / "d")
+
+    def test_window_past_end_is_coverage_error(self, tmp_path):
+        with pytest.raises(
+            CoverageError, match=r"d: video 'v': window at 3 \(\+5 real rows\) exceeds 5 frames$"
+        ):
+            reread(windows_at([3], n_frames=5), tmp_path / "d")
+
+    def test_empty_container_is_coverage_error(self, tmp_path):
+        empty = WindowDataset(
+            audio=np.zeros((0, 5, 6)), video=np.zeros((0, 5, 8)), labels=np.zeros((0, 5)),
+            start_frames=np.zeros(0), pad_counts=np.zeros(0), videos=[], window_len=5,
+        )
+        with pytest.raises(CoverageError, match=r"d: dataset holds no videos$"):
+            reread(empty, tmp_path / "d")
+
+    @pytest.mark.parametrize("second, message", [
+        (VideoEntry("b", 7, 1, 1), "video 'b': frame 5 not covered"),
+        (VideoEntry("b", 7, 2, 0), "video 'b' has no windows"),
+    ])
+    def test_coverage_error_names_a_later_video(self, tmp_path, second, message):
+        dataset = windows_at([0, 0], n_frames=5)
+        dataset.videos[:] = [VideoEntry("a", 5, 0, 2 - second.window_count), second]
+        with pytest.raises(CoverageError, match=f"d: {message}"):
+            reread(dataset, tmp_path / "d")
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_disagreeing_labels_are_coverage_error(self, tmp_path, order):
+        starts, labels = np.array([0, 2]), np.array([[0, 0, 1, 1], [2, 2, 2, 2]])
+        dataset = windows_at(starts[order], n_frames=6, window_len=4, labels=labels[order])
+        with pytest.raises(
+            CoverageError, match=r"d: video 'v': windows disagree on the label of frame 2$"
+        ):
+            reread(dataset, tmp_path / "d")
+
+    def test_disagreement_names_a_later_video(self, tmp_path):
+        dataset = windows_at([0, 0, 2], n_frames=7)
+        dataset.videos[:] = [VideoEntry("a", 5, 0, 1), VideoEntry("b", 7, 1, 2)]
+        dataset.labels[2, 1] = 3  # frame 3 of b: 0 in its first window, 3 in its second
+        with pytest.raises(CoverageError, match="d: video 'b': windows disagree on the label of frame 3"):
+            reread(dataset, tmp_path / "d")
+
+    def test_padded_rows_may_hold_any_label(self, tmp_path):
+        # the window at 0 holds frames 0-2 and a padded row at frame 3, whose
+        # label differs from the real row of the window at 2 there
+        labels = [[1, 1, 2, 5], [2, 3, 3, 3]]
+        dataset = windows_at([0, 2], n_frames=6, pad_counts=[1, 0], window_len=4, labels=labels)
+        np.testing.assert_array_equal(reread(dataset, tmp_path / "d").labels, labels)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        lengths=st.lists(st.integers(1, 45), min_size=1, max_size=4),
+        length_stride=st.integers(1, 15).flatmap(
+            lambda length: st.tuples(st.just(length), st.integers(1, length))
+        ),
+    )
+    def test_every_built_container_reads_back_unchanged(self, lengths, length_stride):
+        length, stride = length_stride
+        videos = [video_arrays(n, video_id=f"v{i}", seed=i) for i, n in enumerate(lengths)]
+        ds = WindowDataset.from_videos(videos, window_len=length, stride=stride, meta={"k": 1})
+        with tempfile.TemporaryDirectory() as root:
+            back = reread(ds, f"{root}/d")
+        for name in ("audio", "video", "labels", "start_frames", "pad_counts"):
+            got, want = getattr(back, name), getattr(ds, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert back.videos == ds.videos and back.meta == ds.meta
+        assert (back.window_len, back.stride) == (length, stride)
 
 
 class TestMalformedManifest:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emofuse.dataset import VideoEntry, WindowDataset
-from emofuse.errors import CorruptionError, CoverageError, DivergenceError, SchemaError, ShapeError
+from emofuse.errors import CorruptionError, DivergenceError, SchemaError, ShapeError
 from emofuse.model import (
     INFER_WINDOWS,
     FeatureStats,
@@ -332,16 +332,6 @@ class TestPredictVideo:
         labels_b, probs_b = predict_one(model, reordered(ds, [2, 1, 0]))
         np.testing.assert_array_equal(labels_a, labels_b)
         np.testing.assert_array_equal(probs_a, probs_b)
-
-    def test_uncovered_frame_is_coverage_error(self, rng):
-        model = FusionModel(TINY)
-        with pytest.raises(CoverageError, match="frame 5 not covered"):
-            predict_one(model, one_video(rng, TINY, [0], n_frames=7))
-
-    def test_window_past_end_is_coverage_error(self, rng):
-        model = FusionModel(TINY)
-        with pytest.raises(CoverageError, match="exceeds 5 frames"):
-            predict_one(model, one_video(rng, TINY, [3], n_frames=5))
 
     def test_padded_rows_discarded(self, rng):
         model = FusionModel(TINY)
@@ -754,39 +744,6 @@ class TestPredictDataset:
         assert any(layer._cache is not None for layer in model._layers)
         list(predict_dataset(model, dataset))
         assert all(layer._cache is None for layer in model._layers)
-
-    def test_empty_container_is_coverage_error(self):
-        empty = WindowDataset(
-            audio=np.zeros((0, 5, 6)), video=np.zeros((0, 5, 8)), labels=np.zeros((0, 5)),
-            start_frames=np.zeros(0), pad_counts=np.zeros(0), videos=[], window_len=5,
-        )
-        with pytest.raises(CoverageError, match="no videos"):
-            next(predict_dataset(FusionModel(TINY), empty))
-
-    @pytest.mark.parametrize("second, message", [
-        (VideoEntry("b", 7, 1, 1), "video 'b': frame 5 not covered"),
-        (VideoEntry("b", 7, 2, 0), "video 'b' has no windows"),
-    ])
-    def test_coverage_checked_before_the_first_video(self, rng, second, message):
-        dataset = one_video(rng, TINY, [0, 0], n_frames=5)
-        dataset.videos[:] = [VideoEntry("a", 5, 0, 2 - second.window_count), second]
-        with pytest.raises(CoverageError, match=message):
-            next(predict_dataset(FusionModel(TINY), dataset))
-
-    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
-    def test_disagreeing_labels_are_coverage_error(self, rng, order):
-        cfg = ModelConfig(**{**TINY.__dict__, "window_len": 4})
-        dataset = one_video(rng, cfg, [0, 2], n_frames=6)
-        dataset.labels[:] = [[0, 0, 1, 1], [2, 2, 2, 2]]
-        with pytest.raises(CoverageError, match="video 'v': windows disagree on the label of frame 2"):
-            next(predict_dataset(FusionModel(cfg), reordered(dataset, order)))
-
-    def test_disagreement_checked_before_the_first_video(self, rng):
-        dataset = one_video(rng, TINY, [0, 0, 2], n_frames=7)
-        dataset.videos[:] = [VideoEntry("a", 5, 0, 1), VideoEntry("b", 7, 1, 2)]
-        dataset.labels[2, 1] = 3  # frame 3 of b: 0 in its first window, 3 in its second
-        with pytest.raises(CoverageError, match="video 'b': windows disagree on the label of frame 3"):
-            next(predict_dataset(FusionModel(TINY), dataset))
 
     def test_padded_rows_may_hold_any_label(self, rng):
         # the window at 0 holds frames 0-2 and a padded row at frame 3, whose

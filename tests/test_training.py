@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 
 from emofuse.dataset import WindowDataset
-from emofuse.errors import SchemaError
+from emofuse.errors import DomainError, SchemaError
 from emofuse.model import FusionModel, ModelConfig, load_checkpoint, standardize
 from emofuse.sequencing import AnnotationTrack
-from emofuse.training import TrainConfig, _loss_mask, dataset_metrics, fit_stats, run_training
+from emofuse.training import (
+    TrainConfig,
+    _epoch_seed,
+    _loss_mask,
+    _step_seed,
+    dataset_metrics,
+    fit_stats,
+    run_training,
+)
 
 from synth import synthetic_dataset
 
@@ -134,6 +142,43 @@ class TestRunTraining:
         # the window length comes from the dataset; a config field would do nothing
         with pytest.raises(TypeError):
             TrainConfig(**{field: 15})
+
+    @pytest.mark.parametrize("field", ["rho", "eps", "metric_w_f1", "metric_w_acc"])
+    def test_config_has_no_optimizer_or_metric_fields(self, field):
+        # RmsProp's defaults and evaluation's DEFAULT_W_* are the only values used
+        with pytest.raises(TypeError):
+            TrainConfig(**{field: 0.5})
+
+
+class TestMaskedBatches:
+    def test_fully_masked_batch_is_skipped_at_its_step(self, small_sets, monkeypatch):
+        train_set, val_set = small_sets  # window i is all class i % 8
+        seeds, step = [], FusionModel.train_step
+
+        def recording_step(self, audio, video, labels, mask, optimizer, seed=0):
+            seeds.append(seed)
+            return step(self, audio, video, labels, mask, optimizer, seed=seed)
+
+        monkeypatch.setattr(FusionModel, "train_step", recording_step)
+        config = quick_config(epochs=1, batch_size=1, include_class7=False)
+        _, report = run_training(train_set, val_set, config)
+        # the skipped steps keep their index: the others draw the seeds they always drew
+        perm = _epoch_seed(config.seed, 0).permutation(train_set.n_windows)
+        want = [_step_seed(config.seed, 0, s) for s, w in enumerate(perm) if w % 8 != 7]
+        assert len(want) == 21 and seeds == want
+        assert np.isfinite(report.records[0].train_loss)
+
+    def test_no_counted_row_is_domain_error(self, small_sets, monkeypatch):
+        train_set, val_set = small_sets
+        all7 = WindowDataset(
+            audio=train_set.audio, video=train_set.video,
+            labels=np.full_like(train_set.labels, 7), start_frames=train_set.start_frames,
+            pad_counts=train_set.pad_counts, videos=train_set.videos,
+            window_len=train_set.window_len,
+        )
+        monkeypatch.setattr(FusionModel, "train_step", None)  # never reached
+        with pytest.raises(DomainError, match="every real row is class 7"):
+            run_training(all7, val_set, quick_config(include_class7=False))
 
 
 class TestLossMask:
