@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .errors import (
     AudioFormatError,
@@ -254,6 +253,8 @@ def _fused_rows(samples, starts, stops, sample_rate, cfg) -> np.ndarray:
     Chunks are grouped by length so each group shares one frame index, and
     each block of up to ``_BLOCK`` chunks takes one rFFT and one frame mean.
     """
+    import scipy.fft  # loaded by feature extraction only, as scipy.sparse is
+
     fb = _cached_filterbank(sample_rate, cfg)
     window = hann_window(cfg.n_fft)
     lengths = stops - starts

@@ -200,7 +200,6 @@ def cmd_train(args) -> int:
         standardize_features=args.standardize,
         early_stop_patience=args.patience,
     )
-    os.makedirs(args.out, exist_ok=True)
     state_path = os.path.join(args.out, "checkpoint.ckpt")
     best_path = os.path.join(args.out, "best.ckpt")
     model, report = run_training(

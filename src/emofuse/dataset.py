@@ -178,7 +178,8 @@ class WindowDataset:
         A window starting at frame ``s`` holds frames ``s .. s + window_len - 1``;
         rows past a video's last frame repeat that frame and are counted in
         ``pad_counts``. Every video must have the first video's feature widths
-        and only finite features.
+        and only finite features. Each field is allocated once, and every
+        video's windows are gathered straight into their slice of it.
         """
         entries, parts, widths = [], [], {}
         offset = 0
@@ -196,12 +197,19 @@ class WindowDataset:
             pads = np.maximum(0, starts + window_len - n)
             idx = np.minimum(window_rows(starts, pads, window_len)[0], n - 1)
             entries.append(VideoEntry(vid, n, offset, len(starts)))
-            parts.append((audio[idx], video[idx], labels[idx], starts, pads))
+            parts.append(((audio, video, labels), idx, starts, pads))
             offset += len(starts)
         if not parts:
             raise SchemaError("dataset has no windows")
-        audio, video, labels, starts, pads = (np.concatenate(p) for p in zip(*parts))
-        return cls(audio, video, labels, starts, pads, entries, window_len, stride, dict(meta or {}))
+        fields = [np.empty((offset, window_len, *x.shape[1:]), x.dtype) for x in parts[0][0]]
+        for e, (sources, idx, _, _) in zip(entries, parts):
+            rows = slice(e.window_offset, e.window_offset + e.window_count)
+            for x, out in zip(sources, fields):
+                # idx is in range, so "clip" clips nothing; unlike the default
+                # "raise" it writes into ``out`` without a temporary copy
+                np.take(x, idx, axis=0, out=out[rows], mode="clip")
+        starts, pads = (np.concatenate([p[k] for p in parts]) for k in (2, 3))
+        return cls(*fields, starts, pads, entries, window_len, stride, dict(meta or {}))
 
 
 def window_rows(start_frames, pad_counts, window_len: int) -> tuple[np.ndarray, np.ndarray]:

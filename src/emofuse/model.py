@@ -404,7 +404,8 @@ def load_checkpoint(path) -> tuple[FusionModel, RmsProp | None, dict]:
     except ValueError:
         raise CorruptionError(f"{path}: checkpoint header is not valid JSON") from None
     with schema_fields(path):
-        return _model_from_header(path, header, data[header_end:])
+        # slices of a memoryview share the file's buffer: each array is read where it lies
+        return _model_from_header(path, header, memoryview(data)[header_end:])
 
 
 def _stack_gates(loaded: dict[str, np.ndarray], model: FusionModel) -> dict[str, np.ndarray]:
@@ -429,7 +430,7 @@ def _stack_gates(loaded: dict[str, np.ndarray], model: FusionModel) -> dict[str,
     return out
 
 
-def _model_from_header(path, header: dict, blob: bytes) -> tuple[FusionModel, RmsProp | None, dict]:
+def _model_from_header(path, header: dict, blob: memoryview) -> tuple[FusionModel, RmsProp | None, dict]:
     sha = hashlib.sha256(blob).hexdigest()
     if sha != header["blob_sha256"]:
         raise CorruptionError(f"{path}: blob checksum mismatch")
@@ -449,7 +450,7 @@ def _model_from_header(path, header: dict, blob: bytes) -> tuple[FusionModel, Rm
         if hi > len(blob):
             raise CorruptionError(f"{path}: array {entry['name']} extends past blob")
         arr = np.frombuffer(blob[lo:hi], dtype="<f4").reshape(entry["shape"])
-        loaded[entry["name"]] = arr.astype(model.dtype)
+        loaded[entry["name"]] = arr.astype(model.dtype, copy=False)  # copied once, below
     if version == 1:
         loaded = _stack_gates(loaded, model)
 

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .dataset import WindowDataset, window_rows
-from .errors import DivergenceError, DomainError, SchemaError
+from .errors import DivergenceError, DomainError, SchemaError, ShapeError
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
 from .model import (
     STD_FLOOR,
@@ -145,6 +146,8 @@ def run_training(
     ``state_path`` receives the full resumable state (model + optimizer +
     progress) after every epoch; ``best_path`` the best-validation-metric
     model so far. ``resume_from`` continues a run saved via ``state_path``.
+    The two paths' directories are made only once every input check passed,
+    so a refused run leaves no directory behind.
     """
     if train_set.audio_dim != val_set.audio_dim or train_set.video_dim != val_set.video_dim:
         raise SchemaError("train/val feature dims differ")
@@ -167,6 +170,10 @@ def run_training(
         report.best_epoch = int(progress.get("best_epoch", -1))
         epochs_since_improve = int(progress.get("epochs_since_improve", 0))
         report.earlier = [EpochRecord(**r) for r in progress.get("history", [])]
+        dims = (model.config.audio_dim, model.config.video_dim)
+        if dims != (train_set.audio_dim, train_set.video_dim):
+            raise ShapeError(f"{resume_from}: checkpoint feature dims {dims} differ from the "
+                             f"training set's {(train_set.audio_dim, train_set.video_dim)}")
     else:
         model_cfg = ModelConfig(
             mode=config.mode,
@@ -180,6 +187,9 @@ def run_training(
         if config.standardize_features:
             model.feature_stats = fit_stats(train_set)
         optimizer = RmsProp(config.learning_rate)
+    for path in (state_path, best_path):
+        if path is not None:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
     for epoch in range(start_epoch, config.epochs):
         perm = _epoch_seed(config.seed, epoch).permutation(n)

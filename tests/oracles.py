@@ -5,7 +5,10 @@ DCT sums, scalar-loop filterbank construction, central finite differences,
 GRU/LSTM recurrences evaluated one unit at a time, Fraction-exact
 metric counting, a window-by-window cut with explicit padding and a
 frame-by-frame average of window predictions. None of it shares transform
-code with the package.
+code with the package, except ``from_videos_concat``: the container
+builder's earlier gather-then-concatenate form, which reuses the package's
+start, label and row helpers because it pins only how gathered rows are laid
+out.
 """
 
 import math
@@ -258,6 +261,24 @@ def cut_windows_direct(audio, video, raw_labels, length, stride):
             acc.append(value)
     a, v, y, st, pd = out
     return np.stack(a), np.stack(v), np.stack(y), np.array(st), np.array(pd)
+
+
+def from_videos_concat(videos, window_len, stride):
+    """``(audio, video, labels, starts, pads)`` of ``WindowDataset.from_videos``
+    as it was first built: every video's windows gathered into arrays of their
+    own, then each field concatenated across videos."""
+    from emofuse.dataset import window_rows
+    from emofuse.sequencing import remap_label, window_starts
+
+    parts = []
+    for track, audio, video in videos:
+        n = len(track.labels)
+        starts = np.array(window_starts(n, window_len, stride), dtype=np.int64)
+        pads = np.maximum(0, starts + window_len - n)
+        idx = np.minimum(window_rows(starts, pads, window_len)[0], n - 1)
+        audio, video = (np.asarray(x, dtype=np.float32) for x in (audio, video))
+        parts.append((audio[idx], video[idx], remap_label(track.labels)[idx], starts, pads))
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def frame_scores_direct(window_probs, starts, pads, n_frames):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from emofuse.dataset import (
     write_dataset,
     write_frame_features,
 )
-from emofuse.model import FusionModel, ModelConfig, load_checkpoint, save_checkpoint
+from emofuse.model import FusionModel, ModelConfig, RmsProp, load_checkpoint, save_checkpoint
 from emofuse.sequencing import AnnotationTrack
 from emofuse.video import META_COLUMNS, default_selection
 
@@ -225,6 +226,28 @@ class TestBuildDataset:
         err = capsys.readouterr().err
         assert err.startswith("error: alignment:")
         assert "annotations=25" in err and "audio=27" in err
+
+    def test_traced_peak_holds_each_window_once(self, tmp_path):
+        # the inputs stay resident while the container is built; the windows
+        # must not be held a second time on top of them
+        rng = np.random.default_rng(3)
+        for name in ("ann", "a", "v"):
+            (tmp_path / name).mkdir()
+        for i, n in enumerate((300, 257, 211)):
+            (tmp_path / "ann" / f"c{i}.txt").write_text("".join(f"{k % 7}\n" for k in range(n)))
+            write_frame_features(tmp_path / "a" / f"c{i}", rng.standard_normal((n, 168)), "audio")
+            write_frame_features(tmp_path / "v" / f"c{i}", rng.standard_normal((n, 709)), "video")
+        tracemalloc.start()
+        try:
+            rc = main(["build-dataset", "--audio", str(tmp_path / "a"), "--video", str(tmp_path / "v"),
+                       "--annotations", str(tmp_path / "ann"), "--out", str(tmp_path / "d")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        inputs = sum(p.stat().st_size for p in tmp_path.glob("[av]/*/*.f32"))
+        container = sum(p.stat().st_size for p in (tmp_path / "d").iterdir())
+        assert peak < 1.25 * (inputs + container), (peak, inputs, container)
 
     def test_stride_beyond_window_is_domain_error(self, pipeline, capsys, tmp_path):
         # the feature containers do not exist: the flags are refused before any input is read
@@ -476,7 +499,38 @@ class TestTrainCli:
                    "--out", str(tmp_path / "run")])
         assert rc == 1
         assert one_error_line(capsys, "domain")
-        assert not (tmp_path / "run" / "summary.json").exists()
+        assert not (tmp_path / "run").exists()
+
+    def test_train_val_width_mismatch_leaves_no_out(self, tiny_training, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        write_dataset(WindowDataset.from_videos([
+            (AnnotationTrack([3] * 15, "w"), rng.standard_normal((15, 168)),
+             rng.standard_normal((15, 4)))
+        ]), tmp_path / "wide")
+        out = tmp_path / "run"
+        rc = main(["train", "--train", str(tiny_training["dataset"]), "--val", str(tmp_path / "wide"),
+                   "--epochs", "1", "--out", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys, "schema")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("video_dim, optimizer, category, message", [
+        (3, None, "schema", "no optimizer state"),
+        (4, RmsProp(), "shape",
+         "checkpoint feature dims (168, 4) differ from the training set's (168, 3)"),
+    ])
+    def test_unusable_resume_checkpoint_leaves_no_out(
+        self, tiny_training, tmp_path, capsys, video_dim, optimizer, category, message
+    ):
+        ckpt = tmp_path / "state.ckpt"
+        save_checkpoint(ckpt, FusionModel(ModelConfig(video_dim=video_dim)), optimizer=optimizer)
+        ds, out = str(tiny_training["dataset"]), tmp_path / "run"
+        rc = main(["train", "--train", ds, "--val", ds, "--epochs", "2", "--resume", str(ckpt),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {category}:") and message in err[0]
+        assert not out.exists()
 
     def test_config_keys(self, tiny_training, tmp_path):
         ds = str(tiny_training["dataset"])
@@ -771,11 +825,24 @@ def test_prediction_lines_equal_per_value_formatting(rows):
     assert _prediction_lines(labels, probs) == old_prediction_lines(labels, probs)
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    """Only feature extraction loads scipy.sparse, so train and evaluate
-    processes do not pay its memory."""
+def _fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(emofuse.__file__))
-    code = "import sys, emofuse.cli; print('scipy.sparse' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    """Only feature extraction loads scipy (scipy.fft and scipy.sparse), so the
+    other commands' processes pay neither its start-up time nor its memory."""
+    for module in ("emofuse", "emofuse.cli"):
+        code = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy')])"
+        assert _fresh_python("-c", code).stdout.strip() == "[]", module
+
+
+def test_extract_audio_in_a_fresh_process_writes_the_in_process_bytes(pipeline, tmp_path):
+    out = tmp_path / "audio"
+    _fresh_python("-m", "emofuse.cli", "extract-audio", "--wav", str(pipeline["wav"]),
+                  "--annotations", str(pipeline["ann"]), "--out", str(out))
+    for name in ("features.f32", "manifest.json"):
+        assert (out / name).read_bytes() == (pipeline["audio"] / name).read_bytes(), name

@@ -19,7 +19,7 @@ from emofuse.dataset import (
 from emofuse.errors import CorruptionError, CoverageError, DomainError, SchemaError
 from emofuse.sequencing import AnnotationTrack
 
-from oracles import cut_windows_direct
+from oracles import cut_windows_direct, from_videos_concat
 from test_sequencing import make_video
 
 
@@ -372,6 +372,24 @@ class TestFromVideos:
         assert [(e.n_frames, e.window_count) for e in ds.videos] == [
             (n, len(w[3])) for n, w in zip(lengths, want)
         ]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        lengths=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+        length_stride=st.integers(1, 20).flatmap(
+            lambda length: st.tuples(st.just(length), st.integers(1, length))
+        ),
+    )
+    def test_one_copy_gather_equals_gather_then_concatenate(self, lengths, length_stride):
+        # lengths below the window give padded windows; a stride of the window length abuts them
+        length, stride = length_stride
+        videos = [video_arrays(n, video_id=f"v{i}", seed=i) for i, n in enumerate(lengths)]
+        ds = WindowDataset.from_videos(videos, window_len=length, stride=stride)
+        got = (ds.audio, ds.video, ds.labels, ds.start_frames, ds.pad_counts)
+        for name, g, want in zip(("audio", "video", "labels", "starts", "pads"), got,
+                                 from_videos_concat(videos, length, stride)):
+            assert g.dtype == want.dtype and g.shape == want.shape, name
+            np.testing.assert_array_equal(g, want, err_msg=name)
 
     def test_width_mismatch_names_video_and_widths(self):
         first = video_arrays(20, audio_dim=6, video_id="a")

@@ -544,6 +544,16 @@ class TestCheckpointLayout:
         np.testing.assert_array_equal(back.forward(audio, video), model.forward(audio, video))
 
 
+def loaded_arrays(model, opt):
+    """A loaded model's params, buffers, RMSProp accumulators and feature stats
+    under the names a checkpoint stores them by."""
+    stats = model.feature_stats
+    return {**model.parameters(), **model.buffers(),
+            **{f"optimizer.{k}": v for k, v in opt.state_arrays().items()},
+            **{f"stats.{k}": getattr(stats, k)
+               for k in ("audio_mean", "audio_std", "video_mean", "video_std")}}
+
+
 def read_checkpoint_raw(path):
     """A checkpoint's JSON header and its arrays by stored name, parsed by hand."""
     with open(path, "rb") as fh:
@@ -575,11 +585,7 @@ class TestFormat1Checkpoint:
         model, opt, meta = load_checkpoint(path)
         assert meta == {"epoch": 2} and model.config.recurrent == recurrent
 
-        stats = model.feature_stats
-        loaded = {**model.parameters(), **model.buffers(),
-                  **{f"optimizer.{k}": v for k, v in opt.state_arrays().items()},
-                  **{f"stats.{k}": getattr(stats, k)
-                     for k in ("audio_mean", "audio_std", "video_mean", "video_std")}}
+        loaded = loaded_arrays(model, opt)
         used = set()
         for name, value in loaded.items():
             layer, kind = name.rsplit(".", 1)
@@ -594,6 +600,22 @@ class TestFormat1Checkpoint:
         with np.load(os.path.join(DATA, "format1_forward.npz")) as fixture:
             np.testing.assert_allclose(model.forward(fixture["audio"], fixture["video"]),
                                        fixture[f"{recurrent}_probs"], rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("recurrent", ["gru", "lstm"])
+    def test_format_2_fixture_loads_the_same_arrays(self, recurrent):
+        # data/format2_*.ckpt hold data/format1_*.ckpt as loaded and saved again by
+        # the format-2 writer
+        path = os.path.join(DATA, f"format2_{recurrent}.ckpt")
+        header, raw = read_checkpoint_raw(path)
+        assert header["format_version"] == 2
+        old = loaded_arrays(*load_checkpoint(os.path.join(DATA, f"format1_{recurrent}.ckpt"))[:2])
+        new = loaded_arrays(*load_checkpoint(path)[:2])
+        assert list(new) == list(old) and set(new) == set(raw)
+        for name, value in new.items():
+            # a writable array is a copy, not a read-only view of the file's bytes
+            assert value.dtype == np.float32 and value.flags.writeable, name
+            np.testing.assert_array_equal(value, old[name], err_msg=name)
+            np.testing.assert_array_equal(value, raw[name], err_msg=name)
 
     @pytest.mark.parametrize("recurrent", ["gru", "lstm"])
     def test_resaved_as_format_2_and_trains_on(self, tmp_path, rng, recurrent):
