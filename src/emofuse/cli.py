@@ -100,7 +100,7 @@ def cmd_ingest_video(args) -> int:
     else:
         selection = video_mod.default_selection()
     records = video_mod.parse_openface_csv(args.csv, selection)
-    matrix = np.stack([r.features for r in records]).astype(np.float32)
+    matrix = np.stack([r.features for r in records])  # float32 rows
     n_invalid = sum(1 for r in records if not r.valid)
     write_frame_features(
         args.out,

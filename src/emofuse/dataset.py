@@ -355,7 +355,7 @@ def read_dataset(path) -> WindowDataset:
         for ok, what in checks:
             if not ok:
                 raise SchemaError(f"{path}: blob {what!r} disagrees with manifest dims")
-        videos = []
+        videos, ids = [], set()
         next_offset = 0  # each video's windows directly follow the previous video's
         for v in manifest["videos"]:
             entry = VideoEntry(
@@ -364,6 +364,9 @@ def read_dataset(path) -> WindowDataset:
                 window_offset=_count(path, v, "window_offset", 0),
                 window_count=_count(path, v, "window_count", 0),
             )
+            if entry.video_id in ids:  # it names the video's prediction file
+                raise SchemaError(f"{path}: video_id {entry.video_id!r} appears twice")
+            ids.add(entry.video_id)
             if entry.window_offset != next_offset:
                 raise SchemaError(
                     f"{path}: video {entry.video_id!r} window_offset {entry.window_offset}, "

@@ -44,7 +44,7 @@ def parse_annotations(path, video_id: str | None = None) -> AnnotationTrack:
     if video_id is None:
         video_id = _stem(path)
     labels = []
-    with open(path, "r", encoding="utf-8") as fh, utf8_text(path):
+    with open(path, "r", encoding="utf-8-sig") as fh, utf8_text(path):
         for line_no, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

@@ -53,7 +53,7 @@ class VideoFrameFeatures:
 def load_column_manifest(path) -> ColumnSelection:
     """Read a column manifest: one name per line, '#' comments, blanks skipped."""
     names = []
-    with open(path, "r", encoding="utf-8") as fh, utf8_text(path):
+    with open(path, "r", encoding="utf-8-sig") as fh, utf8_text(path):
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if line:
@@ -75,25 +75,21 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
 
     Rows whose ``success`` flag is 0 are kept but marked invalid and
     zero-filled so downstream frame counts still match the annotations.
-    The data rows are parsed in one pass of numpy's C ``loadtxt`` and checked
-    as arrays; whatever that pass refuses, or a non-finite checked cell, goes
-    to the per-cell parser, which accepts what it always accepted and raises
-    :class:`ParseError` naming the row and column of a non-numeric or
-    non-finite cell (naming the file for text that is not UTF-8). A header
-    without data rows raises :class:`SchemaError`.
+    The data rows are read in one pass of numpy's C ``loadtxt``: every row
+    must hold one plain number per header column. A file that pass refuses,
+    or one with a non-finite checked cell, raises :class:`ParseError` naming
+    the first row at fault (and its column, for a checked cell); text that
+    is not UTF-8 raises it naming the file. A header without data rows
+    raises :class:`SchemaError`.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh, utf8_text(path):
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh, utf8_text(path):
         width, take, frame_col, conf_col, success_col = _columns(_rows(fh, path), path, selection)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no data rows: the fallback says so
-                data = np.loadtxt(
-                    _plain_lines(fh), delimiter=",", dtype=np.float64, ndmin=2, comments=None
-                )
+            data = _loadtxt(fh)
         except ValueError:  # a cell float64 cannot parse, a ragged row or non-UTF-8 text
             data = None
     if data is None or len(data) == 0 or data.shape[1] != width:
-        return _parse_cells(path, selection)
+        _refuse(path, selection)
     n = len(data)
     valid = data[:, success_col] != 0 if success_col is not None else np.ones(n, dtype=bool)
     with np.errstate(over="ignore"):  # beyond float32 -> inf, rejected below
@@ -101,7 +97,7 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
     features[~valid] = 0.0
     meta = data[:, [c for c in (success_col, conf_col, frame_col) if c is not None]]
     if not (np.isfinite(meta).all() and np.isfinite(features).all()):
-        return _parse_cells(path, selection)
+        _refuse(path, selection)
     frames = data[:, frame_col].tolist() if frame_col is not None else range(1, n + 1)
     confidence = data[:, conf_col].tolist() if conf_col is not None else [1.0] * n
     records = [
@@ -110,6 +106,15 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
     ]
     records.sort(key=lambda r: r.frame_index)
     return records
+
+
+def _loadtxt(lines) -> np.ndarray:
+    """The data rows of ``lines`` as a float64 ``[rows, columns]`` array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows: _refuse says so
+        return np.loadtxt(
+            _plain_lines(lines), delimiter=",", dtype=np.float64, ndmin=2, comments=None
+        )
 
 
 def _plain_lines(lines):
@@ -121,12 +126,11 @@ def _plain_lines(lines):
         yield line
 
 
-def _rows(fh, path):
-    """``(row number, cells)`` for each CSV row of ``fh``, the header being row 1;
+def _rows(fh, path, row_no=1, quoting=csv.QUOTE_MINIMAL):
+    """``(row number, cells)`` for each CSV row of ``fh``, the first being ``row_no``;
     a row ``csv`` refuses (a cell over its field size limit) raises ParseError."""
-    row_no = 1
     try:
-        for row in csv.reader(fh, skipinitialspace=True):
+        for row in csv.reader(fh, skipinitialspace=True, quoting=quoting):
             yield row_no, row
             row_no += 1
     except csv.Error as exc:
@@ -147,14 +151,16 @@ def _columns(rows, path, selection: ColumnSelection):
     return (len(header), take, *(col_index.get(c) for c in ("frame", "confidence", "success")))
 
 
-def _parse_cells(path, selection: ColumnSelection) -> list[VideoFrameFeatures]:
-    """The per-cell parser: ``float()`` on each cell of each row read by ``csv``."""
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh, utf8_text(path):
-        rows = _rows(fh, path)
-        _, take, frame_col, conf_col, success_col = _columns(rows, path, selection)
-
-        for row_no, row in rows:
+def _refuse(path, selection: ColumnSelection):
+    """Raise the error for a file the ``loadtxt`` pass refused or found a non-finite
+    checked cell in, at the first row at fault. Each row is checked in turn:
+    its success, confidence and frame cells, then, if it is valid, its features
+    (non-numeric or non-finite, then non-finite at float32), then its width and
+    whether ``loadtxt`` reads it. Data cells are split at every comma, as ``loadtxt``
+    splits them, so quotes are kept as part of a cell."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh, utf8_text(path):
+        width, take, frame_col, conf_col, success_col = _columns(_rows(fh, path), path, selection)
+        for row_no, row in _rows(fh, path, 2, csv.QUOTE_NONE):
             if not row:
                 continue
 
@@ -171,39 +177,26 @@ def _parse_cells(path, selection: ColumnSelection) -> list[VideoFrameFeatures]:
                     raise bad(idx, name, "non-finite")
                 return value
 
-            valid = True
-            if success_col is not None:
-                valid = cell(success_col, "success") != 0.0
-            confidence = 1.0
+            valid = success_col is None or cell(success_col, "success") != 0.0
             if conf_col is not None:
-                confidence = cell(conf_col, "confidence")
-            frame_index = len(records) + 1
+                cell(conf_col, "confidence")
             if frame_col is not None:
-                frame_index = int(cell(frame_col, "frame"))
-
+                cell(frame_col, "frame")
             if valid:
                 names = selection.include_columns
-                try:
-                    with np.errstate(over="ignore"):  # beyond float32 -> inf, rejected below
-                        feats = np.array([float(row[i]) for i in take], dtype=np.float32)
-                except (ValueError, IndexError):
-                    for j, i in enumerate(take):  # raises for the first bad cell
-                        cell(i, names[j])
-                    raise
-                if not np.isfinite(feats).all():
-                    j = int(np.argmin(np.isfinite(feats)))
+                values = [cell(i, name) for i, name in zip(take, names)]
+                with np.errstate(over="ignore"):  # beyond float32 -> inf
+                    finite = np.isfinite(np.array(values, dtype=np.float32))
+                if not finite.all():
+                    j = int(np.argmin(finite))
                     raise bad(take[j], names[j], "non-finite")
-            else:
-                feats = np.zeros(selection.expected_dim, dtype=np.float32)
-            records.append(
-                VideoFrameFeatures(
-                    frame_index=frame_index,
-                    features=feats,
-                    valid=valid,
-                    confidence=confidence,
-                )
-            )
-    if not records:
-        raise SchemaError(f"{path}: no data rows")
-    records.sort(key=lambda r: r.frame_index)
-    return records
+            if len(row) != width:
+                raise ParseError(f"{path}: row {row_no}: {len(row)} cells, the header has {width}")
+            try:
+                plain = _loadtxt([",".join(row)]).shape == (1, width)
+            except ValueError:
+                plain = False
+            if not plain:
+                raise ParseError(f"{path}: row {row_no}: a cell is not a plain number")
+    # every non-empty row raised above or is one the loadtxt pass reads
+    raise SchemaError(f"{path}: no data rows")

@@ -3,18 +3,23 @@
 Everything here is deliberately slow and literal: direct O(n^2) DFT and
 DCT sums, scalar-loop filterbank construction, central finite differences,
 GRU/LSTM recurrences evaluated one unit at a time, Fraction-exact
-metric counting, a window-by-window cut with explicit padding and a
-frame-by-frame average of window predictions. None of it shares transform
-code with the package, except ``from_videos_concat``: the container
+metric counting, a window-by-window cut with explicit padding, a
+frame-by-frame average of window predictions and a per-cell OpenFace CSV
+reader. None of it shares transform code with the package, except
+``from_videos_concat``: the container
 builder's earlier gather-then-concatenate form, which reuses the package's
 start, label and row helpers because it pins only how gathered rows are laid
 out.
 """
 
+import csv
 import math
 from fractions import Fraction
 
 import numpy as np
+
+from emofuse.errors import ParseError, SchemaError
+from emofuse.video import VideoFrameFeatures
 
 
 def hann_direct(n):
@@ -97,6 +102,72 @@ def dct2_ortho_direct(x):
 def mfcc_direct(samples, sample_rate, n_fft, hop, n_mels, n_mfcc, fmin, fmax, floor):
     logmel = mel_spectrogram_direct(samples, sample_rate, n_fft, hop, n_mels, fmin, fmax, floor)
     return dct2_ortho_direct(logmel)[:n_mfcc]
+
+
+# --------------------------------------------------------------------------
+# OpenFace CSV, one cell at a time
+# --------------------------------------------------------------------------
+
+
+def openface_cells(path, selection):
+    """``float()`` on each checked cell of each row read by ``csv``.
+
+    The records a well-formed file must yield: the selected features of rows
+    whose ``success`` is nonzero (zeros otherwise), ordered by ``frame``. It
+    reads more than plain CSV numbers (quoted cells, ``1_0``-style literals,
+    rows of any width that holds the checked columns), so it pins the
+    parser's records, not the files the parser accepts. Its errors carry the
+    parser's categories: ParseError for a bad cell, a ``csv`` refusal or text
+    that is not UTF-8, SchemaError for a missing header, column or data row.
+    """
+    records = []
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = enumerate(csv.reader(fh, skipinitialspace=True), start=1)
+            first = next(rows, None)
+            if first is None:
+                raise SchemaError(f"{path}: empty CSV")
+            col = {name.strip(): i for i, name in enumerate(first[1])}
+            missing = [c for c in selection.include_columns if c not in col]
+            if missing:
+                raise SchemaError(f"{path}: missing column(s) {missing}")
+
+            for row_no, row in rows:
+                if not row:
+                    continue
+
+                def bad(name, what):
+                    idx = col[name]
+                    text = row[idx] if idx < len(row) else "<missing>"
+                    return ParseError(f"{path}: row {row_no}, column {name!r}: {what} value {text!r}")
+
+                def cell(name):
+                    try:
+                        value = float(row[col[name]])
+                    except (ValueError, IndexError):
+                        raise bad(name, "non-numeric") from None
+                    if not math.isfinite(value):
+                        raise bad(name, "non-finite")
+                    return value
+
+                valid = "success" not in col or cell("success") != 0.0
+                confidence = cell("confidence") if "confidence" in col else 1.0
+                frame = int(cell("frame")) if "frame" in col else len(records) + 1
+                names = selection.include_columns
+                feats = np.zeros(len(names), dtype=np.float32)
+                if valid:
+                    with np.errstate(over="ignore"):  # beyond float32 -> inf
+                        feats = np.array([cell(c) for c in names], dtype=np.float32)
+                    for c, x in zip(names, feats):
+                        if not math.isfinite(x):
+                            raise bad(c, "non-finite")
+                records.append(VideoFrameFeatures(frame, feats, valid, confidence))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not records:
+        raise SchemaError(f"{path}: no data rows")
+    records.sort(key=lambda r: r.frame_index)
+    return records
 
 
 # --------------------------------------------------------------------------

@@ -173,6 +173,24 @@ class TestIngestVideo:
         assert "huge.csv" in err[0] and f"row {row}:" in err[0] and "field" in err[0]
         assert not (tmp_path / "v").exists()
 
+    @pytest.mark.parametrize("edit", ["quoted_cell", "wider_row"])
+    def test_row_loadtxt_refuses_is_parse_error(self, pipeline, capsys, tmp_path, edit):
+        csv = tmp_path / "plain.csv"
+        lines = pipeline["csv"].read_text().splitlines()
+        cells = lines[3].split(", ")
+        if edit == "quoted_cell":
+            cells[1] = '"0"'  # face_id, a column the selection does not use
+        else:
+            cells.append("0.5")
+        lines[3] = ", ".join(cells)
+        csv.write_text("\n".join(lines) + "\n")
+        rc = main(["ingest-video", "--csv", str(csv), "--out", str(tmp_path / "v")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: parse:")
+        assert "plain.csv: row 4:" in err[0]
+        assert not (tmp_path / "v").exists()
+
     def test_header_only_csv_is_schema_error(self, pipeline, capsys, tmp_path):
         csv = tmp_path / "empty.csv"
         csv.write_text(pipeline["csv"].read_text().splitlines()[0] + "\n\n")
@@ -769,6 +787,18 @@ class TestMalformedEvaluateInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: coverage:") and "'b'" in err[0]
         assert not (tmp_path / "out").exists()  # no predictions/ for video 'a' either
+
+    def test_repeated_video_id_is_schema_error(self, untrained, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        videos = [(AnnotationTrack([0] * 20, vid), rng.standard_normal((20, 168)),
+                   rng.standard_normal((20, 3))) for vid in ("same", "same")]
+        write_dataset(WindowDataset.from_videos(videos), tmp_path / "data")
+        rc = self.run_evaluate(untrained, tmp_path / "data", tmp_path / "out")
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: schema:")
+        assert err[0].endswith("data: video_id 'same' appears twice")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "video_id", ["../../escaped", "..", ".", "", ".hidden", "a/b", "a\\b", 7],

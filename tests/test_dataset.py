@@ -211,6 +211,13 @@ def reread(dataset, path):
     return read_dataset(path)
 
 
+def test_repeated_video_id_is_schema_error(tmp_path):
+    # each video's id names its prediction file, so a second 'same' would overwrite the first
+    videos = [make_video(17, video_id=vid) for vid in ("same", "other", "same")]
+    with pytest.raises(SchemaError, match=r"d: video_id 'same' appears twice$"):
+        reread(WindowDataset.from_videos(videos), tmp_path / "d")
+
+
 class TestCoverage:
     """read_dataset refuses a container whose windows leave a video's frame
     uncovered, run past its end or disagree on a frame's label; every command

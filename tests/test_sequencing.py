@@ -50,6 +50,11 @@ class TestParseAnnotations:
         p.write_text("Neutral,Anger,Disgust\n0\n1\n")
         assert parse_annotations(p).labels == [0, 1]
 
+    def test_byte_order_mark_keeps_the_first_label(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_bytes(b"\xef\xbb\xbf3\n1\n-1\n")
+        assert parse_annotations(p).labels == [3, 1, -1]
+
     def test_non_numeric_later_line_fails(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_text("0\nwhat\n")

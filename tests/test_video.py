@@ -16,6 +16,8 @@ from emofuse.video import (
     parse_openface_csv,
 )
 
+from oracles import openface_cells
+
 
 def openface_header_enumeration():
     """The 2.x FeatureExtraction feature columns, rebuilt name by name."""
@@ -92,6 +94,11 @@ class TestColumnSelection:
         sel = load_column_manifest(p)
         assert sel.include_columns == ("pose_Rx", "pose_Ry")
         assert sel.expected_dim == 2
+
+    def test_manifest_byte_order_mark_is_not_part_of_a_name(self, tmp_path):
+        p = tmp_path / "cols.txt"
+        p.write_bytes(b"\xef\xbb\xbfpose_Rx\npose_Ry\n")
+        assert load_column_manifest(p).include_columns == ("pose_Rx", "pose_Ry")
 
 
 class TestParseOpenfaceCsv:
@@ -208,6 +215,46 @@ class TestParseOpenfaceCsv:
             with pytest.raises(SchemaError, match=r"of\.csv: no data rows"):
                 parse_openface_csv(path, small_selection)
 
+    def test_byte_order_mark_keeps_the_frame_column(self, tmp_path, small_selection):
+        path = tmp_path / "of.csv"
+        write_csv(
+            path,
+            ["frame", "success", "pose_Rx", "pose_Ry", "AU01_r"],
+            [[2, 1, 2.0, 2.0, 2.0], [1, 1, 1.0, 1.0, 1.0]],
+        )
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        records = parse_openface_csv(path, small_selection)
+        assert [r.frame_index for r in records] == [1, 2]
+        assert records[0].features[0] == 1.0
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_rows_of_one_other_width_than_the_header_name_the_row(self, tmp_path,
+                                                                   small_selection, extra):
+        # every row has the same width, so loadtxt reads them; the header disagrees
+        header = ["frame", "success", "pose_Rx", "pose_Ry", "AU01_r", "face_id"]
+        rows = [[1, 1, 0.1, 0.2, 0.3, 0, 0][: len(header) + extra] for _ in range(3)]
+        path = tmp_path / "of.csv"
+        write_csv(path, header, rows)
+        with pytest.raises(ParseError, match=rf"of\.csv: row 2: {len(header) + extra} cells, "
+                                             rf"the header has {len(header)}$"):
+            parse_openface_csv(path, small_selection)
+
+    @pytest.mark.parametrize("row,message", [
+        ([2, 1, 0, 0.1, 0.2, 0.3, 0], r"row 3: 7 cells, the header has 6$"),
+        ([2, 1, '"0"', 0.1, 0.2, 0.3], r"row 3: a cell is not a plain number"),
+        ([2, 1, 0, 0.1, "1_0", 0.3], r"row 3: a cell is not a plain number"),
+        ([2, 0, 0, 0.1, "x", 0.3], r"row 3: a cell is not a plain number"),
+        ([2, 1, 0, 0.1, '"0.2"', 0.3], r"""row 3, column 'pose_Ry': non-numeric value '"0.2"'$"""),
+    ], ids=["wider_row", "quoted_cell", "underscore_literal", "invalid_row_text",
+            "quoted_checked_cell"])
+    def test_row_loadtxt_refuses_is_parse_error(self, tmp_path, small_selection, row, message):
+        header = ["frame", "success", "face_id", "pose_Rx", "pose_Ry", "AU01_r"]
+        rows = [[1, 1, 0, 0.1, 0.2, 0.3], row, [3, 1, 0, 0.1, 0.2, 0.3]]
+        path = tmp_path / "of.csv"
+        write_csv(path, header, rows)
+        with pytest.raises(ParseError, match=r"of\.csv: " + message):
+            parse_openface_csv(path, small_selection)
+
     def test_clean_csv_takes_the_c_parser(self, tmp_path, rng, monkeypatch):
         features = openface_header_enumeration()
         header = list(META_COLUMNS) + features
@@ -217,10 +264,10 @@ class TestParseOpenfaceCsv:
         path = tmp_path / "of.csv"
         write_csv(path, header, rows)
 
-        def per_cell(*args):
-            raise AssertionError("fell back to the per-cell parser")
+        def refuse(*args):
+            raise AssertionError("walked the rows for an error")
 
-        monkeypatch.setattr(video, "_parse_cells", per_cell)
+        monkeypatch.setattr(video, "_refuse", refuse)
         records = parse_openface_csv(path, default_selection())
         assert [r.valid for r in records] == [True, False, True, True]
         # the records' features are rows of one float32 matrix
@@ -242,6 +289,8 @@ KINDS = {
     "hostile": (PLAIN + FLOAT_ONLY + HOSTILE + [SEPARATOR], ["1", "0", "nan"],
                 ["row"] * 4 + ["short", "long", "comma", "blank", "space"]),
 }
+# the drawn cells numpy's loadtxt reads, frame numbers included
+READS = {c.strip() for c in PLAIN + HOSTILE[:4]} | {"0", "1", "2", "3", "4"}
 
 
 @st.composite
@@ -274,6 +323,14 @@ def openface_text(draw):
     return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
 
 
+def _plain_rows(text):
+    """Whether every non-blank data line holds one cell loadtxt reads per header column."""
+    header, *rows = text.split("\n")
+    width = len(header.split(","))
+    return all(len(cells) == width and all(c.strip(" ") in READS for c in cells)
+               for cells in (line.split(",") for line in rows if line))
+
+
 def _outcome(parse, path):
     try:
         records = parse(path, SELECTION)
@@ -283,9 +340,26 @@ def _outcome(parse, path):
             for r in records]
 
 
+def _row(message):
+    return int(re.search(r"row (\d+)", message).group(1))
+
+
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(text=openface_text())
 def test_c_parser_agrees_with_per_cell_parser(tmp_path_factory, text):
+    """The parser returns the per-cell oracle's records, and returns exactly when
+    the oracle does and every row is full-width cells loadtxt reads. Where the
+    oracle raises, the parser raises the same category, at the same row or an
+    earlier one; where only the parser raises, it is a ParseError."""
     path = tmp_path_factory.mktemp("csv") / "of.csv"
     path.write_text(text, newline="")
-    assert _outcome(parse_openface_csv, path) == _outcome(video._parse_cells, path)
+    got, want = _outcome(parse_openface_csv, path), _outcome(openface_cells, path)
+    if isinstance(got, list):
+        assert got == want
+    assert isinstance(got, list) == (isinstance(want, list) and _plain_rows(text))
+    if isinstance(want, tuple):
+        assert got[0] is want[0]
+        if want[0] is ParseError:
+            assert _row(got[1]) <= _row(want[1])
+    elif isinstance(got, tuple):
+        assert got[0] is ParseError
