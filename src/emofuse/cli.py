@@ -9,7 +9,6 @@ log verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -28,11 +27,11 @@ from .dataset import (
     write_dataset,
     write_frame_features,
 )
-from .errors import (CorruptionError, DomainError, EmofuseError, ParseError, SchemaError,
-                     schema_fields)
+from .errors import DomainError, EmofuseError, ParseError, schema_fields
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
-from .model import _write_atomic, load_checkpoint, predict_dataset
+from .model import load_checkpoint, predict_dataset
 from .sequencing import parse_annotations
+from .store import json_object, write_atomic, write_json
 from .training import TrainConfig, run_training
 
 logger = logging.getLogger(__name__)
@@ -218,11 +217,8 @@ def cmd_train(args) -> int:
         for r in report.history()
     )
     summary = {"config": asdict(config), **report.summary()}
-    _write_atomic(os.path.join(args.out, "train_log.txt"), [log.encode()])
-    _write_atomic(
-        os.path.join(args.out, "summary.json"),
-        [json.dumps(summary, indent=2, sort_keys=True).encode(), b"\n"],
-    )
+    write_atomic(os.path.join(args.out, "train_log.txt"), [log.encode()])
+    write_json(os.path.join(args.out, "summary.json"), summary)
 
     if report.diverged:
         print("error: divergence: training loss became non-finite", file=sys.stderr)
@@ -274,9 +270,7 @@ def cmd_evaluate(args) -> int:
         "recurrent": model.config.recurrent,
         **report.summary(),
     }
-    with open(os.path.join(args.out, "eval_summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "eval_summary.json"), summary)
     np.savetxt(
         os.path.join(args.out, "confusion.csv"),
         report.confusion,
@@ -327,13 +321,8 @@ def cmd_report(args) -> int:
     rows = []
     for path in args.summary:
         _require_file(path, "summary file")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                s = json.load(fh)
-        except ValueError as exc:
-            raise CorruptionError(f"{path}: not valid JSON ({exc})") from None
-        if not isinstance(s, dict):
-            raise SchemaError(f"{path}: summary is not a JSON object")
+        with open(path, "rb") as fh:
+            s = json_object(path, fh.read(), "summary")
         with schema_fields(path):
             perf = "n/a" if s["combined"] is None else f"{100.0 * s['combined']:.1f}%"
             rows.append((_FEATURES[s["mode"]], _MODELS[s["recurrent"]], perf))

@@ -1,23 +1,19 @@
 """On-disk containers: per-frame feature files and the windowed dataset.
 
-A container is a directory holding ``manifest.json`` plus flat little-endian
-float32 blobs, one per field. The manifest records every blob's shape and
-SHA-256 so readers can distinguish truncation/corruption from a schema
-mismatch. Integer fields (labels, frame offsets) are stored as float32 too;
-they are exact up to 2**24, far beyond any frame count seen here.
+A container is a directory holding ``manifest.json`` plus one float32 blob
+per field, in :mod:`emofuse.store`'s layout; this module owns their schemas.
+Integer fields (labels, frame offsets) are stored as float32 too; they are
+exact up to 2**24, far beyond any frame count seen here.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (AlignmentError, CorruptionError, CoverageError, DomainError, SchemaError,
-                     schema_fields)
+from .errors import AlignmentError, CoverageError, DomainError, SchemaError, schema_fields
 from .sequencing import (
     N_CLASSES,
     WINDOW_LEN,
@@ -26,61 +22,9 @@ from .sequencing import (
     remap_label,
     window_starts,
 )
+from .store import read_blobs, read_manifest, write_container
 
 FORMAT_VERSION = 1
-
-
-def _write_blob(dirpath, name: str, array: np.ndarray) -> dict:
-    # a byte view of the float32 buffer, not a copy; unlike memoryview.cast it
-    # also works on zero-size arrays
-    data = np.ascontiguousarray(array, dtype="<f4").reshape(-1).view(np.uint8)
-    with open(os.path.join(dirpath, name), "wb") as fh:
-        fh.write(data)
-    return {
-        "file": name,
-        "shape": list(array.shape),
-        "dtype": "float32",
-        "sha256": hashlib.sha256(data).hexdigest(),
-    }
-
-
-def _read_blob(dirpath, entry: dict) -> np.ndarray:
-    path = os.path.join(dirpath, entry["file"])
-    shape = tuple(entry["shape"])
-    expected_bytes = int(np.prod(shape)) * 4
-    if not os.path.exists(path):
-        raise CorruptionError(f"{path}: blob missing")
-    actual = os.path.getsize(path)
-    if actual != expected_bytes:
-        raise CorruptionError(
-            f"{path}: expected {expected_bytes} bytes for shape {shape}, found {actual}"
-        )
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if hashlib.sha256(data).hexdigest() != entry["sha256"]:
-        raise CorruptionError(f"{path}: checksum mismatch")
-    return np.frombuffer(data, dtype="<f4").reshape(shape)
-
-
-def _write_manifest(dirpath, manifest: dict):
-    path = os.path.join(dirpath, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _read_manifest(dirpath) -> dict:
-    path = os.path.join(dirpath, "manifest.json")
-    if not os.path.exists(path):
-        raise SchemaError(f"{dirpath}: no manifest.json; not a container")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except ValueError as exc:
-        raise CorruptionError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(manifest, dict):
-        raise SchemaError(f"{path}: manifest is not a JSON object")
-    return manifest
 
 
 # --------------------------------------------------------------------------
@@ -93,23 +37,20 @@ def write_frame_features(path, features: np.ndarray, modality: str, meta: dict |
     features = np.asarray(features)
     if features.ndim != 2:
         raise SchemaError(f"frame features must be 2-D, got shape {features.shape}")
-    os.makedirs(path, exist_ok=True)
-    manifest = {
+    write_container(path, {
         "kind": "frame_features",
         "format_version": FORMAT_VERSION,
         "modality": modality,
         "count": int(features.shape[0]),
         "dim": int(features.shape[1]),
         "meta": meta or {},
-        "blobs": {"features": _write_blob(path, "features.f32", features)},
-    }
-    _write_manifest(path, manifest)
+    }, {"features": features})
 
 
 def read_frame_features(path, modality: str | None = None) -> tuple[np.ndarray, dict]:
     """A frame_features container's matrix and manifest; ``modality``, if given,
     must be the one the manifest names."""
-    manifest = _read_manifest(path)
+    manifest = read_manifest(path)
     if manifest.get("kind") != "frame_features":
         raise SchemaError(f"{path}: not a frame_features container")
     if modality is not None and manifest.get("modality") != modality:
@@ -117,7 +58,7 @@ def read_frame_features(path, modality: str | None = None) -> tuple[np.ndarray, 
             f"{path}: holds {manifest.get('modality')!r} features, expected {modality!r}"
         )
     with schema_fields(path):
-        features = _read_blob(path, manifest["blobs"]["features"])
+        (features,) = read_blobs(path, manifest, ["features"])
         if features.shape != (manifest["count"], manifest["dim"]):
             raise SchemaError(
                 f"{path}: manifest says {manifest['count']}x{manifest['dim']}, "
@@ -279,16 +220,11 @@ def _require_counts(path, name: str, values: np.ndarray, high):
         )
 
 
+_FIELDS = ("audio", "video", "labels", "start_frames", "pad_counts")  # one blob each
+
+
 def write_dataset(dataset: WindowDataset, path):
-    os.makedirs(path, exist_ok=True)
-    blobs = {
-        "audio": _write_blob(path, "audio.f32", dataset.audio),
-        "video": _write_blob(path, "video.f32", dataset.video),
-        "labels": _write_blob(path, "labels.f32", dataset.labels),
-        "start_frames": _write_blob(path, "start_frames.f32", dataset.start_frames),
-        "pad_counts": _write_blob(path, "pad_counts.f32", dataset.pad_counts),
-    }
-    manifest = {
+    write_container(path, {
         "kind": "window_dataset",
         "format_version": FORMAT_VERSION,
         "n_windows": dataset.n_windows,
@@ -296,19 +232,9 @@ def write_dataset(dataset: WindowDataset, path):
         "stride": dataset.stride,
         "audio_dim": dataset.audio_dim,
         "video_dim": dataset.video_dim,
-        "videos": [
-            {
-                "video_id": v.video_id,
-                "n_frames": v.n_frames,
-                "window_offset": v.window_offset,
-                "window_count": v.window_count,
-            }
-            for v in dataset.videos
-        ],
+        "videos": [asdict(v) for v in dataset.videos],
         "meta": dataset.meta,
-        "blobs": blobs,
-    }
-    _write_manifest(path, manifest)
+    }, {name: getattr(dataset, name) for name in _FIELDS})
 
 
 def _plain_name(path, video_id):
@@ -331,16 +257,11 @@ def _count(path, video: dict, key: str, minimum: int) -> int:
 
 
 def read_dataset(path) -> WindowDataset:
-    manifest = _read_manifest(path)
+    manifest = read_manifest(path)
     if manifest.get("kind") != "window_dataset":
         raise SchemaError(f"{path}: not a window_dataset container")
     with schema_fields(path):
-        blobs = manifest["blobs"]
-        audio = _read_blob(path, blobs["audio"])
-        video = _read_blob(path, blobs["video"])
-        labels = _read_blob(path, blobs["labels"])
-        start_frames = _read_blob(path, blobs["start_frames"])
-        pad_counts = _read_blob(path, blobs["pad_counts"])
+        audio, video, labels, start_frames, pad_counts = read_blobs(path, manifest, _FIELDS)
 
         w, length = manifest["n_windows"], manifest["window_len"]
         checks = [

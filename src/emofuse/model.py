@@ -12,27 +12,18 @@ Single-modality variants keep one branch and a dense(64->64) head input;
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import json
-import os
-import struct
+import math
 import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dataset import WindowDataset, window_rows
-from .errors import (
-    CorruptionError,
-    DivergenceError,
-    SchemaError,
-    ShapeError,
-    schema_fields,
-)
+from .errors import DivergenceError, SchemaError, ShapeError, schema_fields
 from .nn.layers import BatchNorm, Dense, Dropout, PReLU, softmax, softmax_cross_entropy
 from .nn.optim import RmsProp
 from .nn.recurrent import Gru, Lstm
+from .store import read_packed, write_packed
 
 MODES = ("fused", "audio_only", "video_only")
 RECURRENT_KINDS = ("gru", "lstm")
@@ -310,102 +301,37 @@ def predict_dataset(model: FusionModel, dataset: WindowDataset):
 
 
 # --------------------------------------------------------------------------
-# Checkpoints: magic, u64 header length, JSON header, concatenated blobs
+# Checkpoints: one packed file in emofuse.store's layout
 # --------------------------------------------------------------------------
 
-_MAGIC = b"EMFCKPT1"
 FORMAT_VERSION = 2  # 1 stored each recurrent cell's params per gate
 
 
 def save_checkpoint(path, model: FusionModel, optimizer: RmsProp | None = None, meta: dict | None = None):
     """Write ``model`` (and ``optimizer`` state) to ``path``, replacing it atomically."""
-    arrays: list[tuple[str, str, np.ndarray]] = []
-    for name, arr in model.parameters().items():
-        arrays.append((name, "param", arr))
-    for name, arr in model.buffers().items():
-        arrays.append((name, "buffer", arr))
+    arrays = [({"name": n, "kind": "param"}, a) for n, a in model.parameters().items()]
+    arrays += [({"name": n, "kind": "buffer"}, a) for n, a in model.buffers().items()]
     if optimizer is not None:
-        for name, arr in optimizer.state_arrays().items():
-            arrays.append((f"optimizer.{name}", "optimizer", arr))
+        arrays += [({"name": f"optimizer.{n}", "kind": "optimizer"}, a)
+                   for n, a in optimizer.state_arrays().items()]
     if model.feature_stats is not None:
-        s = model.feature_stats
-        for name, arr in (
-            ("stats.audio_mean", s.audio_mean),
-            ("stats.audio_std", s.audio_std),
-            ("stats.video_mean", s.video_mean),
-            ("stats.video_std", s.video_std),
-        ):
-            arrays.append((name, "stats", arr))
-
-    blob = bytearray()
-    entries = []
-    for name, kind, arr in arrays:
-        data = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        entries.append(
-            {
-                "name": name,
-                "kind": kind,
-                "shape": list(np.asarray(arr).shape),
-                "offset": len(blob),
-                "nbytes": len(data),
-            }
-        )
-        blob.extend(data)
-
-    header = {
+        arrays += [({"name": f"stats.{n}", "kind": "stats"}, a)
+                   for n, a in vars(model.feature_stats).items()]
+    write_packed(path, {
         "format": "emofuse-checkpoint",
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
-        "optimizer": None
-        if optimizer is None
-        else {
-            "learning_rate": optimizer.learning_rate,
-            "rho": optimizer.rho,
-            "eps": optimizer.eps,
+        "optimizer": None if optimizer is None else {
+            "learning_rate": optimizer.learning_rate, "rho": optimizer.rho, "eps": optimizer.eps,
         },
-        "arrays": entries,
         "meta": meta or {},
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
-    }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    _write_atomic(path, (_MAGIC, struct.pack("<Q", len(header_bytes)), header_bytes, blob))
-
-
-def _write_atomic(path, chunks):
-    """Write ``chunks`` to a temp file beside ``path``, fsync it, then rename it
-    onto ``path``: a failure at any point leaves the previous file intact."""
-    path = os.fspath(path)
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
+    }, arrays)
 
 
 def load_checkpoint(path) -> tuple[FusionModel, RmsProp | None, dict]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 16 or data[:8] != _MAGIC:
-        raise CorruptionError(f"{path}: not an emofuse checkpoint")
-    (header_len,) = struct.unpack_from("<Q", data, 8)
-    header_end = 16 + header_len
-    if len(data) < header_end:
-        raise CorruptionError(f"{path}: truncated header")
-    try:
-        header = json.loads(data[16:header_end])
-    except ValueError:
-        raise CorruptionError(f"{path}: checkpoint header is not valid JSON") from None
+    header, arrays = read_packed(path)
     with schema_fields(path):
-        # slices of a memoryview share the file's buffer: each array is read where it lies
-        return _model_from_header(path, header, memoryview(data)[header_end:])
+        return _model_from_header(path, header, arrays)
 
 
 def _stack_gates(loaded: dict[str, np.ndarray], model: FusionModel) -> dict[str, np.ndarray]:
@@ -430,10 +356,7 @@ def _stack_gates(loaded: dict[str, np.ndarray], model: FusionModel) -> dict[str,
     return out
 
 
-def _model_from_header(path, header: dict, blob: memoryview) -> tuple[FusionModel, RmsProp | None, dict]:
-    sha = hashlib.sha256(blob).hexdigest()
-    if sha != header["blob_sha256"]:
-        raise CorruptionError(f"{path}: blob checksum mismatch")
+def _model_from_header(path, header: dict, arrays: dict) -> tuple[FusionModel, RmsProp | None, dict]:
     version = header["format_version"]
     if version not in (1, FORMAT_VERSION):
         raise SchemaError(f"{path}: unsupported checkpoint format_version {version!r}")
@@ -444,13 +367,8 @@ def _model_from_header(path, header: dict, blob: memoryview) -> tuple[FusionMode
     model = FusionModel.__new__(FusionModel)
     model._build(ModelConfig(**cfg_dict), None)  # no initial draws: every weight is loaded
 
-    loaded: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        lo, hi = entry["offset"], entry["offset"] + entry["nbytes"]
-        if hi > len(blob):
-            raise CorruptionError(f"{path}: array {entry['name']} extends past blob")
-        arr = np.frombuffer(blob[lo:hi], dtype="<f4").reshape(entry["shape"])
-        loaded[entry["name"]] = arr.astype(model.dtype, copy=False)  # copied once, below
+    # each array still shares the file's buffer: copied once, below
+    loaded = {name: arr.astype(model.dtype, copy=False) for name, arr in arrays.items()}
     if version == 1:
         loaded = _stack_gates(loaded, model)
 
@@ -467,8 +385,11 @@ def _model_from_header(path, header: dict, blob: memoryview) -> tuple[FusionMode
 
     optimizer = None
     if header.get("optimizer"):
-        o = header["optimizer"]
-        optimizer = RmsProp(o["learning_rate"], o["rho"], o["eps"])
+        hyper = [header["optimizer"][k] for k in ("learning_rate", "rho", "eps")]
+        if not all(type(v) in (int, float) and math.isfinite(v) for v in hyper):
+            raise SchemaError(f"{path}: optimizer learning_rate, rho, eps {hyper} "
+                              "are not all finite numbers")
+        optimizer = RmsProp(*hyper)
         prefix = "optimizer."
         optimizer.load_state(
             {k[len(prefix) :]: v for k, v in loaded.items() if k.startswith(prefix)}

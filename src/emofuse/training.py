@@ -10,12 +10,12 @@ from __future__ import annotations
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .dataset import WindowDataset, window_rows
-from .errors import DivergenceError, DomainError, SchemaError, ShapeError
+from .errors import DivergenceError, DomainError, SchemaError, ShapeError, schema_fields
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
 from .model import (
     STD_FLOOR,
@@ -164,12 +164,17 @@ def run_training(
         model, optimizer, meta = load_checkpoint(resume_from)
         if optimizer is None:
             raise SchemaError(f"{resume_from}: checkpoint has no optimizer state, cannot resume")
-        progress = meta.get("progress", {})
-        start_epoch = int(progress.get("epoch_completed", 0))
-        report.best_metric = float(progress.get("best_metric", -np.inf))
-        report.best_epoch = int(progress.get("best_epoch", -1))
-        epochs_since_improve = int(progress.get("epochs_since_improve", 0))
-        report.earlier = [EpochRecord(**r) for r in progress.get("history", [])]
+        progress = meta.get("progress", {}) if isinstance(meta, dict) else None
+        if not isinstance(progress, dict):
+            raise SchemaError(f"{resume_from}: checkpoint meta.progress is not a JSON object")
+        with schema_fields(resume_from):
+            start_epoch = int(progress.get("epoch_completed", 0))
+            report.best_metric = float(progress.get("best_metric", -np.inf))
+            report.best_epoch = int(progress.get("best_epoch", -1))
+            epochs_since_improve = int(progress.get("epochs_since_improve", 0))
+            metrics = [f.name for f in fields(EpochRecord)][1:]
+            report.earlier = [EpochRecord(int(r["epoch"]), *(float(r[k]) for k in metrics))
+                              for r in progress.get("history", [])]
         dims = (model.config.audio_dim, model.config.video_dim)
         if dims != (train_set.audio_dim, train_set.video_dim):
             raise ShapeError(f"{resume_from}: checkpoint feature dims {dims} differ from the "

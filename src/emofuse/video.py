@@ -144,6 +144,9 @@ def _columns(rows, path, selection: ColumnSelection):
     except StopIteration:
         raise SchemaError(f"{path}: empty CSV") from None
     col_index = {name: i for i, name in enumerate(header)}
+    if len(col_index) != len(header):  # the dict kept a repeated name's last column
+        twice = next(name for i, name in enumerate(header) if col_index[name] != i)
+        raise SchemaError(f"{path}: column {twice!r} appears twice in the header")
     missing = [c for c in selection.include_columns if c not in col_index]
     if missing:
         raise SchemaError(f"{path}: missing column(s) {missing}")

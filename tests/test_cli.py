@@ -191,6 +191,18 @@ class TestIngestVideo:
         assert "plain.csv: row 4:" in err[0]
         assert not (tmp_path / "v").exists()
 
+    def test_repeated_header_name_is_schema_error(self, pipeline, capsys, tmp_path):
+        csv = tmp_path / "twice.csv"
+        lines = pipeline["csv"].read_text().splitlines()
+        lines[0] = lines[0].replace("face_id", "frame")
+        csv.write_text("\n".join(lines) + "\n")
+        rc = main(["ingest-video", "--csv", str(csv), "--out", str(tmp_path / "v")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: schema:")
+        assert "twice.csv: column 'frame' appears twice" in err[0]
+        assert not (tmp_path / "v").exists()
+
     def test_header_only_csv_is_schema_error(self, pipeline, capsys, tmp_path):
         csv = tmp_path / "empty.csv"
         csv.write_text(pipeline["csv"].read_text().splitlines()[0] + "\n\n")
@@ -532,16 +544,34 @@ class TestTrainCli:
         assert one_error_line(capsys, "schema")
         assert not out.exists()
 
-    @pytest.mark.parametrize("video_dim, optimizer, category, message", [
-        (3, None, "schema", "no optimizer state"),
-        (4, RmsProp(), "shape",
-         "checkpoint feature dims (168, 4) differ from the training set's (168, 3)"),
+    @pytest.mark.parametrize("video_dim, optimizer, meta, category, message", [
+        pytest.param(3, None, None, "schema", "no optimizer state",
+                     id="3-None-schema-no optimizer state"),
+        pytest.param(4, RmsProp(), None, "shape",
+                     "checkpoint feature dims (168, 4) differ from the training set's (168, 3)",
+                     id="4-optimizer1-shape-checkpoint feature dims (168, 4) differ from the "
+                        "training set's (168, 3)"),
+        pytest.param(3, RmsProp(), [1], "schema", "meta.progress is not a JSON object",
+                     id="meta_list"),
+        pytest.param(3, RmsProp(), {"progress": [1]}, "schema",
+                     "meta.progress is not a JSON object", id="progress_list"),
+        pytest.param(3, RmsProp(), {"progress": {"epoch_completed": "x"}}, "schema",
+                     "malformed field", id="epoch_completed_text"),
+        pytest.param(3, RmsProp(), {"progress": {"history": [{"epoch": 1}]}}, "schema",
+                     "malformed field 'train_loss'", id="history_entry_missing_keys"),
+        pytest.param(3, RmsProp(learning_rate="x"), None, "schema", "not all finite numbers",
+                     id="learning_rate_text"),
+        pytest.param(3, RmsProp(rho=float("nan")), None, "schema", "not all finite numbers",
+                     id="rho_nan"),
+        pytest.param(3, RmsProp(eps=float("inf")), None, "schema", "not all finite numbers",
+                     id="eps_inf"),
     ])
     def test_unusable_resume_checkpoint_leaves_no_out(
-        self, tiny_training, tmp_path, capsys, video_dim, optimizer, category, message
+        self, tiny_training, tmp_path, capsys, video_dim, optimizer, meta, category, message
     ):
         ckpt = tmp_path / "state.ckpt"
-        save_checkpoint(ckpt, FusionModel(ModelConfig(video_dim=video_dim)), optimizer=optimizer)
+        save_checkpoint(ckpt, FusionModel(ModelConfig(video_dim=video_dim)), optimizer=optimizer,
+                        meta=meta)
         ds, out = str(tiny_training["dataset"]), tmp_path / "run"
         rc = main(["train", "--train", ds, "--val", ds, "--epochs", "2", "--resume", str(ckpt),
                    "--out", str(out)])

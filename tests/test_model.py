@@ -405,7 +405,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("fail_at", ["write", "fsync"])
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path, rng, monkeypatch, fail_at):
-        import emofuse.model as model_mod
+        import emofuse.store as store_mod
 
         path = tmp_path / "checkpoint.ckpt"
         save_checkpoint(path, FusionModel(TINY), meta={"epoch": 1})
@@ -433,12 +433,12 @@ class TestCheckpoint:
                 return getattr(self.fh, name)
 
         if fail_at == "write":
-            monkeypatch.setattr(model_mod, "open", lambda *a: HalfWrite(open(*a)), raising=False)
+            monkeypatch.setattr(store_mod, "open", lambda *a: HalfWrite(open(*a)), raising=False)
         else:
             def no_fsync(fd):
                 raise OSError(5, "Input/output error")
 
-            monkeypatch.setattr(model_mod.os, "fsync", no_fsync)
+            monkeypatch.setattr(store_mod.os, "fsync", no_fsync)
         newer = FusionModel(ModelConfig(**{**TINY.__dict__, "seed": 5}))
         with pytest.raises(OSError):
             save_checkpoint(path, newer, meta={"epoch": 2})
@@ -876,6 +876,20 @@ class TestMalformedCheckpoint:
     def test_unknown_format_version_is_schema_error(self, ckpt, version):
         rewrite_header(ckpt, lambda h: h.update(format_version=version))
         with pytest.raises(SchemaError, match="format_version"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("key, value", [
+        ("offset", -36), ("offset", -1), ("offset", 1.5), ("offset", "0"), ("offset", None),
+        ("nbytes", -32), ("nbytes", True), ("nbytes", 36), ("nbytes", 28), ("nbytes", 0),
+    ])
+    def test_array_entry_out_of_bounds_is_schema_error(self, ckpt, key, value):
+        # head.dense2.b holds 8 float32s: nbytes must be 32, offset an integer >= 0
+        def edit(header):
+            (entry,) = [e for e in header["arrays"] if e["name"] == "head.dense2.b"]
+            entry[key] = value
+
+        rewrite_header(ckpt, edit)
+        with pytest.raises(SchemaError, match=r"array head\.dense2\.b "):
             load_checkpoint(ckpt)
 
     def test_undecodable_header_is_corruption(self, ckpt):

@@ -1,0 +1,187 @@
+import ast
+import os
+import pathlib
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import emofuse
+from emofuse import store
+from emofuse.dataset import read_dataset, read_frame_features, write_dataset, write_frame_features
+from emofuse.errors import CorruptionError, SchemaError
+from emofuse.model import load_checkpoint, save_checkpoint
+
+DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(emofuse.__file__).parent
+
+
+@st.composite
+def stored_arrays(draw, min_side=0):
+    """Float32 or float64 arrays of float32 values, any shape up to 3-D, some of
+    them non-contiguous views (every other row, or transposed)."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=3, min_side=min_side, max_side=5))
+    array = draw(hnp.arrays(dtype, shape, elements=st.floats(width=32)))
+    view = draw(st.sampled_from(["whole", "every_other", "transposed"]))
+    if view == "every_other" and array.ndim:
+        return array[::2]
+    return array.T if view == "transposed" else array
+
+
+def bits(array):
+    """``array``'s values as float32 bit patterns, NaN payloads included."""
+    return np.asarray(array, dtype="<f4").view("<u4")
+
+
+def write_arrays(layout, directory, arrays):
+    names = [f"a{i}" for i in range(len(arrays))]
+    if layout == "container":
+        store.write_container(directory, {"kind": "test"}, dict(zip(names, arrays)))
+    else:
+        store.write_packed(os.path.join(directory, "x.ckpt"), {"kind": "test"},
+                           [({"name": n}, a) for n, a in zip(names, arrays)])
+
+
+def read_arrays(layout, directory):
+    if layout == "container":
+        manifest = store.read_manifest(directory)
+        return store.read_blobs(directory, manifest, sorted(manifest["blobs"]))
+    return list(store.read_packed(os.path.join(directory, "x.ckpt"))[1].values())
+
+
+@pytest.mark.parametrize("layout", ["container", "packed"])
+@settings(max_examples=60, deadline=None)
+@given(arrays=st.lists(stored_arrays(), min_size=1, max_size=3))
+def test_arrays_round_trip_bit_exactly(layout, arrays):
+    with tempfile.TemporaryDirectory() as directory:
+        write_arrays(layout, directory, arrays)
+        back = read_arrays(layout, directory)
+    assert [b.shape for b in back] == [a.shape for a in arrays]
+    for a, b in zip(arrays, back):
+        assert b.dtype == np.float32
+        np.testing.assert_array_equal(bits(b), bits(a))
+
+
+@pytest.mark.parametrize("layout", ["container", "packed"])
+@pytest.mark.parametrize("damage", ["flip", "truncate"])
+@settings(max_examples=40, deadline=None)
+@given(array=stored_arrays(min_side=1), where=st.floats(0, 1, exclude_max=True))
+def test_any_flipped_blob_byte_or_truncation_is_corruption(layout, damage, array, where):
+    with tempfile.TemporaryDirectory() as directory:
+        write_arrays(layout, directory, [array])
+        path = os.path.join(directory, "a0.f32" if layout == "container" else "x.ckpt")
+        data = bytearray(pathlib.Path(path).read_bytes())
+        if damage == "truncate":
+            del data[int(where * len(data)):]
+        else:  # the packed blob is the file's tail
+            data[len(data) - array.size * 4 + int(where * array.size * 4)] ^= 0x01
+        pathlib.Path(path).write_bytes(bytes(data))
+        with pytest.raises(CorruptionError):
+            read_arrays(layout, directory)
+
+
+@pytest.mark.parametrize("text, error", [
+    (b"{", CorruptionError),
+    ('{"a": 1}'.encode("utf-16"), CorruptionError),  # json.loads would take these bytes
+    (b"\xff{}", CorruptionError),
+    (b"[1]", SchemaError),
+    (b'"a"', SchemaError),
+])
+def test_json_object_takes_utf8_json_objects_only(text, error):
+    with pytest.raises(error, match=r"f\.json: thing is not"):
+        store.json_object("f.json", text, "thing")
+    assert store.json_object("f.json", b'{"a": [1]}', "thing") == {"a": [1]}
+
+
+class HalfWrite:
+    """A file whose first write stores half its bytes, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fail_at", ["write", "fsync", "replace"])
+def test_failed_write_json_keeps_previous_file(tmp_path, monkeypatch, fail_at):
+    path = tmp_path / "summary.json"
+    store.write_json(path, {"epoch": 1})
+    good = path.read_bytes()
+    assert good == b'{\n  "epoch": 1\n}\n'
+
+    def fail(*args):
+        raise OSError(5, "Input/output error")
+
+    if fail_at == "write":
+        monkeypatch.setattr(store, "open", lambda *a: HalfWrite(open(*a)), raising=False)
+    else:
+        monkeypatch.setattr(store.os, fail_at, fail)
+    with pytest.raises(OSError):
+        store.write_json(path, {"epoch": 2})
+    monkeypatch.undo()
+    assert path.read_bytes() == good
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+
+@pytest.mark.parametrize("recurrent", ["gru", "lstm"])
+def test_checkpoint_fixture_saves_to_its_own_bytes(tmp_path, recurrent):
+    path = DATA / f"format2_{recurrent}.ckpt"
+    model, optimizer, meta = load_checkpoint(path)
+    save_checkpoint(tmp_path / "again.ckpt", model, optimizer, meta)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def files(directory):
+    return {p.name: p.read_bytes() for p in pathlib.Path(directory).iterdir()}
+
+
+def test_frame_features_fixture_rewrites_to_its_own_bytes(tmp_path):
+    features, manifest = read_frame_features(DATA / "frame_features")
+    write_frame_features(tmp_path / "c", features, manifest["modality"], manifest["meta"])
+    assert files(tmp_path / "c") == files(DATA / "frame_features")
+
+
+def test_window_dataset_fixture_rewrites_to_its_own_bytes(tmp_path):
+    write_dataset(read_dataset(DATA / "window_dataset"), tmp_path / "d")
+    assert files(tmp_path / "d") == files(DATA / "window_dataset")
+
+
+def format_decisions(path):
+    """Names of the byte-format modules ``path`` imports and of the os calls it makes."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.split(".")[0])
+            if node.module == "os":
+                found |= {f"os.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os":
+                found.add(f"os.{node.attr}")
+    return found
+
+
+def test_only_the_store_decides_artefact_bytes():
+    """Hashing, JSON and atomic replacement live in store.py alone; dataset, model
+    and cli also leave struct and contextlib to it (audio.py reads WAV headers with struct)."""
+    banned = {"hashlib", "json", "os.replace", "os.fsync"}
+    modules = sorted(p for p in SRC.rglob("*.py") if p.name != "store.py")
+    assert len(modules) > 10
+    offenders = {p.name: sorted(format_decisions(p) & banned) for p in modules}
+    assert {k: v for k, v in offenders.items() if v} == {}
+    for name in ("dataset.py", "model.py", "cli.py"):
+        assert not format_decisions(SRC / name) & {"struct", "contextlib"}, name
+    assert {"hashlib", "json", "os.replace", "os.fsync"} <= format_decisions(SRC / "store.py")

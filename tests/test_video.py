@@ -255,6 +255,15 @@ class TestParseOpenfaceCsv:
         with pytest.raises(ParseError, match=r"of\.csv: " + message):
             parse_openface_csv(path, small_selection)
 
+    @pytest.mark.parametrize("name", ["pose_Rx", "frame"])
+    def test_repeated_header_name_is_schema_error(self, tmp_path, small_selection, name):
+        # a dict from names to columns would silently keep the later column
+        header = ["frame", "success", "pose_Rx", "pose_Ry", "AU01_r", name]
+        path = tmp_path / "of.csv"
+        write_csv(path, header, [[1, 1, 0.5, 0.2, 0.3, 9.0]])
+        with pytest.raises(SchemaError, match=rf"of\.csv: column '{name}' appears twice"):
+            parse_openface_csv(path, small_selection)
+
     def test_clean_csv_takes_the_c_parser(self, tmp_path, rng, monkeypatch):
         features = openface_header_enumeration()
         header = list(META_COLUMNS) + features
