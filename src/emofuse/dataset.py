@@ -1,9 +1,10 @@
 """On-disk containers: per-frame feature files and the windowed dataset.
 
-A container is a directory holding ``manifest.json`` plus one float32 blob
-per field, in :mod:`emofuse.store`'s layout; this module owns their schemas.
-Integer fields (labels, frame offsets) are stored as float32 too; they are
-exact up to 2**24, far beyond any frame count seen here.
+A container is a directory holding one packed file, ``container.pack``, in
+:mod:`emofuse.store`'s layout: its header holds the container's fields and
+one array entry per field. This module owns their schemas. Integer fields
+(labels, frame offsets) are stored as float32 too; they are exact up to
+2**24, far beyond any frame count seen here.
 """
 
 from __future__ import annotations
@@ -22,9 +23,33 @@ from .sequencing import (
     remap_label,
     window_starts,
 )
-from .store import read_blobs, read_manifest, write_container
+from .store import read_packed, write_packed
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 1 stored manifest.json plus one blob file per field
+PACKED = "container.pack"
+
+
+def _write_container(path, header: dict, arrays: dict[str, np.ndarray]):
+    os.makedirs(path, exist_ok=True)
+    write_packed(os.path.join(path, PACKED), {**header, "format_version": FORMAT_VERSION},
+                 [({"name": name}, array) for name, array in arrays.items()])
+
+
+def _read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """A ``kind`` container's header and its arrays by name."""
+    packed = os.path.join(path, PACKED)
+    if not os.path.exists(packed):
+        if os.path.exists(os.path.join(path, "manifest.json")):
+            raise SchemaError(f"{path}: a format-1 container (manifest.json and blob files), "
+                              "no longer read; rerun the command that wrote it")
+        raise SchemaError(f"{path}: no {PACKED}; not a container")
+    header, arrays = read_packed(packed)
+    if header.get("kind") != kind:
+        raise SchemaError(f"{path}: not a {kind} container")
+    if header.get("format_version") != FORMAT_VERSION:
+        raise SchemaError(f"{path}: unsupported container format_version "
+                          f"{header.get('format_version')!r}")
+    return header, arrays
 
 
 # --------------------------------------------------------------------------
@@ -37,9 +62,8 @@ def write_frame_features(path, features: np.ndarray, modality: str, meta: dict |
     features = np.asarray(features)
     if features.ndim != 2:
         raise SchemaError(f"frame features must be 2-D, got shape {features.shape}")
-    write_container(path, {
+    _write_container(path, {
         "kind": "frame_features",
-        "format_version": FORMAT_VERSION,
         "modality": modality,
         "count": int(features.shape[0]),
         "dim": int(features.shape[1]),
@@ -48,23 +72,21 @@ def write_frame_features(path, features: np.ndarray, modality: str, meta: dict |
 
 
 def read_frame_features(path, modality: str | None = None) -> tuple[np.ndarray, dict]:
-    """A frame_features container's matrix and manifest; ``modality``, if given,
-    must be the one the manifest names."""
-    manifest = read_manifest(path)
-    if manifest.get("kind") != "frame_features":
-        raise SchemaError(f"{path}: not a frame_features container")
-    if modality is not None and manifest.get("modality") != modality:
+    """A frame_features container's matrix and header; ``modality``, if given,
+    must be the one the header names."""
+    header, arrays = _read_container(path, "frame_features")
+    if modality is not None and header.get("modality") != modality:
         raise SchemaError(
-            f"{path}: holds {manifest.get('modality')!r} features, expected {modality!r}"
+            f"{path}: holds {header.get('modality')!r} features, expected {modality!r}"
         )
     with schema_fields(path):
-        (features,) = read_blobs(path, manifest, ["features"])
-        if features.shape != (manifest["count"], manifest["dim"]):
+        features = arrays["features"]
+        if features.shape != (header["count"], header["dim"]):
             raise SchemaError(
-                f"{path}: manifest says {manifest['count']}x{manifest['dim']}, "
-                f"blob is {features.shape}"
+                f"{path}: header says {header['count']}x{header['dim']}, "
+                f"array is {features.shape}"
             )
-    return features, manifest
+    return features, header
 
 
 # --------------------------------------------------------------------------
@@ -220,13 +242,12 @@ def _require_counts(path, name: str, values: np.ndarray, high):
         )
 
 
-_FIELDS = ("audio", "video", "labels", "start_frames", "pad_counts")  # one blob each
+_FIELDS = ("audio", "video", "labels", "start_frames", "pad_counts")  # one array each
 
 
 def write_dataset(dataset: WindowDataset, path):
-    write_container(path, {
+    _write_container(path, {
         "kind": "window_dataset",
-        "format_version": FORMAT_VERSION,
         "n_windows": dataset.n_windows,
         "window_len": dataset.window_len,
         "stride": dataset.stride,
@@ -257,28 +278,26 @@ def _count(path, video: dict, key: str, minimum: int) -> int:
 
 
 def read_dataset(path) -> WindowDataset:
-    manifest = read_manifest(path)
-    if manifest.get("kind") != "window_dataset":
-        raise SchemaError(f"{path}: not a window_dataset container")
+    header, arrays = _read_container(path, "window_dataset")
     with schema_fields(path):
-        audio, video, labels, start_frames, pad_counts = read_blobs(path, manifest, _FIELDS)
+        audio, video, labels, start_frames, pad_counts = (arrays[name] for name in _FIELDS)
 
-        w, length = manifest["n_windows"], manifest["window_len"]
+        w, length = header["n_windows"], header["window_len"]
         checks = [
             (audio.shape[0] == w and audio.shape[1] == length, "audio"),
-            (audio.shape[2] == manifest["audio_dim"], "audio_dim"),
+            (audio.shape[2] == header["audio_dim"], "audio_dim"),
             (video.shape[0] == w and video.shape[1] == length, "video"),
-            (video.shape[2] == manifest["video_dim"], "video_dim"),
+            (video.shape[2] == header["video_dim"], "video_dim"),
             (labels.shape == (w, length), "labels"),
             (start_frames.shape == (w,), "start_frames"),
             (pad_counts.shape == (w,), "pad_counts"),
         ]
         for ok, what in checks:
             if not ok:
-                raise SchemaError(f"{path}: blob {what!r} disagrees with manifest dims")
+                raise SchemaError(f"{path}: array {what!r} disagrees with header dims")
         videos, ids = [], set()
         next_offset = 0  # each video's windows directly follow the previous video's
-        for v in manifest["videos"]:
+        for v in header["videos"]:
             entry = VideoEntry(
                 video_id=_plain_name(path, v["video_id"]),
                 n_frames=_count(path, v, "n_frames", 1),
@@ -319,6 +338,6 @@ def read_dataset(path) -> WindowDataset:
             pad_counts=pad_counts.astype(np.int64),
             videos=videos,
             window_len=length,
-            stride=manifest["stride"],
-            meta=manifest.get("meta", {}),
+            stride=header["stride"],
+            meta=header.get("meta", {}),
         )

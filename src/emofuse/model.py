@@ -304,6 +304,7 @@ def predict_dataset(model: FusionModel, dataset: WindowDataset):
 # Checkpoints: one packed file in emofuse.store's layout
 # --------------------------------------------------------------------------
 
+FORMAT = "emofuse-checkpoint"
 FORMAT_VERSION = 2  # 1 stored each recurrent cell's params per gate
 
 
@@ -318,7 +319,7 @@ def save_checkpoint(path, model: FusionModel, optimizer: RmsProp | None = None, 
         arrays += [({"name": f"stats.{n}", "kind": "stats"}, a)
                    for n, a in vars(model.feature_stats).items()]
     write_packed(path, {
-        "format": "emofuse-checkpoint",
+        "format": FORMAT,
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
         "optimizer": None if optimizer is None else {
@@ -330,6 +331,8 @@ def save_checkpoint(path, model: FusionModel, optimizer: RmsProp | None = None, 
 
 def load_checkpoint(path) -> tuple[FusionModel, RmsProp | None, dict]:
     header, arrays = read_packed(path)
+    if header.get("format") != FORMAT:  # a container's packed file, say
+        raise SchemaError(f"{path}: not an emofuse checkpoint (format {header.get('format')!r})")
     with schema_fields(path):
         return _model_from_header(path, header, arrays)
 

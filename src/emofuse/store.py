@@ -1,10 +1,10 @@
-"""Artefact bytes: float32 blobs, SHA-256, JSON headers and atomic writes.
+"""Artefact bytes: float32 arrays, SHA-256, JSON headers and atomic writes.
 
-Arrays are stored as flat little-endian float32 in one of two layouts. A
-container is a directory of blobs plus ``manifest.json``, which records each
-blob's file, shape and SHA-256. A checkpoint is one packed file: an 8-byte
-magic, a u64 header length, a compact JSON header, then the arrays back to
-back. Every JSON file and packed file is replaced atomically.
+Every array artefact is one packed file: an 8-byte magic, a u64 header
+length, a compact JSON header, then the arrays back to back as flat
+little-endian float32, with one SHA-256 over them in the header. A checkpoint
+is such a file, and a feature or window container is a directory holding
+one. Every JSON file and packed file is replaced atomically.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import CorruptionError, SchemaError, schema_fields
 
-MANIFEST = "manifest.json"
 MAGIC = b"EMFCKPT1"
 
 
@@ -34,15 +33,6 @@ def sha256(chunks) -> str:
     for chunk in chunks:
         digest.update(chunk)
     return digest.hexdigest()
-
-
-def f32_array(data, shape, where) -> np.ndarray:
-    """``data`` as a float32 array of ``shape``, sharing its buffer; a byte count
-    that ``shape`` does not give is a CorruptionError naming ``where``."""
-    shape, expected = tuple(shape), 4 * int(np.prod(shape))
-    if len(data) != expected:
-        raise CorruptionError(f"{where}: expected {expected} bytes for shape {shape}, found {len(data)}")
-    return np.frombuffer(data, dtype="<f4").reshape(shape)
 
 
 def json_object(path, text, what: str) -> dict:
@@ -80,45 +70,6 @@ def write_json(path, value):
     write_atomic(path, [json.dumps(value, indent=2, sort_keys=True).encode(), b"\n"])
 
 
-def write_container(dirpath, manifest: dict, arrays: dict[str, np.ndarray]):
-    """Write each of ``arrays`` as a blob, then ``manifest`` with a ``blobs`` entry for them."""
-    os.makedirs(dirpath, exist_ok=True)
-    blobs = {}
-    for name, array in arrays.items():
-        data = f32_bytes(array)
-        with open(os.path.join(dirpath, f"{name}.f32"), "wb") as fh:
-            fh.write(data)
-        blobs[name] = {"file": f"{name}.f32", "shape": list(np.shape(array)),
-                       "dtype": "float32", "sha256": sha256([data])}
-    write_json(os.path.join(dirpath, MANIFEST), {**manifest, "blobs": blobs})
-
-
-def read_manifest(dirpath) -> dict:
-    path = os.path.join(dirpath, MANIFEST)
-    if not os.path.exists(path):
-        raise SchemaError(f"{dirpath}: no {MANIFEST}; not a container")
-    with open(path, "rb") as fh:
-        return json_object(path, fh.read(), "manifest")
-
-
-def read_blobs(dirpath, manifest: dict, names) -> list[np.ndarray]:
-    """The blobs ``manifest`` lists under ``names``, each checked against its
-    shape and SHA-256; a missing entry or field raises LookupError or TypeError."""
-    arrays = []
-    for name in names:
-        entry = manifest["blobs"][name]
-        path = os.path.join(dirpath, entry["file"])
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            raise CorruptionError(f"{path}: blob missing") from None
-        arrays.append(f32_array(data, entry["shape"], path))
-        if sha256([data]) != entry["sha256"]:
-            raise CorruptionError(f"{path}: checksum mismatch")
-    return arrays
-
-
 def write_packed(path, header: dict, arrays: list[tuple[dict, np.ndarray]]):
     """Write ``header``, with an ``arrays`` entry per ``(fields, array)`` pair
     and the blob's SHA-256, then the arrays, replacing ``path`` atomically."""
@@ -138,11 +89,11 @@ def read_packed(path) -> tuple[dict, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 16 or data[:8] != MAGIC:
-        raise CorruptionError(f"{path}: not an emofuse checkpoint")
+        raise CorruptionError(f"{path}: not an emofuse packed file")
     end = 16 + struct.unpack_from("<Q", data, 8)[0]
     if len(data) < end:
         raise CorruptionError(f"{path}: truncated header")
-    header = json_object(path, data[16:end], "checkpoint header")
+    header = json_object(path, data[16:end], "header")
     blob = memoryview(data)[end:]
     arrays = {}
     with schema_fields(path):
@@ -158,5 +109,5 @@ def read_packed(path) -> tuple[dict, dict[str, np.ndarray]]:
                                   f"shape {entry['shape']}")
             if lo + n > len(blob):
                 raise CorruptionError(f"{path}: array {name} extends past blob")
-            arrays[name] = f32_array(blob[lo : lo + n], entry["shape"], path)
+            arrays[name] = np.frombuffer(blob[lo : lo + n], dtype="<f4").reshape(entry["shape"])
     return header, arrays

@@ -55,6 +55,9 @@ class TrainConfig:
             raise SchemaError(f"seed must be >= 0, got {self.seed}")
 
 
+_RESUME_MAY_CHANGE = ("epochs", "early_stop_patience")  # the rest must match the saved run
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -145,7 +148,9 @@ def run_training(
 
     ``state_path`` receives the full resumable state (model + optimizer +
     progress) after every epoch; ``best_path`` the best-validation-metric
-    model so far. ``resume_from`` continues a run saved via ``state_path``.
+    model so far. ``resume_from`` continues a run saved via ``state_path``;
+    ``config`` may differ from that run's only in ``epochs`` and
+    ``early_stop_patience``.
     The two paths' directories are made only once every input check passed,
     so a refused run leaves no directory behind.
     """
@@ -179,6 +184,14 @@ def run_training(
         if dims != (train_set.audio_dim, train_set.video_dim):
             raise ShapeError(f"{resume_from}: checkpoint feature dims {dims} differ from the "
                              f"training set's {(train_set.audio_dim, train_set.video_dim)}")
+        with schema_fields(resume_from):
+            saved = meta["train_config"]
+            differ = [f"{f.name} {saved[f.name]!r} saved, {getattr(config, f.name)!r} given"
+                      for f in fields(TrainConfig) if f.name not in _RESUME_MAY_CHANGE
+                      and saved[f.name] != getattr(config, f.name)]
+        if differ:
+            raise SchemaError(f"{resume_from}: --resume continues the saved run, whose config "
+                              f"differs: {'; '.join(differ)}")
     else:
         model_cfg = ModelConfig(
             mode=config.mode,

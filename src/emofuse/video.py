@@ -97,7 +97,7 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
     features[~valid] = 0.0
     meta = data[:, [c for c in (success_col, conf_col, frame_col) if c is not None]]
     if not (np.isfinite(meta).all() and np.isfinite(features).all()):
-        _refuse(path, selection)
+        _refuse(path, selection, read_every_row=True)
     frames = data[:, frame_col].tolist() if frame_col is not None else range(1, n + 1)
     confidence = data[:, conf_col].tolist() if conf_col is not None else [1.0] * n
     records = [
@@ -154,13 +154,15 @@ def _columns(rows, path, selection: ColumnSelection):
     return (len(header), take, *(col_index.get(c) for c in ("frame", "confidence", "success")))
 
 
-def _refuse(path, selection: ColumnSelection):
+def _refuse(path, selection: ColumnSelection, read_every_row=False):
     """Raise the error for a file the ``loadtxt`` pass refused or found a non-finite
     checked cell in, at the first row at fault. Each row is checked in turn:
     its success, confidence and frame cells, then, if it is valid, its features
     (non-numeric or non-finite, then non-finite at float32), then its width and
-    whether ``loadtxt`` reads it. Data cells are split at every comma, as ``loadtxt``
-    splits them, so quotes are kept as part of a cell."""
+    whether ``loadtxt`` reads it; the last two cannot fail when the pass read
+    every row at the header's width (``read_every_row``) and are skipped then.
+    Data cells are split at every comma, as ``loadtxt`` splits them, so quotes
+    are kept as part of a cell."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh, utf8_text(path):
         width, take, frame_col, conf_col, success_col = _columns(_rows(fh, path), path, selection)
         for row_no, row in _rows(fh, path, 2, csv.QUOTE_NONE):
@@ -193,6 +195,8 @@ def _refuse(path, selection: ColumnSelection):
                 if not finite.all():
                     j = int(np.argmin(finite))
                     raise bad(take[j], names[j], "non-finite")
+            if read_every_row:
+                continue
             if len(row) != width:
                 raise ParseError(f"{path}: row {row_no}: {len(row)} cells, the header has {width}")
             try:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import emofuse
 from emofuse.cli import _prediction_lines, main
 from emofuse.dataset import (
+    PACKED,
     VideoEntry,
     WindowDataset,
     read_dataset,
@@ -24,6 +25,7 @@ from emofuse.sequencing import AnnotationTrack
 from emofuse.video import META_COLUMNS, default_selection
 
 from conftest import wav_bytes
+from test_model import rewrite_header
 
 
 def one_error_line(capsys, category):
@@ -275,7 +277,7 @@ class TestBuildDataset:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        inputs = sum(p.stat().st_size for p in tmp_path.glob("[av]/*/*.f32"))
+        inputs = sum(p.stat().st_size for p in tmp_path.glob(f"[av]/*/{PACKED}"))
         container = sum(p.stat().st_size for p in (tmp_path / "d").iterdir())
         assert peak < 1.25 * (inputs + container), (peak, inputs, container)
 
@@ -580,6 +582,21 @@ class TestTrainCli:
         assert len(err) == 1 and err[0].startswith(f"error: {category}:") and message in err[0]
         assert not out.exists()
 
+    def test_resume_with_another_config_names_each_field(self, tiny_training, tmp_path, capsys):
+        ds = str(tiny_training["dataset"])
+        first = ["train", "--train", ds, "--val", ds, "--patience", "0", "--out"]
+        assert main(first + [str(tmp_path / "fused"), "--epochs", "1"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        rc = main(first + [str(out), "--epochs", "2", "--recurrent", "lstm", "--mode", "audio",
+                           "--resume", str(tmp_path / "fused" / "checkpoint.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: schema:")
+        assert "mode 'fused' saved, 'audio_only' given" in err[0]
+        assert "recurrent 'gru' saved, 'lstm' given" in err[0]
+        assert not out.exists()
+
     def test_config_keys(self, tiny_training, tmp_path):
         ds = str(tiny_training["dataset"])
         out = tmp_path / "run"
@@ -653,8 +670,8 @@ class TestEvaluateCli:
 
         broken = tmp_path / "broken"
         shutil.copytree(tiny_training["dataset"], broken)
-        blob = broken / "audio.f32"
-        blob.write_bytes(blob.read_bytes()[:-4])
+        packed = broken / PACKED
+        packed.write_bytes(packed.read_bytes()[:-4])
         rc = main(["evaluate", "--checkpoint", str(root / "fit" / "best.ckpt"),
                    "--dataset", str(broken), "--out", str(tmp_path / "out")])
         assert rc == 1
@@ -749,7 +766,7 @@ class TestMalformedEvaluateInputs:
 
         broken = tmp_path / "broken"
         shutil.copytree(tiny_training["dataset"], broken)
-        (broken / "manifest.json").write_text(manifest)
+        rewrite_header(broken / PACKED, lambda h: manifest.encode())
         rc = self.run_evaluate(untrained, broken, tmp_path / "out")
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
@@ -783,11 +800,29 @@ class TestMalformedEvaluateInputs:
     @pytest.mark.parametrize("version", [0, 3])
     def test_unknown_checkpoint_format_version(self, tiny_training, untrained, tmp_path, capsys,
                                                version):
-        from test_model import rewrite_header
-
         rewrite_header(untrained, lambda h: h.update(format_version=version))
         rc = self.run_evaluate(untrained, tiny_training["dataset"], tmp_path / "out")
         assert rc == 1
+        assert one_error_line(capsys, "schema")
+        assert not (tmp_path / "out").exists()
+
+    def test_format1_container_is_schema_error(self, untrained, tmp_path, capsys):
+        data = os.path.join(os.path.dirname(__file__), "data", "format1_window_dataset")
+        assert self.run_evaluate(untrained, data, tmp_path / "out") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: schema:")
+        assert err[0].endswith("rerun the command that wrote it")
+        assert not (tmp_path / "out").exists()
+
+    def test_kinds_do_not_cross(self, tiny_training, untrained, tmp_path, capsys):
+        # a container's packed file is no checkpoint, and a checkpoint no container
+        ds = tiny_training["dataset"]
+        assert self.run_evaluate(ds / PACKED, ds, tmp_path / "out") == 1
+        assert one_error_line(capsys, "schema")
+        placed = tmp_path / "placed"
+        placed.mkdir()
+        placed.joinpath(PACKED).write_bytes(untrained.read_bytes())
+        assert self.run_evaluate(untrained, placed, tmp_path / "out") == 1
         assert one_error_line(capsys, "schema")
         assert not (tmp_path / "out").exists()
 
@@ -839,9 +874,7 @@ class TestMalformedEvaluateInputs:
 
         broken = tmp_path / "data" / "broken"
         shutil.copytree(tiny_training["dataset"], broken)
-        manifest = json.loads((broken / "manifest.json").read_text())
-        manifest["videos"][0]["video_id"] = video_id
-        (broken / "manifest.json").write_text(json.dumps(manifest))
+        rewrite_header(broken / PACKED, lambda h: h["videos"][0].update(video_id=video_id))
         before = sorted(tmp_path.rglob("*"))
         out = tmp_path / "data" / "out"
         rc = self.run_evaluate(untrained, broken, out)
@@ -904,5 +937,5 @@ def test_extract_audio_in_a_fresh_process_writes_the_in_process_bytes(pipeline, 
     out = tmp_path / "audio"
     _fresh_python("-m", "emofuse.cli", "extract-audio", "--wav", str(pipeline["wav"]),
                   "--annotations", str(pipeline["ann"]), "--out", str(out))
-    for name in ("features.f32", "manifest.json"):
-        assert (out / name).read_bytes() == (pipeline["audio"] / name).read_bytes(), name
+    assert os.listdir(out) == [PACKED]
+    assert (out / PACKED).read_bytes() == (pipeline["audio"] / PACKED).read_bytes()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import struct
 import tempfile
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emofuse.dataset import (
+    PACKED,
     VideoEntry,
     WindowDataset,
     read_dataset,
@@ -20,6 +22,7 @@ from emofuse.errors import CorruptionError, CoverageError, DomainError, SchemaEr
 from emofuse.sequencing import AnnotationTrack
 
 from oracles import cut_windows_direct, from_videos_concat
+from test_model import rewrite_header
 from test_sequencing import make_video
 
 
@@ -32,18 +35,20 @@ def build_dataset(rng, n_videos=2, audio_dim=5, video_dim=9):
 
 
 def rewrite_blob(path, name, cells):
-    """Set ``{index: value}`` ``cells`` of container blob ``name`` and store it with
+    """Set ``{index: value}`` ``cells`` of container array ``name`` and store it with
     a matching checksum, as a hand edit that keeps the container well-formed would."""
-    mpath = path / "manifest.json"
-    manifest = json.loads(mpath.read_text())
-    entry = manifest["blobs"][name]
-    blob = path / entry["file"]
-    array = np.frombuffer(blob.read_bytes(), dtype="<f4").reshape(entry["shape"]).copy()
+    packed = path / PACKED
+    data = bytearray(packed.read_bytes())
+    (n,) = struct.unpack_from("<Q", data, 8)
+    header = json.loads(data[16 : 16 + n])
+    (entry,) = [e for e in header["arrays"] if e["name"] == name]
+    array = np.frombuffer(data, dtype="<f4", count=entry["nbytes"] // 4,
+                          offset=16 + n + entry["offset"]).reshape(entry["shape"])
     for index, value in cells.items():
         array[index] = value
-    blob.write_bytes(array.tobytes())
-    entry["sha256"] = hashlib.sha256(array.tobytes()).hexdigest()
-    mpath.write_text(json.dumps(manifest))
+    packed.write_bytes(bytes(data))
+    sha = hashlib.sha256(data[16 + n :]).hexdigest()
+    rewrite_header(packed, lambda h: h.update(blob_sha256=sha))
 
 
 class TestFrameFeatureContainer:
@@ -56,16 +61,16 @@ class TestFrameFeatureContainer:
     def test_roundtrip(self, tmp_path, rng):
         feats = rng.standard_normal((12, 7)).astype(np.float32)
         write_frame_features(tmp_path / "c", feats, "audio", meta={"video_id": "x"})
-        got, manifest = read_frame_features(tmp_path / "c")
+        got, header = read_frame_features(tmp_path / "c")
         np.testing.assert_array_equal(got, feats)
-        assert manifest["modality"] == "audio"
-        assert manifest["meta"]["video_id"] == "x"
+        assert header["modality"] == "audio"
+        assert header["meta"]["video_id"] == "x"
 
     def test_truncated_blob_is_corruption(self, tmp_path, rng):
         feats = rng.standard_normal((12, 7)).astype(np.float32)
         write_frame_features(tmp_path / "c", feats, "audio")
-        blob = tmp_path / "c" / "features.f32"
-        blob.write_bytes(blob.read_bytes()[:-8])
+        packed = tmp_path / "c" / PACKED
+        packed.write_bytes(packed.read_bytes()[:-8])
         with pytest.raises(CorruptionError):
             read_frame_features(tmp_path / "c")
 
@@ -86,26 +91,25 @@ class TestWindowDatasetContainer:
 
     def test_truncated_blob(self, tmp_path, rng):
         write_dataset(build_dataset(rng), tmp_path / "d")
-        blob = tmp_path / "d" / "audio.f32"
-        blob.write_bytes(blob.read_bytes()[:-4])
+        packed = tmp_path / "d" / PACKED
+        packed.write_bytes(packed.read_bytes()[:-4])
         with pytest.raises(CorruptionError):
             read_dataset(tmp_path / "d")
 
     def test_flipped_bit_fails_checksum(self, tmp_path, rng):
         write_dataset(build_dataset(rng), tmp_path / "d")
-        blob = tmp_path / "d" / "video.f32"
-        data = bytearray(blob.read_bytes())
-        data[10] ^= 0xFF
-        blob.write_bytes(bytes(data))
+        packed = tmp_path / "d" / PACKED
+        data = bytearray(packed.read_bytes())
+        (n,) = struct.unpack_from("<Q", data, 8)
+        (video,) = [e for e in json.loads(data[16 : 16 + n])["arrays"] if e["name"] == "video"]
+        data[16 + n + video["offset"] + 10] ^= 0xFF
+        packed.write_bytes(bytes(data))
         with pytest.raises(CorruptionError, match="checksum"):
             read_dataset(tmp_path / "d")
 
     def test_manifest_dim_disagreement_is_schema_error(self, tmp_path, rng):
         write_dataset(build_dataset(rng), tmp_path / "d")
-        mpath = tmp_path / "d" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        manifest["video_dim"] = manifest["video_dim"] + 1
-        mpath.write_text(json.dumps(manifest))
+        rewrite_header(tmp_path / "d" / PACKED, lambda h: h.update(video_dim=h["video_dim"] + 1))
         with pytest.raises(SchemaError):
             read_dataset(tmp_path / "d")
 
@@ -298,23 +302,20 @@ class TestCoverage:
 class TestMalformedManifest:
     def test_invalid_json_is_corruption(self, tmp_path, rng):
         write_dataset(build_dataset(rng), tmp_path / "d")
-        (tmp_path / "d" / "manifest.json").write_text("{")
+        rewrite_header(tmp_path / "d" / PACKED, lambda h: b"{")
         with pytest.raises(CorruptionError, match="JSON"):
             read_dataset(tmp_path / "d")
 
     def test_non_object_manifest_is_schema_error(self, tmp_path, rng):
         write_dataset(build_dataset(rng), tmp_path / "d")
-        (tmp_path / "d" / "manifest.json").write_text("[]")
+        rewrite_header(tmp_path / "d" / PACKED, lambda h: b"[]")
         with pytest.raises(SchemaError):
             read_dataset(tmp_path / "d")
 
-    @pytest.mark.parametrize("key", ["blobs", "n_windows", "videos"])
+    @pytest.mark.parametrize("key", ["arrays", "n_windows", "videos"])
     def test_dataset_missing_key_is_schema_error(self, tmp_path, rng, key):
         write_dataset(build_dataset(rng), tmp_path / "d")
-        mpath = tmp_path / "d" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        del manifest[key]
-        mpath.write_text(json.dumps(manifest))
+        rewrite_header(tmp_path / "d" / PACKED, lambda h: h.pop(key))
         with pytest.raises(SchemaError, match=key):
             read_dataset(tmp_path / "d")
 
@@ -333,23 +334,22 @@ class TestMalformedManifest:
     )
     def test_bad_video_entry_is_schema_error(self, tmp_path, rng, video, edit):
         write_dataset(build_dataset(rng), tmp_path / "d")
-        mpath = tmp_path / "d" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        manifest["videos"][video].update(edit)
-        mpath.write_text(json.dumps(manifest))
+        rewrite_header(tmp_path / "d" / PACKED, lambda h: h["videos"][video].update(edit))
         with pytest.raises(SchemaError, match=next(iter(edit))):
             read_dataset(tmp_path / "d")
 
-    @pytest.mark.parametrize("drop", [("blobs",), ("blobs", "features")])
+    @pytest.mark.parametrize("drop", [("arrays",), ("arrays", "features")])
     def test_frame_features_missing_key_is_schema_error(self, tmp_path, rng, drop):
+        # drop the header's array index, or the index's entry for the features
         write_frame_features(tmp_path / "c", rng.standard_normal((4, 3)), "video")
-        mpath = tmp_path / "c" / "manifest.json"
-        manifest = json.loads(mpath.read_text())
-        parent = manifest
-        for key in drop[:-1]:
-            parent = parent[key]
-        del parent[drop[-1]]
-        mpath.write_text(json.dumps(manifest))
+
+        def edit(header):
+            if len(drop) == 1:
+                del header[drop[0]]
+            else:
+                header[drop[0]] = [e for e in header[drop[0]] if e["name"] != drop[1]]
+
+        rewrite_header(tmp_path / "c" / PACKED, edit)
         with pytest.raises(SchemaError, match=drop[-1]):
             read_frame_features(tmp_path / "c")
 

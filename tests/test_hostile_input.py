@@ -5,10 +5,12 @@ traceback.
 Each input kind starts from a small valid file; an example truncates it at a
 random length or XORs one random byte with a random nonzero mask, then runs
 the reader that consumes it (and, for containers and checkpoints, the
-prediction that follows).
+prediction that follows). A container's packed file is damaged either in its
+header ("manifest", the name of the file that header replaced) or in its
+arrays ("blob").
 """
 
-import os
+import struct
 import tempfile
 from pathlib import Path
 
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emofuse.audio import chunk_boundaries, extract_chunk_features, load_wav
-from emofuse.dataset import WindowDataset, read_dataset, write_dataset
+from emofuse.dataset import PACKED, WindowDataset, read_dataset, write_dataset
 from emofuse.errors import EmofuseError
 from emofuse.model import (
     FusionModel,
@@ -68,11 +70,12 @@ def originals(tmp_path_factory):
     return root
 
 
-def _mutated(data, draw):
+def _mutated(data, draw, lo, hi):
+    """``data`` truncated, or with one byte XORed, at a position in ``[lo, hi)``."""
     if draw(st.booleans()):
-        return data[: draw(st.integers(0, len(data) - 1))]
+        return data[: draw(st.integers(lo, hi - 1))]
     out = bytearray(data)
-    out[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    out[draw(st.integers(lo, hi - 1))] ^= draw(st.integers(1, 255))
     return bytes(out)
 
 
@@ -87,7 +90,7 @@ def _consume(kind, root):
     elif kind == "checkpoint":
         model, _, _ = load_checkpoint(root / "model.ckpt")
         list(predict_dataset(model, read_dataset(root / "data")))
-    else:  # a container's manifest or one of its blobs
+    else:  # the header or the blob of the container's packed file
         list(predict_dataset(FusionModel(CFG), read_dataset(root / "data")))
 
 
@@ -95,27 +98,29 @@ TARGETS = {
     "wav": "clip.wav",
     "csv": "clip.csv",
     "annotations": "clip.txt",
-    "manifest": "data/manifest.json",
-    "blob": None,  # drawn from the container's blobs
+    "manifest": f"data/{PACKED}",  # its magic, header length and JSON header
+    "blob": f"data/{PACKED}",  # the arrays after its header
     "checkpoint": "model.ckpt",
 }
 
 
 @pytest.mark.parametrize("kind", sorted(TARGETS))
 def test_mutated_input_reads_or_raises_emofuse_error(originals, kind):
-    blobs = sorted(f for f in os.listdir(originals / "data") if f.endswith(".f32"))
+    original = (originals / TARGETS[kind]).read_bytes()
+    region = (0, len(original))
+    if kind in ("manifest", "blob"):
+        header_end = 16 + struct.unpack_from("<Q", original, 8)[0]
+        region = (0, header_end) if kind == "manifest" else (header_end, len(original))
 
     @EXAMPLES
     @given(st.data())
     def check(data):
-        target = TARGETS[kind] or "data/" + data.draw(st.sampled_from(blobs))
         with tempfile.TemporaryDirectory() as work:
             work = Path(work)
-            for name in (*TARGETS.values(), *(f"data/{b}" for b in blobs)):
-                if name is not None:
-                    (work / name).parent.mkdir(exist_ok=True)
-                    (work / name).write_bytes((originals / name).read_bytes())
-            (work / target).write_bytes(_mutated((originals / target).read_bytes(), data.draw))
+            for name in set(TARGETS.values()):
+                (work / name).parent.mkdir(exist_ok=True)
+                (work / name).write_bytes((originals / name).read_bytes())
+            (work / TARGETS[kind]).write_bytes(_mutated(original, data.draw, *region))
             try:
                 _consume(kind, work)
             except EmofuseError:

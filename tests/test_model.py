@@ -843,12 +843,13 @@ class TestBatchInvariance:
 
 
 def rewrite_header(path, edit):
-    """Apply ``edit`` to a checkpoint's JSON header, leaving its blob untouched."""
+    """Apply ``edit`` to a packed file's JSON header (a checkpoint or a container's
+    file), leaving its blob untouched; bytes that ``edit`` returns replace the header."""
     data = path.read_bytes()
     (n,) = struct.unpack_from("<Q", data, 8)
     header = json.loads(data[16 : 16 + n])
-    edit(header)
-    raw = json.dumps(header).encode()
+    raw = edit(header)
+    raw = raw if isinstance(raw, bytes) else json.dumps(header).encode()
     path.write_bytes(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + n :])
 
 

@@ -1,6 +1,8 @@
 import ast
+import json
 import os
 import pathlib
+import shutil
 import tempfile
 
 import numpy as np
@@ -11,11 +13,18 @@ from hypothesis.extra import numpy as hnp
 
 import emofuse
 from emofuse import store
-from emofuse.dataset import read_dataset, read_frame_features, write_dataset, write_frame_features
+from emofuse.dataset import (
+    PACKED,
+    read_dataset,
+    read_frame_features,
+    write_dataset,
+    write_frame_features,
+)
 from emofuse.errors import CorruptionError, SchemaError
 from emofuse.model import load_checkpoint, save_checkpoint
 
 DATA = pathlib.Path(__file__).parent / "data"
+FIELDS = ("audio", "video", "labels", "start_frames", "pad_counts")
 SRC = pathlib.Path(emofuse.__file__).parent
 
 
@@ -38,18 +47,21 @@ def bits(array):
 
 
 def write_arrays(layout, directory, arrays):
-    names = [f"a{i}" for i in range(len(arrays))]
+    """Store ``arrays`` in one packed file, or each as one row of its own
+    frame_features container; return the file the arrays' bytes end in."""
     if layout == "container":
-        store.write_container(directory, {"kind": "test"}, dict(zip(names, arrays)))
-    else:
-        store.write_packed(os.path.join(directory, "x.ckpt"), {"kind": "test"},
-                           [({"name": n}, a) for n, a in zip(names, arrays)])
+        for i, array in enumerate(arrays):
+            write_frame_features(os.path.join(directory, f"c{i}"), np.reshape(array, (1, -1)), "audio")
+        return os.path.join(directory, f"c{len(arrays) - 1}", PACKED)
+    path = os.path.join(directory, "x.ckpt")
+    store.write_packed(path, {"kind": "test"}, [({"name": f"a{i}"}, a) for i, a in enumerate(arrays)])
+    return path
 
 
-def read_arrays(layout, directory):
+def read_arrays(layout, directory, shapes):
     if layout == "container":
-        manifest = store.read_manifest(directory)
-        return store.read_blobs(directory, manifest, sorted(manifest["blobs"]))
+        return [read_frame_features(os.path.join(directory, f"c{i}"))[0].reshape(shape)
+                for i, shape in enumerate(shapes)]
     return list(store.read_packed(os.path.join(directory, "x.ckpt"))[1].values())
 
 
@@ -59,7 +71,7 @@ def read_arrays(layout, directory):
 def test_arrays_round_trip_bit_exactly(layout, arrays):
     with tempfile.TemporaryDirectory() as directory:
         write_arrays(layout, directory, arrays)
-        back = read_arrays(layout, directory)
+        back = read_arrays(layout, directory, [a.shape for a in arrays])
     assert [b.shape for b in back] == [a.shape for a in arrays]
     for a, b in zip(arrays, back):
         assert b.dtype == np.float32
@@ -72,16 +84,15 @@ def test_arrays_round_trip_bit_exactly(layout, arrays):
 @given(array=stored_arrays(min_side=1), where=st.floats(0, 1, exclude_max=True))
 def test_any_flipped_blob_byte_or_truncation_is_corruption(layout, damage, array, where):
     with tempfile.TemporaryDirectory() as directory:
-        write_arrays(layout, directory, [array])
-        path = os.path.join(directory, "a0.f32" if layout == "container" else "x.ckpt")
+        path = write_arrays(layout, directory, [array])
         data = bytearray(pathlib.Path(path).read_bytes())
         if damage == "truncate":
             del data[int(where * len(data)):]
-        else:  # the packed blob is the file's tail
+        else:  # the blob is the file's tail
             data[len(data) - array.size * 4 + int(where * array.size * 4)] ^= 0x01
         pathlib.Path(path).write_bytes(bytes(data))
         with pytest.raises(CorruptionError):
-            read_arrays(layout, directory)
+            read_arrays(layout, directory, [array.shape])
 
 
 @pytest.mark.parametrize("text, error", [
@@ -158,6 +169,70 @@ def test_window_dataset_fixture_rewrites_to_its_own_bytes(tmp_path):
     assert files(tmp_path / "d") == files(DATA / "window_dataset")
 
 
+def format1_arrays(name):
+    """The arrays of format-1 fixture ``name``, read straight from its blob files."""
+    directory = DATA / f"format1_{name}"
+    manifest = json.loads((directory / "manifest.json").read_text())
+    return {k: np.fromfile(directory / e["file"], dtype="<f4").reshape(e["shape"])
+            for k, e in manifest["blobs"].items()}
+
+
+def test_format2_fixtures_hold_the_format1_fixtures_arrays():
+    features, header = read_frame_features(DATA / "frame_features")
+    assert header["format_version"] == 2
+    assert bits(features).tobytes() == bits(format1_arrays("frame_features")["features"]).tobytes()
+    dataset, old = read_dataset(DATA / "window_dataset"), format1_arrays("window_dataset")
+    assert sorted(old) == sorted(FIELDS)
+    for name in FIELDS:
+        assert bits(getattr(dataset, name)).tobytes() == bits(old[name]).tobytes(), name
+
+
+@pytest.mark.parametrize("name, read", [("frame_features", read_frame_features),
+                                        ("window_dataset", read_dataset)])
+def test_format1_container_is_refused_without_opening_a_blob(tmp_path, monkeypatch, name, read):
+    # the manifest names a blob outside the container: it must not be read
+    (tmp_path / "secret").mkdir()
+    directory = tmp_path / "old"
+    shutil.copytree(DATA / f"format1_{name}", directory)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    for entry in manifest["blobs"].values():
+        shutil.move(directory / entry["file"], tmp_path / "secret" / entry["file"])
+        entry["file"] = f"../secret/{entry['file']}"
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    opened, real_open = [], open
+    monkeypatch.setattr("builtins.open", lambda f, *a, **k: opened.append(f) or real_open(f, *a, **k))
+    for path in (directory, DATA / f"format1_{name}"):
+        with pytest.raises(SchemaError, match="format-1 container.*rerun the command that wrote it"):
+            read(path)
+    assert opened == []
+
+
+def test_failed_container_write_keeps_the_previous_container(tmp_path, monkeypatch):
+    write_dataset(read_dataset(DATA / "window_dataset"), tmp_path / "d")
+    good = files(tmp_path / "d")
+    changed = read_dataset(DATA / "window_dataset")
+    changed.audio = changed.audio + 1
+    monkeypatch.setattr(store, "open", lambda *a: HalfWrite(open(*a)), raising=False)
+    with pytest.raises(OSError):
+        write_dataset(changed, tmp_path / "d")
+    monkeypatch.undo()
+    assert files(tmp_path / "d") == good
+    assert bits(read_dataset(tmp_path / "d").audio).tobytes() == bits(
+        read_dataset(DATA / "window_dataset").audio).tobytes()
+
+
+def test_kinds_do_not_cross():
+    with pytest.raises(SchemaError, match="not an emofuse checkpoint"):
+        load_checkpoint(DATA / "window_dataset" / PACKED)
+    with tempfile.TemporaryDirectory() as directory:
+        shutil.copy(DATA / "format2_gru.ckpt", os.path.join(directory, PACKED))
+        for read, kind in ((read_dataset, "window_dataset"), (read_frame_features, "frame_features")):
+            with pytest.raises(SchemaError, match=f"not a {kind} container"):
+                read(directory)
+    with pytest.raises(SchemaError, match="not a window_dataset container"):
+        read_dataset(DATA / "frame_features")
+
+
 def format_decisions(path):
     """Names of the byte-format modules ``path`` imports and of the os calls it makes."""
     found = set()
@@ -171,17 +246,23 @@ def format_decisions(path):
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
             if node.value.id == "os":
                 found.add(f"os.{node.attr}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+            if not isinstance(mode, ast.Constant) or ("b" in mode.value and set("wax+") & set(mode.value)):
+                found.add("open for a binary write")
     return found
 
 
 def test_only_the_store_decides_artefact_bytes():
-    """Hashing, JSON and atomic replacement live in store.py alone; dataset, model
-    and cli also leave struct and contextlib to it (audio.py reads WAV headers with struct)."""
-    banned = {"hashlib", "json", "os.replace", "os.fsync"}
+    """Hashing, JSON, binary writes and atomic replacement live in store.py alone; dataset,
+    model and cli also leave struct and contextlib to it (audio.py reads WAV headers with
+    struct). An ``open`` whose mode is not a literal counts as a binary write."""
+    banned = {"hashlib", "json", "os.replace", "os.fsync", "open for a binary write"}
     modules = sorted(p for p in SRC.rglob("*.py") if p.name != "store.py")
     assert len(modules) > 10
     offenders = {p.name: sorted(format_decisions(p) & banned) for p in modules}
     assert {k: v for k, v in offenders.items() if v} == {}
     for name in ("dataset.py", "model.py", "cli.py"):
         assert not format_decisions(SRC / name) & {"struct", "contextlib"}, name
-    assert {"hashlib", "json", "os.replace", "os.fsync"} <= format_decisions(SRC / "store.py")
+    assert banned <= format_decisions(SRC / "store.py")

@@ -264,6 +264,22 @@ class TestParseOpenfaceCsv:
         with pytest.raises(SchemaError, match=rf"of\.csv: column '{name}' appears twice"):
             parse_openface_csv(path, small_selection)
 
+    def test_non_finite_last_row_is_named_without_a_second_loadtxt(self, tmp_path,
+                                                                     small_selection, monkeypatch):
+        # the loadtxt pass read every row, so the walk need not read any row again
+        header = ["frame", "success", "pose_Rx", "pose_Ry", "AU01_r"]
+        rows = [[i + 1, 1, 0.5, 0.25, 0.125] for i in range(1500)]
+        rows[-1][3] = "nan"
+        path = tmp_path / "of.csv"
+        write_csv(path, header, rows)
+        calls = []
+        loadtxt = video._loadtxt
+        monkeypatch.setattr(video, "_loadtxt", lambda lines: calls.append(1) or loadtxt(lines))
+        with pytest.raises(ParseError) as info:
+            parse_openface_csv(path, small_selection)
+        assert str(info.value) == f"{path}: row 1501, column 'pose_Ry': non-finite value 'nan'"
+        assert len(calls) == 1
+
     def test_clean_csv_takes_the_c_parser(self, tmp_path, rng, monkeypatch):
         features = openface_header_enumeration()
         header = list(META_COLUMNS) + features
