@@ -27,7 +27,7 @@ from .dataset import (
     write_dataset,
     write_frame_features,
 )
-from .errors import DomainError, EmofuseError, ParseError, schema_fields
+from .errors import DomainError, EmofuseError, ParseError, SchemaError, schema_fields
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
 from .model import load_checkpoint, predict_dataset
 from .sequencing import parse_annotations
@@ -156,9 +156,10 @@ def cmd_build_dataset(args) -> int:
             else os.path.join(args.annotations, vid + ".txt")
         )
         track = parse_annotations(ann_path, video_id=vid)
-        audio_feats, audio_manifest = read_frame_features(audio_dir, modality="audio")
-        video_feats, video_manifest = read_frame_features(video_dir, modality="video")
-        return track, audio_feats, video_feats, audio_manifest, video_manifest
+        audio_feats, audio_header = read_frame_features(audio_dir, modality="audio")
+        video_feats, video_header = read_frame_features(video_dir, modality="video")
+        return (track, audio_feats, video_feats,
+                (audio_dir, audio_header, "dsp", {}), (video_dir, video_header, "columns", []))
 
     if args.jobs > 1 and len(triples) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -166,10 +167,14 @@ def cmd_build_dataset(args) -> int:
     else:
         results = [assemble(t) for t in triples]
 
-    meta = {
-        "dsp": results[0][3].get("meta", {}).get("dsp", {}),
-        "columns": results[0][4].get("meta", {}).get("columns", []),
-    }
+    meta = {}  # every video's audio dsp and video columns must be the first video's
+    for path, header, key, default in (m for r in results for m in r[3:]):
+        value = header.get("meta", {})
+        if not isinstance(value, dict):
+            raise SchemaError(f"{path}: meta is not a JSON object")
+        value = value.get(key, default)
+        if meta.setdefault(key, value) != value:
+            raise SchemaError(f"{path}: meta.{key} differs from the first video's")
     dataset = WindowDataset.from_videos(
         [r[:3] for r in results], window_len=args.window, stride=args.stride, meta=meta
     )

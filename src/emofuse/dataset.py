@@ -23,13 +23,21 @@ from .sequencing import (
     remap_label,
     window_starts,
 )
-from .store import read_packed, write_packed
+from .store import read_packed, require_arrays, write_packed
 
 FORMAT_VERSION = 2  # 1 stored manifest.json plus one blob file per field
 PACKED = "container.pack"
 
 
+def _refuse_format_1(path):
+    """Raise SchemaError if ``path`` holds a format-1 ``manifest.json``, read or written over."""
+    if os.path.exists(os.path.join(path, "manifest.json")):
+        raise SchemaError(f"{path}: a format-1 container (manifest.json and blob files), "
+                          "no longer read; remove it and rerun the command that wrote it")
+
+
 def _write_container(path, header: dict, arrays: dict[str, np.ndarray]):
+    _refuse_format_1(path)
     os.makedirs(path, exist_ok=True)
     write_packed(os.path.join(path, PACKED), {**header, "format_version": FORMAT_VERSION},
                  [({"name": name}, array) for name, array in arrays.items()])
@@ -37,11 +45,9 @@ def _write_container(path, header: dict, arrays: dict[str, np.ndarray]):
 
 def _read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
     """A ``kind`` container's header and its arrays by name."""
+    _refuse_format_1(path)
     packed = os.path.join(path, PACKED)
     if not os.path.exists(packed):
-        if os.path.exists(os.path.join(path, "manifest.json")):
-            raise SchemaError(f"{path}: a format-1 container (manifest.json and blob files), "
-                              "no longer read; rerun the command that wrote it")
         raise SchemaError(f"{path}: no {PACKED}; not a container")
     header, arrays = read_packed(packed)
     if header.get("kind") != kind:
@@ -80,13 +86,8 @@ def read_frame_features(path, modality: str | None = None) -> tuple[np.ndarray, 
             f"{path}: holds {header.get('modality')!r} features, expected {modality!r}"
         )
     with schema_fields(path):
-        features = arrays["features"]
-        if features.shape != (header["count"], header["dim"]):
-            raise SchemaError(
-                f"{path}: header says {header['count']}x{header['dim']}, "
-                f"array is {features.shape}"
-            )
-    return features, header
+        require_arrays(path, arrays, {"features": (header["count"], header["dim"])})
+    return arrays["features"], header
 
 
 # --------------------------------------------------------------------------
@@ -280,21 +281,15 @@ def _count(path, video: dict, key: str, minimum: int) -> int:
 def read_dataset(path) -> WindowDataset:
     header, arrays = _read_container(path, "window_dataset")
     with schema_fields(path):
-        audio, video, labels, start_frames, pad_counts = (arrays[name] for name in _FIELDS)
-
         w, length = header["n_windows"], header["window_len"]
-        checks = [
-            (audio.shape[0] == w and audio.shape[1] == length, "audio"),
-            (audio.shape[2] == header["audio_dim"], "audio_dim"),
-            (video.shape[0] == w and video.shape[1] == length, "video"),
-            (video.shape[2] == header["video_dim"], "video_dim"),
-            (labels.shape == (w, length), "labels"),
-            (start_frames.shape == (w,), "start_frames"),
-            (pad_counts.shape == (w,), "pad_counts"),
-        ]
-        for ok, what in checks:
-            if not ok:
-                raise SchemaError(f"{path}: array {what!r} disagrees with header dims")
+        require_arrays(path, arrays, {
+            "audio": (w, length, header["audio_dim"]),
+            "video": (w, length, header["video_dim"]),
+            "labels": (w, length),
+            "start_frames": (w,),
+            "pad_counts": (w,),
+        })
+        audio, video, labels, start_frames, pad_counts = (arrays[name] for name in _FIELDS)
         videos, ids = [], set()
         next_offset = 0  # each video's windows directly follow the previous video's
         for v in header["videos"]:

@@ -23,7 +23,7 @@ from .errors import DivergenceError, SchemaError, ShapeError, schema_fields
 from .nn.layers import BatchNorm, Dense, Dropout, PReLU, softmax, softmax_cross_entropy
 from .nn.optim import RmsProp
 from .nn.recurrent import Gru, Lstm
-from .store import read_packed, write_packed
+from .store import read_packed, require_arrays, write_packed
 
 MODES = ("fused", "audio_only", "video_only")
 RECURRENT_KINDS = ("gru", "lstm")
@@ -337,31 +337,12 @@ def load_checkpoint(path) -> tuple[FusionModel, RmsProp | None, dict]:
         return _model_from_header(path, header, arrays)
 
 
-def _stack_gates(loaded: dict[str, np.ndarray], model: FusionModel) -> dict[str, np.ndarray]:
-    """A format-1 checkpoint's arrays under format-2 names. Format 1 stored each
-    recurrent cell's params, and their RMSProp accumulators, per gate
-    (``video.rnn1.Wz``, ``optimizer.video.rnn1.Wz``, ...); each complete group
-    is stacked in gate order where its first gate stood (``video.rnn1.W``)."""
-    groups = {}  # first per-gate name -> the group's names in gate order
-    for layer in model._layers:
-        if isinstance(layer, (Gru, Lstm)):
-            for prefix in ("", "optimizer."):
-                for kind in "WUb":
-                    name = f"{prefix}{layer.name}.{kind}"
-                    groups[name + layer.GATES[0]] = [name + g for g in layer.GATES]
-    per_gate = {n for names in groups.values() for n in names}
-    out = {}
-    for name, arr in loaded.items():
-        if name in groups and all(n in loaded for n in groups[name]):
-            out[name[:-1]] = np.concatenate([loaded[n] for n in groups[name]])
-        elif name not in per_gate:
-            out[name] = arr
-    return out
-
-
 def _model_from_header(path, header: dict, arrays: dict) -> tuple[FusionModel, RmsProp | None, dict]:
     version = header["format_version"]
-    if version not in (1, FORMAT_VERSION):
+    if version == 1:
+        raise SchemaError(f"{path}: a format-1 checkpoint (per-gate arrays), no longer read; "
+                          "train again")
+    if version != FORMAT_VERSION:
         raise SchemaError(f"{path}: unsupported checkpoint format_version {version!r}")
 
     cfg_dict = dict(header["config"])
@@ -369,22 +350,8 @@ def _model_from_header(path, header: dict, arrays: dict) -> tuple[FusionModel, R
     cfg_dict["video_hidden"] = tuple(cfg_dict["video_hidden"])
     model = FusionModel.__new__(FusionModel)
     model._build(ModelConfig(**cfg_dict), None)  # no initial draws: every weight is loaded
-
-    # each array still shares the file's buffer: copied once, below
-    loaded = {name: arr.astype(model.dtype, copy=False) for name, arr in arrays.items()}
-    if version == 1:
-        loaded = _stack_gates(loaded, model)
-
-    for name, arr in {**model.parameters(), **model.buffers()}.items():
-        if name not in loaded:
-            raise SchemaError(f"{path}: checkpoint missing {name}")
-        if loaded[name].shape != arr.shape:
-            raise SchemaError(f"{path}: {name} shape mismatch")
-        arr[...] = loaded[name]
-
-    stats_keys = ("stats.audio_mean", "stats.audio_std", "stats.video_mean", "stats.video_std")
-    if all(k in loaded for k in stats_keys):
-        model.feature_stats = FeatureStats(*(loaded[k].copy() for k in stats_keys))
+    params = model.parameters()
+    state = {**params, **model.buffers()}
 
     optimizer = None
     if header.get("optimizer"):
@@ -393,8 +360,24 @@ def _model_from_header(path, header: dict, arrays: dict) -> tuple[FusionModel, R
             raise SchemaError(f"{path}: optimizer learning_rate, rho, eps {hyper} "
                               "are not all finite numbers")
         optimizer = RmsProp(*hyper)
-        prefix = "optimizer."
-        optimizer.load_state(
-            {k[len(prefix) :]: v for k, v in loaded.items() if k.startswith(prefix)}
-        )
+
+    # params and buffers always; the accumulators and the stats each whole or not at all
+    shapes = {name: arr.shape for name, arr in state.items()}
+    if optimizer is not None and any(name.startswith("optimizer.") for name in arrays):
+        shapes.update({f"optimizer.{name}": arr.shape for name, arr in params.items()})
+    dims = {"audio": model.config.audio_dim, "video": model.config.video_dim}
+    stats = {f"stats.{b}_{k}": (dim,) for k in ("mean", "std") for b, dim in dims.items()}
+    if any(name.startswith("stats.") for name in arrays):
+        shapes.update(stats)
+    require_arrays(path, arrays, shapes)
+
+    # each array still shares the file's buffer: copied once, below
+    loaded = {name: arr.astype(model.dtype, copy=False) for name, arr in arrays.items()}
+    for name, arr in state.items():
+        arr[...] = loaded[name]
+    if stats.keys() <= loaded.keys():
+        model.feature_stats = FeatureStats(**{n[len("stats.") :]: loaded[n].copy() for n in stats})
+    if optimizer is not None:
+        optimizer.load_state({n[len("optimizer.") :]: a for n, a in loaded.items()
+                              if n.startswith("optimizer.")})
     return model, optimizer, header.get("meta", {})

@@ -111,3 +111,16 @@ def read_packed(path) -> tuple[dict, dict[str, np.ndarray]]:
                 raise CorruptionError(f"{path}: array {name} extends past blob")
             arrays[name] = np.frombuffer(blob[lo : lo + n], dtype="<f4").reshape(entry["shape"])
     return header, arrays
+
+
+def require_arrays(path, arrays: dict[str, np.ndarray], shapes: dict[str, tuple]):
+    """Raise SchemaError unless ``arrays`` holds exactly the names in ``shapes``,
+    each at its shape; the error names the first offending array in name order."""
+    for name in sorted(arrays.keys() | shapes.keys()):
+        if name not in shapes:
+            raise SchemaError(f"{path}: unexpected array {name}")
+        if name not in arrays:
+            raise SchemaError(f"{path}: missing array {name}")
+        if arrays[name].shape != tuple(shapes[name]):
+            raise SchemaError(f"{path}: array {name} has shape {list(arrays[name].shape)}, "
+                              f"expected {list(shapes[name])}")

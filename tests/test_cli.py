@@ -25,7 +25,7 @@ from emofuse.sequencing import AnnotationTrack
 from emofuse.video import META_COLUMNS, default_selection
 
 from conftest import wav_bytes
-from test_model import rewrite_header
+from test_model import DAMAGED_CHECKPOINTS, rewrite_header
 
 
 def one_error_line(capsys, category):
@@ -300,15 +300,17 @@ class TestBuildDataset:
         assert one_error_line(capsys, "parse")
 
 
-def build_from_arrays(root, videos, swap=False):
+def build_from_arrays(root, videos, swap=False, meta=None):
     """Run build-dataset over frame_features containers made from
-    ``{video_id: (audio, video)}``; ``swap`` exchanges --audio and --video."""
+    ``{video_id: (audio, video)}``, with header meta ``meta[video_id, modality]``
+    if given; ``swap`` exchanges --audio and --video."""
     dirs = {name: root / name for name in ("ann", "audio", "video")}
     dirs["ann"].mkdir()
+    meta = meta or {}
     for vid, (audio, video) in videos.items():
         (dirs["ann"] / f"{vid}.txt").write_text("0\n" * len(audio))
-        write_frame_features(dirs["audio"] / vid, audio, "audio")
-        write_frame_features(dirs["video"] / vid, video, "video")
+        write_frame_features(dirs["audio"] / vid, audio, "audio", meta.get((vid, "audio")))
+        write_frame_features(dirs["video"] / vid, video, "video", meta.get((vid, "video")))
     audio_dir, video_dir = (dirs["video"], dirs["audio"]) if swap else (dirs["audio"], dirs["video"])
     return main(["build-dataset", "--audio", str(audio_dir), "--video", str(video_dir),
                  "--annotations", str(dirs["ann"]), "--out", str(root / "d"), "--jobs", "1"])
@@ -333,6 +335,23 @@ class TestMalformedBuildInputs:
         err = capsys.readouterr().err
         assert rc == 1 and len(err.splitlines()) == 1
         assert err.startswith("error: domain: video 'clip': non-finite video feature at frame 13")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("modality, first, second, message", [
+        ("audio", {}, [1], "meta is not a JSON object"),
+        ("audio", {"dsp": {"n_fft": 2048}}, {"dsp": {"n_fft": 1024}},
+         "meta.dsp differs from the first video's"),
+        ("video", {"columns": ["AU01_r"]}, {"columns": ["AU02_r"]},
+         "meta.columns differs from the first video's"),
+    ], ids=["non_object_meta", "mixed_dsp", "mixed_columns"])
+    def test_meta_is_schema_error(self, tmp_path, capsys, rng, modality, first, second, message):
+        videos = {v: (rng.standard_normal((4, 6)), rng.standard_normal((4, 3))) for v in "ab"}
+        rc = build_from_arrays(tmp_path, videos, meta={("a", modality): first,
+                                                       ("b", modality): second})
+        err = capsys.readouterr().err
+        assert rc == 1 and len(err.splitlines()) == 1
+        assert err.startswith("error: schema: ")
+        assert err.endswith(f"{os.path.join(tmp_path, modality, 'b')}: {message}\n")
         assert not (tmp_path / "d").exists()
 
     def test_swapped_modalities_is_schema_error(self, tmp_path, capsys, rng):
@@ -633,6 +652,34 @@ class TestUnusableOut:
         assert rc == 1
         assert one_error_line(capsys, "file")
         assert out.read_text() == "keep\n"
+
+
+@pytest.fixture(scope="module")
+def standardized_run(tiny_training):
+    """A one-epoch standardized run: its checkpoint holds feature stats and RMSProp accumulators."""
+    out = tiny_training["root"] / "standardized"
+    ds = str(tiny_training["dataset"])
+    assert main(["train", "--train", ds, "--val", ds, "--epochs", "1", "--patience", "0",
+                 "--standardize", "--out", str(out)]) == 0
+    return out / "checkpoint.ckpt"
+
+
+class TestDamagedCheckpointCli:
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_CHECKPOINTS))
+    def test_is_one_schema_error_line(self, tiny_training, standardized_run, tmp_path, capsys,
+                                      command, damage):
+        ckpt, ds, out = tmp_path / "damaged.ckpt", str(tiny_training["dataset"]), tmp_path / "out"
+        ckpt.write_bytes(standardized_run.read_bytes())
+        rewrite_header(ckpt, DAMAGED_CHECKPOINTS[damage][0])
+        if command == "evaluate":
+            rc = main(["evaluate", "--checkpoint", str(ckpt), "--dataset", ds, "--out", str(out)])
+        else:
+            rc = main(["train", "--train", ds, "--val", ds, "--epochs", "2", "--patience", "0",
+                       "--standardize", "--resume", str(ckpt), "--out", str(out)])
+        assert rc == 1
+        assert one_error_line(capsys, "schema")
+        assert not out.exists()
 
 
 class TestEvaluateCli:

@@ -5,9 +5,10 @@ traceback.
 Each input kind starts from a small valid file; an example truncates it at a
 random length or XORs one random byte with a random nonzero mask, then runs
 the reader that consumes it (and, for containers and checkpoints, the
-prediction that follows). A container's packed file is damaged either in its
-header ("manifest", the name of the file that header replaced) or in its
-arrays ("blob").
+prediction that follows; a checkpoint, which carries feature stats and RMSProp
+state, then trains one step with its loaded optimizer). A container's packed
+file is damaged either in its header ("manifest", the name of the file that
+header replaced) or in its arrays ("blob").
 """
 
 import struct
@@ -23,8 +24,10 @@ from emofuse.audio import chunk_boundaries, extract_chunk_features, load_wav
 from emofuse.dataset import PACKED, WindowDataset, read_dataset, write_dataset
 from emofuse.errors import EmofuseError
 from emofuse.model import (
+    FeatureStats,
     FusionModel,
     ModelConfig,
+    RmsProp,
     load_checkpoint,
     predict_dataset,
     save_checkpoint,
@@ -66,8 +69,18 @@ def originals(tmp_path_factory):
     (root / "clip.csv").write_text(_csv_text())
     (root / "clip.txt").write_text("Neutral,Anger\n0\n-1\n3\n6\n")
     write_dataset(_container(rng), root / "data")
-    save_checkpoint(root / "model.ckpt", FusionModel(CFG))
+    model, optimizer = FusionModel(CFG), RmsProp()
+    model.feature_stats = FeatureStats(rng.random(CFG.audio_dim), rng.random(CFG.audio_dim) + 0.5,
+                                       rng.random(CFG.video_dim), rng.random(CFG.video_dim) + 0.5)
+    model.train_step(*_batch(read_dataset(root / "data")), optimizer)
+    save_checkpoint(root / "model.ckpt", model, optimizer)
     return root
+
+
+def _batch(dataset):
+    """The first two windows of ``dataset`` as a ``train_step`` batch."""
+    return (dataset.audio[:2], dataset.video[:2], dataset.labels[:2],
+            np.ones(dataset.labels[:2].shape))
 
 
 def _mutated(data, draw, lo, hi):
@@ -88,8 +101,10 @@ def _consume(kind, root):
     elif kind == "annotations":
         parse_annotations(root / "clip.txt")
     elif kind == "checkpoint":
-        model, _, _ = load_checkpoint(root / "model.ckpt")
-        list(predict_dataset(model, read_dataset(root / "data")))
+        model, optimizer, _ = load_checkpoint(root / "model.ckpt")
+        dataset = read_dataset(root / "data")
+        list(predict_dataset(model, dataset))
+        model.train_step(*_batch(dataset), optimizer)
     else:  # the header or the blob of the container's packed file
         list(predict_dataset(FusionModel(CFG), read_dataset(root / "data")))
 

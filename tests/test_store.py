@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -205,6 +206,33 @@ def test_format1_container_is_refused_without_opening_a_blob(tmp_path, monkeypat
         with pytest.raises(SchemaError, match="format-1 container.*rerun the command that wrote it"):
             read(path)
     assert opened == []
+
+
+@pytest.mark.parametrize("name", ["frame_features", "window_dataset"])
+def test_format1_container_is_not_written_over(tmp_path, name):
+    directory = tmp_path / "old"
+    shutil.copytree(DATA / f"format1_{name}", directory)
+    before = files(directory)
+    with pytest.raises(SchemaError, match="format-1 container.*remove it and rerun the command"):
+        if name == "frame_features":
+            write_frame_features(directory, np.zeros((2, 3)), "audio")
+        else:
+            write_dataset(read_dataset(DATA / "window_dataset"), directory)
+    assert files(directory) == before
+
+
+# format2_{gru,lstm}.ckpt hold the format-1 checkpoints as loaded and saved again by
+# code that read format 1, and format1_forward.npz the format-1 code's outputs; no
+# code here can rebuild them, so a changed byte is a lost oracle
+ORACLES = {
+    "format2_gru.ckpt": "d0b0b1ab57f058c6a4ebf3145e8907045e5944321c7ac6abf564b2a674f55b4c",
+    "format2_lstm.ckpt": "3177eed7af07cf81098cbc71bff8e0a2263f97a519a5bf62fe4df24f61d022b3",
+    "format1_forward.npz": "5e06dc1fcc7f5db82a55ecdaf49e94ac5496b7d392cd54ef79728a86df73949d",
+}
+
+
+def test_oracle_fixtures_keep_their_bytes():
+    assert {n: hashlib.sha256((DATA / n).read_bytes()).hexdigest() for n in ORACLES} == ORACLES
 
 
 def test_failed_container_write_keeps_the_previous_container(tmp_path, monkeypatch):
