@@ -4,6 +4,8 @@ Every error carries a short machine-parsable ``category`` string; the CLI
 prints ``error: <category>: <message>`` and exits nonzero.
 """
 
+import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -90,6 +92,12 @@ def schema_fields(where):
         yield
     except (LookupError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: missing or malformed field {exc}") from None
+
+
+def require_number(name, value, ok, domain, kind=numbers.Real):
+    """Raise SchemaError unless ``value`` is a finite ``kind``, not a bool, and ``ok(value)``."""
+    if isinstance(value, bool) or not isinstance(value, kind) or not (math.isfinite(value) and ok(value)):
+        raise SchemaError(f"{name} must be {domain}, got {value!r}")
 
 
 @contextmanager

@@ -12,14 +12,14 @@ Single-modality variants keep one branch and a dense(64->64) head input;
 
 from __future__ import annotations
 
-import math
+import numbers
 import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dataset import WindowDataset, window_rows
-from .errors import DivergenceError, SchemaError, ShapeError, schema_fields
+from .errors import DivergenceError, DomainError, SchemaError, ShapeError, require_number, schema_fields
 from .nn.layers import BatchNorm, Dense, Dropout, PReLU, softmax, softmax_cross_entropy
 from .nn.optim import RmsProp
 from .nn.recurrent import Gru, Lstm
@@ -53,8 +53,14 @@ class ModelConfig:
             raise SchemaError(f"unknown mode {self.mode!r}")
         if self.recurrent not in RECURRENT_KINDS:
             raise SchemaError(f"unknown recurrent kind {self.recurrent!r}")
-        if self.seed < 0:
-            raise SchemaError(f"seed must be >= 0, got {self.seed}")
+        if self.dtype not in ("float32", "float64"):
+            raise SchemaError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        require_number("seed", self.seed, lambda v: v >= 0, "an integer >= 0", numbers.Integral)
+        require_number("dropout", self.dropout, lambda v: 0 <= v < 1, "a number in [0, 1)")
+        require_number("bn_momentum", self.bn_momentum, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+        info = np.finfo(self.dtype)  # BatchNorm adds eps at this dtype: it must not round to 0 or inf
+        require_number("bn_eps", self.bn_eps, lambda v: float(info.tiny) <= v <= float(info.max),
+                       f"a positive normal {self.dtype} number")
 
 
 @dataclass
@@ -346,20 +352,17 @@ def _model_from_header(path, header: dict, arrays: dict) -> tuple[FusionModel, R
         raise SchemaError(f"{path}: unsupported checkpoint format_version {version!r}")
 
     cfg_dict = dict(header["config"])
-    cfg_dict["audio_hidden"] = tuple(cfg_dict["audio_hidden"])
-    cfg_dict["video_hidden"] = tuple(cfg_dict["video_hidden"])
+    cfg_dict.update({k: tuple(cfg_dict[k]) for k in ("audio_hidden", "video_hidden")})
+    hyper = header.get("optimizer")
+    try:  # a header value meets the rule its flag meets, and the error names the file
+        config = ModelConfig(**cfg_dict)
+        optimizer = RmsProp(*(hyper[k] for k in ("learning_rate", "rho", "eps"))) if hyper else None
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     model = FusionModel.__new__(FusionModel)
-    model._build(ModelConfig(**cfg_dict), None)  # no initial draws: every weight is loaded
+    model._build(config, None)  # no initial draws: every weight is loaded
     params = model.parameters()
     state = {**params, **model.buffers()}
-
-    optimizer = None
-    if header.get("optimizer"):
-        hyper = [header["optimizer"][k] for k in ("learning_rate", "rho", "eps")]
-        if not all(type(v) in (int, float) and math.isfinite(v) for v in hyper):
-            raise SchemaError(f"{path}: optimizer learning_rate, rho, eps {hyper} "
-                              "are not all finite numbers")
-        optimizer = RmsProp(*hyper)
 
     # params and buffers always; the accumulators and the stats each whole or not at all
     shapes = {name: arr.shape for name, arr in state.items()}
@@ -371,8 +374,14 @@ def _model_from_header(path, header: dict, arrays: dict) -> tuple[FusionModel, R
         shapes.update(stats)
     require_arrays(path, arrays, shapes)
 
-    # each array still shares the file's buffer: copied once, below
-    loaded = {name: arr.astype(model.dtype, copy=False) for name, arr in arrays.items()}
+    loaded = {}  # each array still shares the file's buffer: checked here, copied once below
+    for name, arr in arrays.items():
+        lo, hi = arr.min(initial=0), arr.max(initial=0)  # NaN if any value is; no temporaries
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise DomainError(f"{path}: array {name} holds a non-finite value")
+        if lo < 0 and (name.startswith("optimizer.") or name.endswith((".running_var", "_std"))):
+            raise DomainError(f"{path}: array {name} holds a negative value")  # of a square's mean
+        loaded[name] = arr.astype(model.dtype, copy=False)
     for name, arr in state.items():
         arr[...] = loaded[name]
     if stats.keys() <= loaded.keys():

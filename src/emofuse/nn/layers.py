@@ -116,8 +116,6 @@ class Dropout(Layer):
 
     def __init__(self, rate, name="dropout"):
         super().__init__(name)
-        if not 0.0 <= rate < 1.0:
-            raise ShapeError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
     def forward(self, x, training=False, rng=None):

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import require_number
+
 
 class RmsProp:
     """acc <- rho*acc + (1-rho)*g^2 ; p <- p - lr * g / sqrt(acc + eps)."""
 
     def __init__(self, learning_rate=1e-4, rho=0.9, eps=1e-7):
+        require_number("learning_rate", learning_rate, lambda v: v > 0, "a finite number > 0")
+        require_number("rho", rho, lambda v: 0 <= v < 1, "a number in [0, 1)")
+        require_number("eps", eps, lambda v: v > 0, "a finite number > 0")
         self.learning_rate = learning_rate
         self.rho = rho
         self.eps = eps

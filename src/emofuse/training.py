@@ -8,7 +8,6 @@ uninterrupted trajectory.
 from __future__ import annotations
 
 import logging
-import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 
@@ -49,10 +48,8 @@ class TrainConfig:
             raise SchemaError("epochs must be >= 1")
         if self.batch_size < 1:
             raise SchemaError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise SchemaError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.seed < 0:
-            raise SchemaError(f"seed must be >= 0, got {self.seed}")
+        RmsProp(self.learning_rate)  # the types that own these rules, which a checkpoint meets too
+        ModelConfig(mode=self.mode, recurrent=self.recurrent, seed=self.seed)
 
 
 _RESUME_MAY_CHANGE = ("epochs", "early_stop_patience")  # the rest must match the saved run

@@ -1,9 +1,8 @@
 """OpenFace FeatureExtraction CSV ingest.
 
-One CSV row per video frame. The columns to keep are listed in an editable
-manifest (one name per line, '#' comments); the parser validates the width
-it produced against the manifest's expected dimension rather than trusting a
-hard-coded number, since OpenFace builds differ in emitted columns.
+One CSV row per video frame. The columns to keep are listed by name in an
+editable manifest (one per line, '#' comments), since OpenFace builds differ in
+emitted columns; the parser finds each name in the CSV header.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ META_COLUMNS = ("frame", "face_id", "timestamp", "confidence", "success")
 @dataclass(frozen=True)
 class ColumnSelection:
     include_columns: tuple[str, ...]
-    expected_dim: int
 
     def __post_init__(self):
         if len(set(self.include_columns)) != len(self.include_columns):
@@ -35,11 +33,6 @@ class ColumnSelection:
                 {c for c in self.include_columns if self.include_columns.count(c) > 1}
             )
             raise SchemaError(f"duplicate columns in selection: {dupes}")
-        if self.expected_dim != len(self.include_columns):
-            raise SchemaError(
-                f"expected_dim {self.expected_dim} != "
-                f"{len(self.include_columns)} selected columns"
-            )
 
 
 @dataclass(frozen=True)
@@ -60,7 +53,7 @@ def load_column_manifest(path) -> ColumnSelection:
                 names.append(line)
     if not names:
         raise SchemaError(f"{path}: column manifest is empty")
-    return ColumnSelection(include_columns=tuple(names), expected_dim=len(names))
+    return ColumnSelection(include_columns=tuple(names))
 
 
 def default_selection() -> ColumnSelection:

@@ -25,7 +25,14 @@ from emofuse.sequencing import AnnotationTrack
 from emofuse.video import META_COLUMNS, default_selection
 
 from conftest import wav_bytes
-from test_model import DAMAGED_CHECKPOINTS, rewrite_header
+from test_model import (
+    DAMAGED_CHECKPOINTS,
+    HEADER_IDS,
+    REFUSED_ARRAY_VALUES,
+    REFUSED_HEADER_VALUES,
+    rewrite_header,
+    set_array_value,
+)
 
 
 def one_error_line(capsys, category):
@@ -565,34 +572,36 @@ class TestTrainCli:
         assert one_error_line(capsys, "schema")
         assert not out.exists()
 
-    @pytest.mark.parametrize("video_dim, optimizer, meta, category, message", [
-        pytest.param(3, None, None, "schema", "no optimizer state",
+    @pytest.mark.parametrize("video_dim, optimizer, meta, edit, category, message", [
+        pytest.param(3, None, None, None, "schema", "no optimizer state",
                      id="3-None-schema-no optimizer state"),
-        pytest.param(4, RmsProp(), None, "shape",
+        pytest.param(4, RmsProp(), None, None, "shape",
                      "checkpoint feature dims (168, 4) differ from the training set's (168, 3)",
                      id="4-optimizer1-shape-checkpoint feature dims (168, 4) differ from the "
                         "training set's (168, 3)"),
-        pytest.param(3, RmsProp(), [1], "schema", "meta.progress is not a JSON object",
+        pytest.param(3, RmsProp(), [1], None, "schema", "meta.progress is not a JSON object",
                      id="meta_list"),
-        pytest.param(3, RmsProp(), {"progress": [1]}, "schema",
+        pytest.param(3, RmsProp(), {"progress": [1]}, None, "schema",
                      "meta.progress is not a JSON object", id="progress_list"),
-        pytest.param(3, RmsProp(), {"progress": {"epoch_completed": "x"}}, "schema",
+        pytest.param(3, RmsProp(), {"progress": {"epoch_completed": "x"}}, None, "schema",
                      "malformed field", id="epoch_completed_text"),
-        pytest.param(3, RmsProp(), {"progress": {"history": [{"epoch": 1}]}}, "schema",
+        pytest.param(3, RmsProp(), {"progress": {"history": [{"epoch": 1}]}}, None, "schema",
                      "malformed field 'train_loss'", id="history_entry_missing_keys"),
-        pytest.param(3, RmsProp(learning_rate="x"), None, "schema", "not all finite numbers",
-                     id="learning_rate_text"),
-        pytest.param(3, RmsProp(rho=float("nan")), None, "schema", "not all finite numbers",
-                     id="rho_nan"),
-        pytest.param(3, RmsProp(eps=float("inf")), None, "schema", "not all finite numbers",
-                     id="eps_inf"),
+        pytest.param(3, RmsProp(), None, {"learning_rate": "x"}, "schema",
+                     "learning_rate must be a finite number > 0, got 'x'", id="learning_rate_text"),
+        pytest.param(3, RmsProp(), None, {"rho": float("nan")}, "schema",
+                     "rho must be a number in [0, 1), got nan", id="rho_nan"),
+        pytest.param(3, RmsProp(), None, {"eps": float("inf")}, "schema",
+                     "eps must be a finite number > 0, got inf", id="eps_inf"),
     ])
     def test_unusable_resume_checkpoint_leaves_no_out(
-        self, tiny_training, tmp_path, capsys, video_dim, optimizer, meta, category, message
+        self, tiny_training, tmp_path, capsys, video_dim, optimizer, meta, edit, category, message
     ):
         ckpt = tmp_path / "state.ckpt"
         save_checkpoint(ckpt, FusionModel(ModelConfig(video_dim=video_dim)), optimizer=optimizer,
                         meta=meta)
+        if edit is not None:  # optimizer hyperparameters that RmsProp refuses to hold
+            rewrite_header(ckpt, lambda h: h["optimizer"].update(edit))
         ds, out = str(tiny_training["dataset"]), tmp_path / "run"
         rc = main(["train", "--train", ds, "--val", ds, "--epochs", "2", "--resume", str(ckpt),
                    "--out", str(out)])
@@ -665,20 +674,57 @@ def standardized_run(tiny_training):
 
 
 class TestDamagedCheckpointCli:
-    @pytest.mark.parametrize("command", ["evaluate", "resume"])
-    @pytest.mark.parametrize("damage", sorted(DAMAGED_CHECKPOINTS))
-    def test_is_one_schema_error_line(self, tiny_training, standardized_run, tmp_path, capsys,
-                                      command, damage):
+    @staticmethod
+    def run(command, source, edit, tiny_training, tmp_path):
+        """``command`` on a copy of ``source`` that ``edit(path)`` damaged; its exit
+        code and its ``--out``, which should not exist."""
         ckpt, ds, out = tmp_path / "damaged.ckpt", str(tiny_training["dataset"]), tmp_path / "out"
-        ckpt.write_bytes(standardized_run.read_bytes())
-        rewrite_header(ckpt, DAMAGED_CHECKPOINTS[damage][0])
+        ckpt.write_bytes(source.read_bytes())
+        edit(ckpt)
         if command == "evaluate":
             rc = main(["evaluate", "--checkpoint", str(ckpt), "--dataset", ds, "--out", str(out)])
         else:
             rc = main(["train", "--train", ds, "--val", ds, "--epochs", "2", "--patience", "0",
                        "--standardize", "--resume", str(ckpt), "--out", str(out)])
+        return rc, out
+
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_CHECKPOINTS))
+    def test_is_one_schema_error_line(self, tiny_training, standardized_run, tmp_path, capsys,
+                                      command, damage):
+        edit = DAMAGED_CHECKPOINTS[damage][0]
+        rc, out = self.run(command, standardized_run, lambda p: rewrite_header(p, edit),
+                           tiny_training, tmp_path)
         assert rc == 1
         assert one_error_line(capsys, "schema")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    @pytest.mark.parametrize("section, key, value", REFUSED_HEADER_VALUES, ids=HEADER_IDS)
+    def test_header_value_outside_its_domain_is_one_schema_error_line(
+        self, tiny_training, standardized_run, tmp_path, capsys, command, section, key, value
+    ):
+        rc, out = self.run(command, standardized_run,
+                           lambda p: rewrite_header(p, lambda h: h[section].update({key: value})),
+                           tiny_training, tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: schema: {tmp_path / 'damaged.ckpt'}: "
+                                                   f"{key} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    @pytest.mark.parametrize("damage", sorted(REFUSED_ARRAY_VALUES))
+    def test_array_value_outside_its_domain_is_one_domain_error_line(
+        self, tiny_training, standardized_run, tmp_path, capsys, command, damage
+    ):
+        name, value = REFUSED_ARRAY_VALUES[damage]
+        rc, out = self.run(command, standardized_run, lambda p: set_array_value(p, name, value),
+                           tiny_training, tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: domain: {tmp_path / 'damaged.ckpt'}: "
+                                                   f"array {name} holds a")
         assert not out.exists()
 
 

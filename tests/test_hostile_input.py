@@ -1,6 +1,6 @@
-"""Property: a truncated or byte-flipped input either still reads or raises an
-EmofuseError, so the CLI ends in one ``error: <category>:`` line, never a
-traceback.
+"""Property: a damaged input either still reads or raises an EmofuseError, so
+the CLI ends in one ``error: <category>:`` line, never a traceback; and a
+container or checkpoint that still reads predicts finite probabilities.
 
 Each input kind starts from a small valid file; an example truncates it at a
 random length or XORs one random byte with a random nonzero mask, then runs
@@ -8,9 +8,14 @@ the reader that consumes it (and, for containers and checkpoints, the
 prediction that follows; a checkpoint, which carries feature stats and RMSProp
 state, then trains one step with its loaded optimizer). A container's packed
 file is damaged either in its header ("manifest", the name of the file that
-header replaced) or in its arrays ("blob").
+header replaced) or in its arrays ("blob"). The "*_header" kinds instead
+replace one number in a packed file's JSON header with an edge value, which
+the checksum over the arrays cannot catch.
 """
 
+import functools
+import math
+import operator
 import struct
 import tempfile
 from pathlib import Path
@@ -36,10 +41,13 @@ from emofuse.sequencing import AnnotationTrack, parse_annotations
 from emofuse.video import ColumnSelection, parse_openface_csv
 
 from conftest import wav_bytes
+from test_model import rewrite_header
 
 CFG = ModelConfig(audio_dim=3, video_dim=4, audio_hidden=(4, 3), video_hidden=(4, 3),
                   head_hidden=4, window_len=5)
-SELECTION = ColumnSelection(include_columns=("AU01_r", "AU02_r", "pose_Rx"), expected_dim=3)
+SELECTION = ColumnSelection(include_columns=("AU01_r", "AU02_r", "pose_Rx"))
+# a float where an int belongs: the number itself, written as a float
+EDGE_VALUES = [0, -1, 9.9, 1e308, math.nan, math.inf, "as float"]
 EXAMPLES = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
@@ -92,6 +100,27 @@ def _mutated(data, draw, lo, hi):
     return bytes(out)
 
 
+def _numbers(value, at=()):
+    """The key path to every number in a parsed JSON value."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return [path for key, item in items for path in _numbers(item, (*at, key))]
+    return [at] if type(value) in (int, float) else []
+
+
+def _set_edge_value(header, draw):
+    """Replace one number in ``header`` with a drawn edge value."""
+    *at, key = draw(st.sampled_from(_numbers(header)))
+    parent = functools.reduce(operator.getitem, at, header)
+    value = draw(st.sampled_from(EDGE_VALUES))
+    parent[key] = float(parent[key]) if value == "as float" else value
+
+
+def _finite_predictions(model, dataset):
+    for _, _, probs, _ in predict_dataset(model, dataset):
+        assert np.isfinite(probs).all()
+
+
 def _consume(kind, root):
     if kind == "wav":
         signal = load_wav(root / "clip.wav")
@@ -100,13 +129,14 @@ def _consume(kind, root):
         parse_openface_csv(root / "clip.csv", SELECTION)
     elif kind == "annotations":
         parse_annotations(root / "clip.txt")
-    elif kind == "checkpoint":
+    elif kind.startswith("checkpoint"):
         model, optimizer, _ = load_checkpoint(root / "model.ckpt")
         dataset = read_dataset(root / "data")
-        list(predict_dataset(model, dataset))
-        model.train_step(*_batch(dataset), optimizer)
+        _finite_predictions(model, dataset)
+        with np.errstate(all="ignore"):  # a valid learning_rate of 1e308 overflows the step
+            model.train_step(*_batch(dataset), optimizer)
     else:  # the header or the blob of the container's packed file
-        list(predict_dataset(FusionModel(CFG), read_dataset(root / "data")))
+        _finite_predictions(FusionModel(CFG), read_dataset(root / "data"))
 
 
 TARGETS = {
@@ -116,6 +146,8 @@ TARGETS = {
     "manifest": f"data/{PACKED}",  # its magic, header length and JSON header
     "blob": f"data/{PACKED}",  # the arrays after its header
     "checkpoint": "model.ckpt",
+    "checkpoint_header": "model.ckpt",
+    "container_header": f"data/{PACKED}",
 }
 
 
@@ -135,7 +167,10 @@ def test_mutated_input_reads_or_raises_emofuse_error(originals, kind):
             for name in set(TARGETS.values()):
                 (work / name).parent.mkdir(exist_ok=True)
                 (work / name).write_bytes((originals / name).read_bytes())
-            (work / TARGETS[kind]).write_bytes(_mutated(original, data.draw, *region))
+            if kind.endswith("_header"):
+                rewrite_header(work / TARGETS[kind], lambda h: _set_edge_value(h, data.draw))
+            else:
+                (work / TARGETS[kind]).write_bytes(_mutated(original, data.draw, *region))
             try:
                 _consume(kind, work)
             except EmofuseError:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emofuse.dataset import VideoEntry, WindowDataset
-from emofuse.errors import CorruptionError, DivergenceError, SchemaError, ShapeError
+from emofuse.errors import CorruptionError, DivergenceError, DomainError, SchemaError, ShapeError
 from emofuse.model import (
     INFER_WINDOWS,
     FeatureStats,
@@ -22,6 +23,7 @@ from emofuse.model import (
 )
 from emofuse.nn.layers import softmax, softmax_cross_entropy
 from emofuse.sequencing import AnnotationTrack, remap_label
+from emofuse.store import read_packed, write_packed
 from emofuse.video import default_selection
 
 from oracles import frame_scores_direct, max_rel_err
@@ -154,7 +156,9 @@ class TestTrainStep:
         model = FusionModel(TINY)
         before = {k: v.copy() for k, v in model.parameters().items()}
         audio, video, labels, mask = random_batch(rng, TINY)
-        model.train_step(audio, video, labels, mask, RmsProp(learning_rate=0.0), seed=0)
+        opt = RmsProp()
+        opt.learning_rate = 0.0  # below RmsProp's domain, which refuses it at construction
+        model.train_step(audio, video, labels, mask, opt, seed=0)
         for k, v in model.parameters().items():
             np.testing.assert_array_equal(v, before[k])
 
@@ -223,6 +227,18 @@ class TestTrainStep:
 def test_negative_seed_is_schema_error():
     with pytest.raises(SchemaError, match="seed"):
         ModelConfig(seed=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dtype", "int32"), ("dtype", "float16"), ("seed", 1.5), ("seed", True),
+    ("dropout", 1.0), ("dropout", -0.1), ("dropout", float("nan")),
+    ("bn_momentum", 2.0), ("bn_momentum", -0.5), ("bn_momentum", float("inf")),
+    ("bn_eps", 0.0), ("bn_eps", -1.0), ("bn_eps", float("nan")), ("bn_eps", 1e39),
+])
+def test_config_value_outside_its_domain_is_schema_error(field, value):
+    # bn_eps 1e39 is finite as a float64 but overflows the default float32
+    with pytest.raises(SchemaError, match=f"^{field} must be"):
+        ModelConfig(**{field: value})
 
 
 class TestVariants:
@@ -887,6 +903,39 @@ DAMAGED_CHECKPOINTS = {
 }
 
 
+def set_array_value(path, name, value):
+    """Rewrite the packed file at ``path`` with the first value of array ``name``
+    set to ``value``, under a checksum that matches."""
+    header, arrays = read_packed(path)
+    del header["blob_sha256"]
+    kinds = {e["name"]: e["kind"] for e in header.pop("arrays")}
+    arrays = {n: np.array(a) for n, a in arrays.items()}
+    arrays[name].flat[0] = value
+    write_packed(path, header, [({"name": n, "kind": kinds[n]}, a) for n, a in arrays.items()])
+
+
+# header values outside the domain of the type that holds them: (section, key, value)
+REFUSED_HEADER_VALUES = [
+    ("config", "dtype", "int32"), ("config", "dtype", "float16"),
+    ("config", "bn_eps", -1.0), ("config", "bn_eps", 0.0), ("config", "bn_eps", float("nan")),
+    ("config", "bn_momentum", 2.0), ("config", "bn_momentum", -0.5),
+    ("config", "dropout", 1.5), ("config", "seed", 1.5), ("config", "seed", -1),
+    ("optimizer", "learning_rate", -1.0), ("optimizer", "learning_rate", 0.0),
+    ("optimizer", "learning_rate", float("nan")),
+    ("optimizer", "rho", 9.9), ("optimizer", "rho", 1.0), ("optimizer", "rho", -0.1),
+    ("optimizer", "eps", 0.0), ("optimizer", "eps", -1.0),
+]
+HEADER_IDS = [f"{section}.{key}={value}" for section, key, value in REFUSED_HEADER_VALUES]
+# stored array values outside their domain: (array, value)
+REFUSED_ARRAY_VALUES = {
+    "nan_weight": ("head.dense2.W", float("nan")),
+    "negative_running_var": ("audio.bn1.running_var", -1.0),
+    "negative_video_std": ("stats.video_std", -1.0),
+    "negative_accumulator": ("optimizer.audio.rnn1.W", -1.0),
+    "nan_accumulator": ("optimizer.audio.rnn1.W", float("nan")),
+}
+
+
 class TestMalformedCheckpoint:
     @pytest.fixture
     def ckpt(self, tmp_path):
@@ -911,6 +960,20 @@ class TestMalformedCheckpoint:
         edit, message = DAMAGED_CHECKPOINTS[damage]
         rewrite_header(trained, edit)
         with pytest.raises(SchemaError, match=message):
+            load_checkpoint(trained)
+
+    @pytest.mark.parametrize("section, key, value", REFUSED_HEADER_VALUES, ids=HEADER_IDS)
+    def test_header_value_outside_its_domain_is_schema_error(self, trained, section, key, value):
+        rewrite_header(trained, lambda h: h[section].update({key: value}))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(trained))}: {key} must be"):
+            load_checkpoint(trained)
+
+    @pytest.mark.parametrize("damage", sorted(REFUSED_ARRAY_VALUES))
+    def test_array_value_outside_its_domain_is_domain_error(self, trained, damage):
+        name, value = REFUSED_ARRAY_VALUES[damage]
+        set_array_value(trained, name, value)
+        with pytest.raises(DomainError, match=f"^{re.escape(str(trained))}: array {name} holds a "
+                                              f"{'non-finite' if np.isnan(value) else 'negative'}"):
             load_checkpoint(trained)
 
     @pytest.mark.parametrize("buffer", ["running_mean", "running_var"])

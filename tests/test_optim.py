@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from emofuse.errors import SchemaError
 from emofuse.nn.optim import RmsProp
 
 from conftest import float_values
@@ -60,6 +61,17 @@ class TestRmsProp:
         clone = RmsProp()
         clone.load_state(opt.state_arrays())
         np.testing.assert_array_equal(clone.acc["w"], opt.acc["w"])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")), ("learning_rate", "x"), ("learning_rate", True),
+    ("rho", 1.0), ("rho", -0.1), ("rho", 9.9), ("rho", float("nan")),
+    ("eps", 0.0), ("eps", -1.0), ("eps", float("inf")),
+])
+def test_hyperparameter_outside_its_domain_is_schema_error(field, value):
+    with pytest.raises(SchemaError, match=f"^{field} must be"):
+        RmsProp(**{field: value})
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -137,6 +137,13 @@ class TestRunTraining:
         with pytest.raises(SchemaError, match=field):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, message", [
+        ("mode", "unknown mode 'x'"), ("recurrent", "unknown recurrent kind 'x'"),
+    ])
+    def test_config_refuses_what_the_model_refuses(self, field, message):
+        with pytest.raises(SchemaError, match=message):
+            TrainConfig(**{field: "x"})
+
     @pytest.mark.parametrize("field", ["window_len", "stride"])
     def test_config_has_no_window_fields(self, field):
         # the window length comes from the dataset; a config field would do nothing

@@ -46,7 +46,7 @@ def write_csv(path, columns, rows):
 
 @pytest.fixture
 def small_selection():
-    return ColumnSelection(("pose_Rx", "pose_Ry", "AU01_r"), 3)
+    return ColumnSelection(("pose_Rx", "pose_Ry", "AU01_r"))
 
 
 class TestDefaultSelection:
@@ -56,13 +56,13 @@ class TestDefaultSelection:
 
     def test_expected_dim_consistent(self):
         sel = default_selection()
-        assert sel.expected_dim == len(sel.include_columns) == 709
+        assert len(sel.include_columns) == 709
         # the extractor's full row adds the five bookkeeping columns
-        assert sel.expected_dim + len(META_COLUMNS) == 714
+        assert len(sel.include_columns) + len(META_COLUMNS) == 714
 
     def test_duplicate_free(self):
         sel = default_selection()
-        assert len(set(sel.include_columns)) == sel.expected_dim
+        assert len(set(sel.include_columns)) == len(sel.include_columns)
 
     def test_names_follow_openface_conventions(self):
         patterns = [
@@ -82,18 +82,13 @@ class TestDefaultSelection:
 class TestColumnSelection:
     def test_duplicates_rejected(self):
         with pytest.raises(SchemaError):
-            ColumnSelection(("a", "b", "a"), 3)
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(SchemaError):
-            ColumnSelection(("a", "b"), 3)
+            ColumnSelection(("a", "b", "a"))
 
     def test_manifest_loader_skips_comments(self, tmp_path):
         p = tmp_path / "cols.txt"
         p.write_text("# comment\npose_Rx\n\npose_Ry  # inline\n")
         sel = load_column_manifest(p)
         assert sel.include_columns == ("pose_Rx", "pose_Ry")
-        assert sel.expected_dim == 2
 
     def test_manifest_byte_order_mark_is_not_part_of_a_name(self, tmp_path):
         p = tmp_path / "cols.txt"
@@ -106,7 +101,7 @@ class TestParseOpenfaceCsv:
         # a selection of 714 columns: all features plus the metadata five
         features = openface_header_enumeration()
         header = list(META_COLUMNS) + features
-        sel = ColumnSelection(tuple(header), 714)
+        sel = ColumnSelection(tuple(header))
         rows = []
         for i in range(3):
             rows.append([i + 1, 0, i * 0.033, 0.98, 1] + list(rng.random(len(features))))
@@ -134,7 +129,7 @@ class TestParseOpenfaceCsv:
         path = tmp_path / "of.csv"
         write_csv(path, ["frame", "pose_Rx"], [[1, 0.5]])
         with pytest.raises(SchemaError, match="AU99_r"):
-            parse_openface_csv(path, ColumnSelection(("pose_Rx", "AU99_r"), 2))
+            parse_openface_csv(path, ColumnSelection(("pose_Rx", "AU99_r")))
 
     def test_non_numeric_cell_reports_row_and_column(self, tmp_path, small_selection):
         path = tmp_path / "of.csv"
@@ -305,7 +300,7 @@ FLOAT_ONLY = ["1_0", '"3.5"']  # text float() reads and numpy does not
 HOSTILE = ["nan", "inf", "-Infinity", "1e300", "", "x"]
 SEPARATOR = "\x1c1"  # numpy strips \x1c around a number as whitespace; float() refuses it
 HEADER = ("frame", "face_id", "confidence", "success", "pose_Rx", "pose_Ry", "AU01_r")
-SELECTION = ColumnSelection(("pose_Rx", "pose_Ry", "AU01_r"), 3)
+SELECTION = ColumnSelection(("pose_Rx", "pose_Ry", "AU01_r"))
 # per kind of file: the cells to draw from, the success flags, the row shapes
 KINDS = {
     "plain": (PLAIN, ["1", "1", "0"], ["row"] * 8 + ["blank"]),
