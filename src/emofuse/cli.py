@@ -230,7 +230,7 @@ def cmd_train(args) -> int:
         return 1
     print(
         f"trained {config.mode} ({config.recurrent}) for {len(report.records)} epochs; "
-        f"best val combined {report.best_metric:.4f} at epoch {report.best_epoch}"
+        f"best val combined {report.best.val_combined:.4f} at epoch {report.best.epoch}"
     )
     return 0
 

@@ -9,12 +9,13 @@ one array entry per field. This module owns their schemas. Integer fields
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, CoverageError, DomainError, SchemaError, schema_fields
+from .errors import AlignmentError, CoverageError, DomainError, SchemaError, require_number, schema_fields
 from .sequencing import (
     N_CLASSES,
     WINDOW_LEN,
@@ -282,6 +283,9 @@ def read_dataset(path) -> WindowDataset:
     header, arrays = _read_container(path, "window_dataset")
     with schema_fields(path):
         w, length = header["n_windows"], header["window_len"]
+        # the rule window_starts holds the stride that cut the windows to
+        require_number(f"{path}: stride", header["stride"], lambda v: v >= 1, "an integer >= 1",
+                       numbers.Integral)
         require_arrays(path, arrays, {
             "audio": (w, length, header["audio_dim"]),
             "video": (w, length, header["video_dim"]),

@@ -4,8 +4,8 @@ Every error carries a short machine-parsable ``category`` string; the CLI
 prints ``error: <category>: <message>`` and exits nonzero.
 """
 
-import math
 import numbers
+import sys
 from contextlib import contextmanager
 
 
@@ -95,8 +95,9 @@ def schema_fields(where):
 
 
 def require_number(name, value, ok, domain, kind=numbers.Real):
-    """Raise SchemaError unless ``value`` is a finite ``kind``, not a bool, and ``ok(value)``."""
-    if isinstance(value, bool) or not isinstance(value, kind) or not (math.isfinite(value) and ok(value)):
+    """Raise SchemaError unless ``value`` is a ``kind`` in float range, not a bool, and ``ok(value)``."""
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not (abs(value) <= sys.float_info.max and ok(value))):
         raise SchemaError(f"{name} must be {domain}, got {value!r}")
 
 

@@ -8,13 +8,14 @@ uninterrupted trajectory.
 from __future__ import annotations
 
 import logging
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .dataset import WindowDataset, window_rows
-from .errors import DivergenceError, DomainError, SchemaError, ShapeError, schema_fields
+from .errors import DivergenceError, DomainError, SchemaError, ShapeError, require_number, schema_fields
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
 from .model import (
     STD_FLOOR,
@@ -67,20 +68,24 @@ class EpochRecord:
 @dataclass
 class TrainReport:
     records: list[EpochRecord] = field(default_factory=list)
-    best_epoch: int = -1
-    best_metric: float = -np.inf
     stopped_early: bool = False
     diverged: bool = False
     earlier: list[EpochRecord] = field(default_factory=list)  # run before a resume; in summary()
+
+    @property
+    def best(self) -> EpochRecord | None:
+        """The first epoch with the highest validation score, resumed epochs included."""
+        return max(self.earlier + self.records, key=lambda r: r.val_combined, default=None)
 
     def history(self) -> list[dict]:
         return [asdict(r) for r in self.earlier + self.records]
 
     def summary(self) -> dict:
+        best = self.best
         return {
             "epochs_run": len(self.earlier) + len(self.records),
-            "best_epoch": self.best_epoch,
-            "best_metric": self.best_metric if np.isfinite(self.best_metric) else None,
+            "best_epoch": best.epoch if best else -1,
+            "best_metric": best.val_combined if best else None,
             "stopped_early": self.stopped_early,
             "diverged": self.diverged,
             "history": self.history(),
@@ -124,6 +129,25 @@ def dataset_metrics(model: FusionModel, dataset: WindowDataset, w_f1: float, w_a
     return evaluate(np.concatenate(preds), np.concatenate(truths), w_f1=w_f1, w_acc=w_acc)
 
 
+def _saved_history(path, meta) -> list[EpochRecord]:
+    """A state checkpoint's ``meta.progress.history``: entry k is epoch k + 1, with a finite
+    train_loss >= 0 and scores in [0, 1] (the default weights keep the combined score there).
+    Other progress keys, which older checkpoints carry, are ignored."""
+    progress = meta.get("progress", {}) if isinstance(meta, dict) else None
+    if not isinstance(progress, dict):
+        raise SchemaError(f"{path}: checkpoint meta.progress is not a JSON object")
+    names = [f.name for f in fields(EpochRecord)]
+    with schema_fields(path):
+        rows = [[r[name] for name in names] for r in progress.get("history", [])]
+    for k, (epoch, loss, *scores) in enumerate(rows):
+        at = f"{path}: meta.progress.history[{k}]"
+        require_number(f"{at}: epoch", epoch, lambda e: e == k + 1, f"{k + 1}", numbers.Integral)
+        require_number(f"{at}: train_loss", loss, lambda v: v >= 0, "a finite number >= 0")
+        for name, score in zip(names[2:], scores):
+            require_number(f"{at}: {name}", score, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+    return [EpochRecord(epoch, *map(float, rest)) for epoch, *rest in rows]
+
+
 def _epoch_seed(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng([seed, epoch])
 
@@ -144,7 +168,7 @@ def run_training(
     """Train a model on the container, validating each epoch.
 
     ``state_path`` receives the full resumable state (model + optimizer +
-    progress) after every epoch; ``best_path`` the best-validation-metric
+    epoch history) after every epoch; ``best_path`` the best-validation-metric
     model so far. ``resume_from`` continues a run saved via ``state_path``;
     ``config`` may differ from that run's only in ``epochs`` and
     ``early_stop_patience``.
@@ -159,24 +183,11 @@ def run_training(
     n = train_set.n_windows
 
     report = TrainReport()
-    start_epoch = 0
-    epochs_since_improve = 0
-
     if resume_from is not None:
         model, optimizer, meta = load_checkpoint(resume_from)
         if optimizer is None:
             raise SchemaError(f"{resume_from}: checkpoint has no optimizer state, cannot resume")
-        progress = meta.get("progress", {}) if isinstance(meta, dict) else None
-        if not isinstance(progress, dict):
-            raise SchemaError(f"{resume_from}: checkpoint meta.progress is not a JSON object")
-        with schema_fields(resume_from):
-            start_epoch = int(progress.get("epoch_completed", 0))
-            report.best_metric = float(progress.get("best_metric", -np.inf))
-            report.best_epoch = int(progress.get("best_epoch", -1))
-            epochs_since_improve = int(progress.get("epochs_since_improve", 0))
-            metrics = [f.name for f in fields(EpochRecord)][1:]
-            report.earlier = [EpochRecord(int(r["epoch"]), *(float(r[k]) for k in metrics))
-                              for r in progress.get("history", [])]
+        report.earlier = _saved_history(resume_from, meta)
         dims = (model.config.audio_dim, model.config.video_dim)
         if dims != (train_set.audio_dim, train_set.video_dim):
             raise ShapeError(f"{resume_from}: checkpoint feature dims {dims} differ from the "
@@ -206,7 +217,7 @@ def run_training(
         if path is not None:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
 
-    for epoch in range(start_epoch, config.epochs):
+    for epoch in range(len(report.earlier), config.epochs):
         perm = _epoch_seed(config.seed, epoch).permutation(n)
         losses = []
         try:
@@ -229,47 +240,22 @@ def run_training(
             break
 
         val = dataset_metrics(model, val_set, DEFAULT_W_F1, DEFAULT_W_ACC)
-        combined = val.combined if val.combined is not None else 0.0
-        record = EpochRecord(
-            epoch=epoch + 1,
-            train_loss=float(np.mean(losses)),
-            val_combined=combined,
-            val_accuracy=val.accuracy if val.accuracy is not None else 0.0,
-            val_macro_f1=val.macro_f1 if val.macro_f1 is not None else 0.0,
-        )
+        scores = (val.combined, val.accuracy, val.macro_f1) if val.n_evaluated else (0.0,) * 3
+        record = EpochRecord(epoch + 1, float(np.mean(losses)), *scores)
         report.records.append(record)
         logger.info(
             "epoch %d: train_loss=%.4f val_combined=%.4f",
             record.epoch, record.train_loss, record.val_combined,
         )
 
-        if combined > report.best_metric:
-            report.best_metric = combined
-            report.best_epoch = epoch + 1
-            epochs_since_improve = 0
-            if best_path is not None:
-                save_checkpoint(best_path, model, meta={"train_config": asdict(config)})
-        else:
-            epochs_since_improve += 1
+        best = report.best  # a later epoch that only ties the best does not replace it
+        if best is record and best_path is not None:
+            save_checkpoint(best_path, model, meta={"train_config": asdict(config)})
+        if state_path is not None:  # the history is the run's only progress record
+            save_checkpoint(state_path, model, optimizer=optimizer, meta={
+                "train_config": asdict(config), "progress": {"history": report.history()}})
 
-        if state_path is not None:
-            save_checkpoint(
-                state_path,
-                model,
-                optimizer=optimizer,
-                meta={
-                    "train_config": asdict(config),
-                    "progress": {
-                        "epoch_completed": epoch + 1,
-                        "best_metric": report.best_metric,
-                        "best_epoch": report.best_epoch,
-                        "epochs_since_improve": epochs_since_improve,
-                        "history": report.history(),
-                    },
-                },
-            )
-
-        if config.early_stop_patience > 0 and epochs_since_improve >= config.early_stop_patience:
+        if config.early_stop_patience > 0 and epoch + 1 - best.epoch >= config.early_stop_patience:
             report.stopped_early = True
             break
 

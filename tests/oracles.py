@@ -4,9 +4,9 @@ Everything here is deliberately slow and literal: direct O(n^2) DFT and
 DCT sums, scalar-loop filterbank construction, central finite differences,
 GRU/LSTM recurrences evaluated one unit at a time, Fraction-exact
 metric counting, a window-by-window cut with explicit padding, a
-frame-by-frame average of window predictions and a per-cell OpenFace CSV
-reader. None of it shares transform code with the package, except
-``from_videos_concat``: the container
+frame-by-frame average of window predictions, a per-cell OpenFace CSV
+reader and the epoch loop's best-epoch and early-stop counters. None of it
+shares transform code with the package, except ``from_videos_concat``: the container
 builder's earlier gather-then-concatenate form, which reuses the package's
 start, label and row helpers because it pins only how gathered rows are laid
 out.
@@ -441,6 +441,30 @@ def rmsprop_out_of_place(params, grads, acc, learning_rate, rho, eps):
         a = rho * a + (1.0 - rho) * (g * g)
         acc[name] = a
         p -= (learning_rate * g / np.sqrt(a + eps)).astype(p.dtype)
+
+
+def counter_loop(scores, epochs, patience, saved=(0, -math.inf, -1, 0)):
+    """The epoch loop's best-epoch and early-stop bookkeeping kept as counters, the
+    form it had when a state checkpoint stored them beside its history.
+
+    ``scores[e]`` is epoch e + 1's validation score; ``saved`` holds the counters a
+    resumed run restores: (epoch_completed, best_metric, best_epoch,
+    epochs_since_improve). Returns the counters after the run, the epochs that
+    rewrote the best checkpoint, and whether the run stopped early.
+    """
+    completed, best_metric, best_epoch, since = saved
+    rewrote, stopped = [], False
+    for epoch in range(completed, epochs):
+        if scores[epoch] > best_metric:
+            best_metric, best_epoch, since = scores[epoch], epoch + 1, 0
+            rewrote.append(epoch + 1)
+        else:
+            since += 1
+        completed = epoch + 1
+        if patience > 0 and since >= patience:
+            stopped = True
+            break
+    return (completed, best_metric, best_epoch, since), rewrote, stopped
 
 
 def assert_same_bits(new, old):

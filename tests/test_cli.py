@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -583,8 +584,10 @@ class TestTrainCli:
                      id="meta_list"),
         pytest.param(3, RmsProp(), {"progress": [1]}, None, "schema",
                      "meta.progress is not a JSON object", id="progress_list"),
-        pytest.param(3, RmsProp(), {"progress": {"epoch_completed": "x"}}, None, "schema",
-                     "malformed field", id="epoch_completed_text"),
+        pytest.param(3, RmsProp(), {"progress": {"history": [{
+            "epoch": "1", "train_loss": 1.0, "val_combined": 0.5, "val_accuracy": 0.5,
+            "val_macro_f1": 0.5}]}}, None, "schema",
+            "meta.progress.history[0]: epoch must be 1, got '1'", id="history_epoch_text"),
         pytest.param(3, RmsProp(), {"progress": {"history": [{"epoch": 1}]}}, None, "schema",
                      "malformed field 'train_loss'", id="history_entry_missing_keys"),
         pytest.param(3, RmsProp(), None, {"learning_rate": "x"}, "schema",
@@ -673,6 +676,22 @@ def standardized_run(tiny_training):
     return out / "checkpoint.ckpt"
 
 
+# edits of a one-epoch run's meta.progress.history, and the end of the error each gives
+BAD_HISTORIES = {
+    "gap": (lambda h: h[0].update(epoch=2), "[0]: epoch must be 1, got 2"),
+    "repeated_epoch": (lambda h: h.append(dict(h[0])), "[1]: epoch must be 2, got 1"),
+    "float_epoch": (lambda h: h[0].update(epoch=1.0), "[0]: epoch must be 1, got 1.0"),
+    "nan_metric": (lambda h: h[0].update(val_macro_f1=math.nan),
+                   "[0]: val_macro_f1 must be a number in [0, 1], got nan"),
+    "combined_above_one": (lambda h: h[0].update(val_combined=1.5),
+                           "[0]: val_combined must be a number in [0, 1], got 1.5"),
+    "negative_loss": (lambda h: h[0].update(train_loss=-0.5),
+                      "[0]: train_loss must be a finite number >= 0, got -0.5"),
+    "epoch_past_float_range": (lambda h: h[0].update(epoch=10**400),
+                               f"[0]: epoch must be 1, got {10**400}"),
+}
+
+
 class TestDamagedCheckpointCli:
     @staticmethod
     def run(command, source, edit, tiny_training, tmp_path):
@@ -712,6 +731,34 @@ class TestDamagedCheckpointCli:
         assert len(err) == 1 and err[0].startswith(f"error: schema: {tmp_path / 'damaged.ckpt'}: "
                                                    f"{key} must be")
         assert not out.exists()
+
+    @pytest.mark.parametrize("damage", sorted(BAD_HISTORIES))
+    def test_bad_history_is_one_schema_error_line(self, tiny_training, standardized_run, tmp_path,
+                                                  capsys, damage):
+        edit, message = BAD_HISTORIES[damage]
+        rc, out = self.run("resume", standardized_run, lambda p: rewrite_header(
+            p, lambda h: edit(h["meta"]["progress"]["history"])), tiny_training, tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: schema: {tmp_path / 'damaged.ckpt'}: meta.progress.history{message}"]
+        assert not out.exists()
+
+    def test_old_progress_keys_change_nothing(self, tiny_training, standardized_run, tmp_path):
+        """A checkpoint from before the history became the only progress record also
+        carries four values derived from it; edited or not, a resume ignores them."""
+        (first,) = load_checkpoint(standardized_run)[2]["progress"]["history"]
+        old = {"epoch_completed": 1, "best_metric": first["val_combined"], "best_epoch": 1,
+               "epochs_since_improve": 0}
+        outs = {}
+        for name, keys in {"history_only": {}, "old": old,
+                           "epoch_completed": {**old, "epoch_completed": -3},
+                           "best_metric": {**old, "best_metric": math.nan}}.items():
+            (tmp_path / name).mkdir()
+            rc, out = self.run("resume", standardized_run, lambda p: rewrite_header(
+                p, lambda h: h["meta"]["progress"].update(keys)), tiny_training, tmp_path / name)
+            assert rc == 0
+            outs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert outs["history_only"] == outs["old"] == outs["epoch_completed"] == outs["best_metric"]
 
     @pytest.mark.parametrize("command", ["evaluate", "resume"])
     @pytest.mark.parametrize("damage", sorted(REFUSED_ARRAY_VALUES))
@@ -957,6 +1004,19 @@ class TestMalformedEvaluateInputs:
         assert len(err) == 1 and err[0].startswith("error: schema:")
         assert err[0].endswith("data: video_id 'same' appears twice")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stride", [math.nan, -1, 0, 9.9, 1.5, True])
+    def test_stride_not_a_positive_integer_is_schema_error(self, tiny_training, untrained,
+                                                           tmp_path, capsys, stride):
+        import shutil
+
+        broken, out = tmp_path / "broken", tmp_path / "out"
+        shutil.copytree(tiny_training["dataset"], broken)
+        rewrite_header(broken / PACKED, lambda h: h.update(stride=stride))
+        assert self.run_evaluate(untrained, broken, out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: schema: {broken}: stride must be an integer >= 1, got {stride!r}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "video_id", ["../../escaped", "..", ".", "", ".hidden", "a/b", "a\\b", 7],

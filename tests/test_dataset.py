@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import struct
 import tempfile
@@ -337,6 +338,20 @@ class TestMalformedManifest:
         rewrite_header(tmp_path / "d" / PACKED, lambda h: h["videos"][video].update(edit))
         with pytest.raises(SchemaError, match=next(iter(edit))):
             read_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("stride", [math.nan, -1, 0, 9.9, 1.5, True])
+    def test_stride_not_a_positive_integer_is_schema_error(self, tmp_path, rng, stride):
+        # the rule window_starts holds the stride that cut the windows to
+        write_dataset(build_dataset(rng), tmp_path / "d")
+        rewrite_header(tmp_path / "d" / PACKED, lambda h: h.update(stride=stride))
+        with pytest.raises(SchemaError, match=r"d: stride must be an integer >= 1, got "):
+            read_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("stride", [1, 20])
+    def test_any_positive_integer_stride_reads(self, tmp_path, rng, stride):
+        write_dataset(build_dataset(rng), tmp_path / "d")
+        rewrite_header(tmp_path / "d" / PACKED, lambda h: h.update(stride=stride))
+        assert read_dataset(tmp_path / "d").stride == stride
 
     @pytest.mark.parametrize("drop", [("arrays",), ("arrays", "features")])
     def test_frame_features_missing_key_is_schema_error(self, tmp_path, rng, drop):

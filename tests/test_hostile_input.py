@@ -10,7 +10,9 @@ state, then trains one step with its loaded optimizer). A container's packed
 file is damaged either in its header ("manifest", the name of the file that
 header replaced) or in its arrays ("blob"). The "*_header" kinds instead
 replace one number in a packed file's JSON header with an edge value, which
-the checksum over the arrays cannot catch.
+the checksum over the arrays cannot catch; "state_checkpoint_header" edits the
+state checkpoint of a two-epoch run, whose header also holds its train config
+and epoch history, and resumes it for one more epoch.
 """
 
 import functools
@@ -18,6 +20,7 @@ import math
 import operator
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,7 @@ from emofuse.model import (
     save_checkpoint,
 )
 from emofuse.sequencing import AnnotationTrack, parse_annotations
+from emofuse.training import TrainConfig, run_training
 from emofuse.video import ColumnSelection, parse_openface_csv
 
 from conftest import wav_bytes
@@ -45,6 +49,7 @@ from test_model import rewrite_header
 
 CFG = ModelConfig(audio_dim=3, video_dim=4, audio_hidden=(4, 3), video_hidden=(4, 3),
                   head_hidden=4, window_len=5)
+TRAIN = TrainConfig(epochs=2, batch_size=4, seed=1, early_stop_patience=0)
 SELECTION = ColumnSelection(include_columns=("AU01_r", "AU02_r", "pose_Rx"))
 # a float where an int belongs: the number itself, written as a float
 EDGE_VALUES = [0, -1, 9.9, 1e308, math.nan, math.inf, "as float"]
@@ -82,6 +87,8 @@ def originals(tmp_path_factory):
                                        rng.random(CFG.video_dim), rng.random(CFG.video_dim) + 0.5)
     model.train_step(*_batch(read_dataset(root / "data")), optimizer)
     save_checkpoint(root / "model.ckpt", model, optimizer)
+    dataset = read_dataset(root / "data")
+    run_training(dataset, dataset, TRAIN, state_path=root / "state.ckpt")
     return root
 
 
@@ -135,6 +142,11 @@ def _consume(kind, root):
         _finite_predictions(model, dataset)
         with np.errstate(all="ignore"):  # a valid learning_rate of 1e308 overflows the step
             model.train_step(*_batch(dataset), optimizer)
+    elif kind == "state_checkpoint_header":
+        dataset = read_dataset(root / "data")
+        with np.errstate(all="ignore"):  # as above, for the loaded optimizer's steps
+            run_training(dataset, dataset, replace(TRAIN, epochs=TRAIN.epochs + 1),
+                         resume_from=root / "state.ckpt")
     else:  # the header or the blob of the container's packed file
         _finite_predictions(FusionModel(CFG), read_dataset(root / "data"))
 
@@ -148,6 +160,7 @@ TARGETS = {
     "checkpoint": "model.ckpt",
     "checkpoint_header": "model.ckpt",
     "container_header": f"data/{PACKED}",
+    "state_checkpoint_header": "state.ckpt",
 }
 
 

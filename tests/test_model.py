@@ -968,6 +968,13 @@ class TestMalformedCheckpoint:
         with pytest.raises(SchemaError, match=f"^{re.escape(str(trained))}: {key} must be"):
             load_checkpoint(trained)
 
+    @pytest.mark.parametrize("section, key", [("config", "seed"), ("optimizer", "learning_rate")])
+    def test_integer_past_float_range_is_schema_error(self, trained, section, key):
+        # JSON integers have no size limit, and one past float range overflows where it is used
+        rewrite_header(trained, lambda h: h[section].update({key: 10**400}))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(trained))}: {key} must be"):
+            load_checkpoint(trained)
+
     @pytest.mark.parametrize("damage", sorted(REFUSED_ARRAY_VALUES))
     def test_array_value_outside_its_domain_is_domain_error(self, trained, damage):
         name, value = REFUSED_ARRAY_VALUES[damage]

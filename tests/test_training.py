@@ -1,12 +1,21 @@
+import json
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from emofuse import training
 from emofuse.dataset import WindowDataset
 from emofuse.errors import DomainError, SchemaError
-from emofuse.model import FusionModel, ModelConfig, load_checkpoint, standardize
+from emofuse.model import FusionModel, ModelConfig, RmsProp, load_checkpoint, standardize
 from emofuse.sequencing import AnnotationTrack
 from emofuse.training import (
+    EpochRecord,
     TrainConfig,
+    TrainReport,
     _epoch_seed,
     _loss_mask,
     _step_seed,
@@ -15,6 +24,7 @@ from emofuse.training import (
     run_training,
 )
 
+from oracles import counter_loop
 from synth import synthetic_dataset
 
 
@@ -260,3 +270,83 @@ class TestCheckpointDeterminism:
         np.testing.assert_allclose(
             model.feature_stats.audio_mean, expected.audio_mean, atol=1e-6
         )
+
+
+class TestDerivedProgress:
+    """The best epoch, the best metric and early stopping are functions of the epoch
+    history, the only progress a state checkpoint carries."""
+
+    def test_best_is_the_first_highest_score(self):
+        report = TrainReport(
+            records=[EpochRecord(3, 0.1, 0.5, 0.5, 0.5), EpochRecord(4, 0.1, 0.25, 0.2, 0.3)],
+            earlier=[EpochRecord(1, 0.2, 0.25, 0.2, 0.3), EpochRecord(2, 0.2, 0.5, 0.4, 0.6)],
+        )
+        assert report.best.epoch == 2
+        assert (report.summary()["best_epoch"], report.summary()["best_metric"]) == (2, 0.5)
+
+    def test_no_epoch_has_no_best(self):
+        summary = TrainReport().summary()
+        assert TrainReport().best is None
+        assert (summary["best_epoch"], summary["best_metric"]) == (-1, None)
+
+    def test_state_progress_is_the_history_alone(self, small_sets, tmp_path):
+        train_set, val_set = small_sets
+        _, report = run_training(train_set, val_set, quick_config(), state_path=tmp_path / "s.ckpt")
+        progress = load_checkpoint(tmp_path / "s.ckpt")[2]["progress"]
+        assert progress == {"history": report.history()}
+
+
+class _Stepper:
+    """A model stand-in whose every step returns one loss: only the loop's bookkeeping runs."""
+
+    def __init__(self, config):
+        self.config = config
+
+    def train_step(self, *batch, seed):
+        return 0.5
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    scores=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=6),
+    patience=st.integers(0, 3),
+    resumed_patience=st.integers(0, 3),
+)
+def test_derived_best_and_stop_equal_the_counter_loop(scores, patience, resumed_patience):
+    """Scripted validation scores, with ties, through one run and through a run
+    resumed at every split point (with its own patience, which a resume may change)."""
+    train_set = synthetic_dataset(2, seed=5)
+    for split in range(len(scores)):  # 0: one uninterrupted run
+        calls, best_saves, state = [], [], {}
+
+        def metrics(model, dataset, w_f1, w_acc):
+            calls.append(scores[len(calls)])
+            return SimpleNamespace(combined=calls[-1], accuracy=calls[-1], macro_f1=calls[-1],
+                                   n_evaluated=1)
+
+        def save(path, model, optimizer=None, meta=None):
+            if path == "best":
+                best_saves.append(len(calls))
+            else:
+                state.update(model=model, meta=json.loads(json.dumps(meta)))
+
+        runs = [(split or len(scores), patience, None)]
+        if split:
+            runs.append((len(scores), resumed_patience, "state"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "FusionModel", _Stepper)
+            mp.setattr(training, "dataset_metrics", metrics)
+            mp.setattr(training, "save_checkpoint", save)
+            mp.setattr(training, "load_checkpoint",
+                       lambda path: (state["model"], RmsProp(), state["meta"]))
+            saved, rewrote = (0, -math.inf, -1, 0), []
+            for epochs, run_patience, resume_from in runs:
+                config = quick_config(epochs=epochs, early_stop_patience=run_patience)
+                _, report = run_training(train_set, train_set, config, state_path="state",
+                                         best_path="best", resume_from=resume_from)
+                saved, run_rewrote, stopped = counter_loop(scores, epochs, run_patience, saved)
+                rewrote += run_rewrote
+        summary = report.summary()
+        assert (summary["epochs_run"], summary["best_metric"], summary["best_epoch"]) == saved[:3]
+        assert summary["stopped_early"] == stopped
+        assert best_saves == rewrote
