@@ -27,7 +27,7 @@ from .dataset import (
     write_dataset,
     write_frame_features,
 )
-from .errors import DomainError, EmofuseError, ParseError, SchemaError, schema_fields
+from .errors import EmofuseError, ParseError, SchemaError, schema_fields
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
 from .model import load_checkpoint, predict_dataset
 from .sequencing import parse_annotations
@@ -143,9 +143,6 @@ def _collect_videos(args) -> list[tuple[str, str, str]]:
 
 
 def cmd_build_dataset(args) -> int:
-    if args.stride > args.window:
-        # a longer stride leaves frames that no window covers
-        raise DomainError(f"--stride ({args.stride}) cannot exceed --window ({args.window})")
     triples = _collect_videos(args)
 
     def assemble(triple):

@@ -283,7 +283,7 @@ def read_dataset(path) -> WindowDataset:
     header, arrays = _read_container(path, "window_dataset")
     with schema_fields(path):
         w, length = header["n_windows"], header["window_len"]
-        # the rule window_starts holds the stride that cut the windows to
+        # a record of the stride that cut the windows; coverage is checked from the starts
         require_number(f"{path}: stride", header["stride"], lambda v: v >= 1, "an integer >= 1",
                        numbers.Integral)
         require_arrays(path, arrays, {

@@ -21,14 +21,18 @@ import numpy as np
 from .dataset import WindowDataset, window_rows
 from .errors import DivergenceError, DomainError, SchemaError, ShapeError, require_number, schema_fields
 from .nn.layers import BatchNorm, Dense, Dropout, PReLU, softmax, softmax_cross_entropy
-from .nn.optim import RmsProp
+from .nn.optim import EPS, RHO, RmsProp
 from .nn.recurrent import Gru, Lstm
+from .sequencing import N_CLASSES
 from .store import read_packed, require_arrays, write_packed
 
 MODES = ("fused", "audio_only", "video_only")
 RECURRENT_KINDS = ("gru", "lstm")
 INFER_WINDOWS = 32  # windows per inference forward, whatever the caller's batch
 STD_FLOOR = 1e-8
+DROPOUT = 0.25
+BN_MOMENTUM = 0.99
+BN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -38,13 +42,9 @@ class ModelConfig:
     audio_dim: int = 168
     video_dim: int = 709
     window_len: int = 15
-    n_classes: int = 8
     audio_hidden: tuple[int, int] = (128, 64)
     video_hidden: tuple[int, int] = (256, 64)
     head_hidden: int = 64
-    dropout: float = 0.25
-    bn_momentum: float = 0.99
-    bn_eps: float = 1e-5
     seed: int = 0
     dtype: str = "float32"
 
@@ -56,11 +56,6 @@ class ModelConfig:
         if self.dtype not in ("float32", "float64"):
             raise SchemaError(f"dtype must be float32 or float64, got {self.dtype!r}")
         require_number("seed", self.seed, lambda v: v >= 0, "an integer >= 0", numbers.Integral)
-        require_number("dropout", self.dropout, lambda v: 0 <= v < 1, "a number in [0, 1)")
-        require_number("bn_momentum", self.bn_momentum, lambda v: 0 <= v <= 1, "a number in [0, 1]")
-        info = np.finfo(self.dtype)  # BatchNorm adds eps at this dtype: it must not round to 0 or inf
-        require_number("bn_eps", self.bn_eps, lambda v: float(info.tiny) <= v <= float(info.max),
-                       f"a positive normal {self.dtype} number")
 
 
 @dataclass
@@ -112,7 +107,7 @@ class FusionModel:
         self.head = [
             Dense(head_in, config.head_hidden, rng, self.dtype, name="head.dense1"),
             PReLU(config.head_hidden, dtype=self.dtype, name="head.prelu"),
-            Dense(config.head_hidden, config.n_classes, rng, self.dtype, name="head.dense2"),
+            Dense(config.head_hidden, N_CLASSES, rng, self.dtype, name="head.dense2"),
         ]
         self._layers = self.audio_stack + self.video_stack + self.head
 
@@ -122,17 +117,9 @@ class FusionModel:
         for i in range(len(hidden)):
             h = dims[i + 1]
             layers.append(rec_cls(dims[i], h, rng, self.dtype, name=f"{prefix}.rnn{i + 1}"))
-            layers.append(
-                BatchNorm(
-                    h,
-                    momentum=self.config.bn_momentum,
-                    eps=self.config.bn_eps,
-                    dtype=self.dtype,
-                    name=f"{prefix}.bn{i + 1}",
-                )
-            )
+            layers.append(BatchNorm(h, BN_MOMENTUM, BN_EPS, self.dtype, name=f"{prefix}.bn{i + 1}"))
             layers.append(PReLU(h, dtype=self.dtype, name=f"{prefix}.prelu{i + 1}"))
-            layers.append(Dropout(self.config.dropout, name=f"{prefix}.drop{i + 1}"))
+            layers.append(Dropout(DROPOUT, name=f"{prefix}.drop{i + 1}"))
         return layers
 
     # -- parameter plumbing -------------------------------------------------
@@ -218,7 +205,7 @@ class FusionModel:
         return self._run_stack(self.head, fused, training, seed)
 
     def logits(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
-        """Per-timestep unnormalized class scores, shape [B, T, n_classes].
+        """Per-timestep unnormalized class scores, shape [B, T, N_CLASSES].
 
         Inference runs in slices of ``INFER_WINDOWS`` windows, the last one
         zero-padded. BLAS sums a GEMM row differently at different row
@@ -229,7 +216,7 @@ class FusionModel:
         if training:
             return self._run_branches(branches, True, seed)
         B, T = branches[0][1].shape[:2]
-        out = np.empty((B, T, self.config.n_classes), dtype=self.dtype)
+        out = np.empty((B, T, N_CLASSES), dtype=self.dtype)
         for lo in range(0, B, INFER_WINDOWS):
             n = min(INFER_WINDOWS, B - lo)
             part = [(stack, _fixed_rows(x[lo : lo + n])) for stack, x in branches]
@@ -237,7 +224,7 @@ class FusionModel:
         return out
 
     def forward(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
-        """Per-timestep class distributions, shape [B, T, n_classes]."""
+        """Per-timestep class distributions, shape [B, T, N_CLASSES]."""
         return softmax(self.logits(audio, video, training, seed))
 
     def backward_from_logits(self, dlogits):
@@ -293,7 +280,7 @@ def predict_dataset(model: FusionModel, dataset: WindowDataset):
     covered = np.bincount(rows[real], minlength=total)
     truth = np.zeros(total, dtype=np.int64)
     truth[rows[real]] = dataset.labels[order][real]
-    acc = np.zeros((total, model.config.n_classes), dtype=np.float64)
+    acc = np.zeros((total, N_CLASSES), dtype=np.float64)
     for lo in range(0, len(order), INFER_WINDOWS):
         sl = slice(lo, lo + INFER_WINDOWS)
         probs = model.forward(dataset.audio[order[sl]], dataset.video[order[sl]], training=False)
@@ -312,6 +299,11 @@ def predict_dataset(model: FusionModel, dataset: WindowDataset):
 
 FORMAT = "emofuse-checkpoint"
 FORMAT_VERSION = 2  # 1 stored each recurrent cell's params per gate
+# settings older checkpoints store in their header: a stored one must equal its constant
+FIXED = {
+    "config": {"n_classes": N_CLASSES, "dropout": DROPOUT, "bn_momentum": BN_MOMENTUM, "bn_eps": BN_EPS},
+    "optimizer": {"rho": RHO, "eps": EPS},
+}
 
 
 def save_checkpoint(path, model: FusionModel, optimizer: RmsProp | None = None, meta: dict | None = None):
@@ -328,9 +320,7 @@ def save_checkpoint(path, model: FusionModel, optimizer: RmsProp | None = None, 
         "format": FORMAT,
         "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
-        "optimizer": None if optimizer is None else {
-            "learning_rate": optimizer.learning_rate, "rho": optimizer.rho, "eps": optimizer.eps,
-        },
+        "optimizer": None if optimizer is None else {"learning_rate": optimizer.learning_rate},
         "meta": meta or {},
     }, arrays)
 
@@ -355,8 +345,13 @@ def _model_from_header(path, header: dict, arrays: dict) -> tuple[FusionModel, R
     cfg_dict.update({k: tuple(cfg_dict[k]) for k in ("audio_hidden", "video_hidden")})
     hyper = header.get("optimizer")
     try:  # a header value meets the rule its flag meets, and the error names the file
-        config = ModelConfig(**cfg_dict)
-        optimizer = RmsProp(*(hyper[k] for k in ("learning_rate", "rho", "eps"))) if hyper else None
+        for section, stored in (("config", cfg_dict), ("optimizer", hyper or {})):
+            for key, value in FIXED[section].items():
+                if key in stored:
+                    require_number(f"{section}.{key}", stored[key], lambda v: v == value, repr(value),
+                                   type(value))
+        config = ModelConfig(**{k: v for k, v in cfg_dict.items() if k not in FIXED["config"]})
+        optimizer = RmsProp(hyper["learning_rate"]) if hyper else None
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     model = FusionModel.__new__(FusionModel)

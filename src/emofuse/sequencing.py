@@ -79,11 +79,14 @@ def window_starts(
     frames remain uncovered an extra window anchored at n_frames-length is
     appended. Videos shorter than one window get the single start 0 (the
     window is then padded by replication, see WindowDataset.from_videos).
+    A stride longer than the window would leave frames between windows.
     """
     if n_frames < 1:
         raise DomainError(f"n_frames must be >= 1, got {n_frames}")
     if length < 1 or stride < 1:
         raise DomainError("length and stride must be positive")
+    if stride > length:
+        raise DomainError(f"stride ({stride}) cannot exceed the window length ({length})")
     if n_frames < length:
         return [0]
     starts = list(range(0, n_frames - length + 1, stride))

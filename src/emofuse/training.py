@@ -45,10 +45,9 @@ class TrainConfig:
     early_stop_patience: int = 5
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise SchemaError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise SchemaError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, minimum in (("epochs", 1), ("batch_size", 1), ("early_stop_patience", 0)):
+            require_number(name, getattr(self, name), lambda v: v >= minimum, f"an integer >= {minimum}",
+                           numbers.Integral)
         RmsProp(self.learning_rate)  # the types that own these rules, which a checkpoint meets too
         ModelConfig(mode=self.mode, recurrent=self.recurrent, seed=self.seed)
 
@@ -192,14 +191,19 @@ def run_training(
         if dims != (train_set.audio_dim, train_set.video_dim):
             raise ShapeError(f"{resume_from}: checkpoint feature dims {dims} differ from the "
                              f"training set's {(train_set.audio_dim, train_set.video_dim)}")
-        with schema_fields(resume_from):
-            saved = meta["train_config"]
+        with schema_fields(resume_from):  # the settings the checkpoint trains with, not its record
+            saved = {**meta["train_config"], "mode": model.config.mode,
+                     "recurrent": model.config.recurrent, "learning_rate": optimizer.learning_rate,
+                     "standardize_features": model.feature_stats is not None}
             differ = [f"{f.name} {saved[f.name]!r} saved, {getattr(config, f.name)!r} given"
                       for f in fields(TrainConfig) if f.name not in _RESUME_MAY_CHANGE
                       and saved[f.name] != getattr(config, f.name)]
         if differ:
             raise SchemaError(f"{resume_from}: --resume continues the saved run, whose config "
                               f"differs: {'; '.join(differ)}")
+        if config.epochs <= len(report.earlier):
+            raise DomainError(f"{resume_from}: --epochs must exceed the {len(report.earlier)} epochs "
+                              f"of the checkpoint's history, got {config.epochs}")
     else:
         model_cfg = ModelConfig(
             mode=config.mode,

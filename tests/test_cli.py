@@ -27,10 +27,13 @@ from emofuse.video import META_COLUMNS, default_selection
 
 from conftest import wav_bytes
 from test_model import (
+    CONSTANT_HEADER_KEYS,
+    CONSTANT_KEY_IDS,
     DAMAGED_CHECKPOINTS,
     HEADER_IDS,
     REFUSED_ARRAY_VALUES,
     REFUSED_HEADER_VALUES,
+    repack,
     rewrite_header,
     set_array_value,
 )
@@ -290,8 +293,8 @@ class TestBuildDataset:
         assert peak < 1.25 * (inputs + container), (peak, inputs, container)
 
     def test_stride_beyond_window_is_domain_error(self, pipeline, capsys, tmp_path):
-        # the feature containers do not exist: the flags are refused before any input is read
-        rc = main(["build-dataset", "--audio", str(tmp_path / "a"), "--video", str(tmp_path / "v"),
+        # the window grid refuses the flags, before any window is cut
+        rc = main(["build-dataset", "--audio", str(pipeline["audio"]), "--video", str(pipeline["video"]),
                    "--annotations", str(pipeline["ann"]), "--out", str(tmp_path / "d"),
                    "--window", "15", "--stride", "20"])
         assert rc == 1
@@ -481,7 +484,7 @@ class TestTrainCli:
 
     @pytest.mark.parametrize("flag, value", [
         ("--batch", "0"), ("--batch", "-3"), ("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
-        ("--seed", "-1"),
+        ("--seed", "-1"), ("--epochs", "0"), ("--patience", "-1"),
     ])
     def test_bad_number_is_schema_error(self, tiny_training, tmp_path, capsys, flag, value):
         ds = str(tiny_training["dataset"])
@@ -593,9 +596,9 @@ class TestTrainCli:
         pytest.param(3, RmsProp(), None, {"learning_rate": "x"}, "schema",
                      "learning_rate must be a finite number > 0, got 'x'", id="learning_rate_text"),
         pytest.param(3, RmsProp(), None, {"rho": float("nan")}, "schema",
-                     "rho must be a number in [0, 1), got nan", id="rho_nan"),
+                     "optimizer.rho must be 0.9, got nan", id="rho_nan"),
         pytest.param(3, RmsProp(), None, {"eps": float("inf")}, "schema",
-                     "eps must be a finite number > 0, got inf", id="eps_inf"),
+                     "optimizer.eps must be 1e-07, got inf", id="eps_inf"),
     ])
     def test_unusable_resume_checkpoint_leaves_no_out(
         self, tiny_training, tmp_path, capsys, video_dim, optimizer, meta, edit, category, message
@@ -603,7 +606,7 @@ class TestTrainCli:
         ckpt = tmp_path / "state.ckpt"
         save_checkpoint(ckpt, FusionModel(ModelConfig(video_dim=video_dim)), optimizer=optimizer,
                         meta=meta)
-        if edit is not None:  # optimizer hyperparameters that RmsProp refuses to hold
+        if edit is not None:  # optimizer hyperparameters that a load refuses
             rewrite_header(ckpt, lambda h: h["optimizer"].update(edit))
         ds, out = str(tiny_training["dataset"]), tmp_path / "run"
         rc = main(["train", "--train", ds, "--val", ds, "--epochs", "2", "--resume", str(ckpt),
@@ -692,6 +695,20 @@ BAD_HISTORIES = {
 }
 
 
+def five_classes(header, entries):
+    """A ``repack`` edit: a 5-class head, stored arrays to match."""
+    header["config"]["n_classes"] = 5
+    for name, (kind, array) in entries.items():
+        if "head.dense2." in name:
+            entries[name] = (kind, array[:5])
+
+
+def no_stats(header, entries):
+    """A ``repack`` edit: a checkpoint without feature statistics."""
+    for name in [n for n in entries if n.startswith("stats.")]:
+        del entries[name]
+
+
 class TestDamagedCheckpointCli:
     @staticmethod
     def run(command, source, edit, tiny_training, tmp_path):
@@ -730,6 +747,59 @@ class TestDamagedCheckpointCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: schema: {tmp_path / 'damaged.ckpt'}: "
                                                    f"{key} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    @pytest.mark.parametrize("section, key, constant", CONSTANT_HEADER_KEYS, ids=CONSTANT_KEY_IDS)
+    def test_stored_constant_of_another_value_is_one_schema_error_line(
+        self, tiny_training, standardized_run, tmp_path, capsys, command, section, key, constant
+    ):
+        rc, out = self.run(command, standardized_run, lambda p: rewrite_header(
+            p, lambda h: h[section].update({key: 2 * constant})), tiny_training, tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: schema: {tmp_path / 'damaged.ckpt'}: {section}.{key} must be {constant!r}, "
+            f"got {2 * constant!r}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "resume"])
+    def test_five_class_checkpoint_is_one_schema_error_line(
+        self, tiny_training, standardized_run, tmp_path, capsys, command
+    ):
+        # its arrays match its header, but the labels and the p0..p7 rows have 8 classes
+        rc, out = self.run(command, standardized_run, lambda p: repack(p, five_classes),
+                           tiny_training, tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: schema: {tmp_path / 'damaged.ckpt'}: config.n_classes must be 8, got 5"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: rewrite_header(p, lambda h: h["optimizer"].update(learning_rate=0.5)),
+         "learning_rate 0.5 saved, 0.0001 given"),
+        (lambda p: repack(p, no_stats), "standardize_features False saved, True given"),
+    ], ids=["learning_rate", "standardize"])
+    def test_resume_compares_the_flags_with_the_checkpoint_it_trains(
+        self, tiny_training, standardized_run, tmp_path, capsys, edit, message
+    ):
+        # meta.train_config still records the run's flags, which the command line repeats
+        rc, out = self.run("resume", standardized_run, edit, tiny_training, tmp_path)
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: schema:") and err[0].endswith(message)
+        assert not out.exists()
+
+    def test_resume_with_no_epoch_left_is_one_domain_error_line(
+        self, tiny_training, standardized_run, tmp_path, capsys
+    ):
+        # the checkpoint holds one epoch: --epochs 1 would train nothing and write no checkpoint
+        ds, out = str(tiny_training["dataset"]), tmp_path / "out"
+        rc = main(["train", "--train", ds, "--val", ds, "--epochs", "1", "--patience", "0",
+                   "--standardize", "--resume", str(standardized_run), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: domain: {standardized_run}: --epochs must exceed the 1 epochs of the "
+            "checkpoint's history, got 1"]
         assert not out.exists()
 
     @pytest.mark.parametrize("damage", sorted(BAD_HISTORIES))

@@ -379,10 +379,12 @@ class TestFromVideos:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         lengths=st.lists(st.integers(1, 60), min_size=1, max_size=3),
-        length=st.integers(1, 20),
-        stride=st.integers(1, 20),
+        length_stride=st.integers(1, 20).flatmap(
+            lambda length: st.tuples(st.just(length), st.integers(1, length))
+        ),
     )
-    def test_gather_equals_per_window_cut(self, lengths, length, stride):
+    def test_gather_equals_per_window_cut(self, lengths, length_stride):
+        length, stride = length_stride
         videos = [video_arrays(n, video_id=f"v{i}", seed=i) for i, n in enumerate(lengths)]
         ds = WindowDataset.from_videos(videos, window_len=length, stride=stride)
         want = [cut_windows_direct(a, v, t.labels, length, stride) for t, a, v in videos]
@@ -412,6 +414,12 @@ class TestFromVideos:
                                  from_videos_concat(videos, length, stride)):
             assert g.dtype == want.dtype and g.shape == want.shape, name
             np.testing.assert_array_equal(g, want, err_msg=name)
+
+    @pytest.mark.parametrize("n_frames", [40, 7])
+    def test_stride_beyond_window_is_domain_error(self, n_frames):
+        # at 40 frames, starts 0, 20, 25 would leave frames 15-19 in no window
+        with pytest.raises(DomainError, match=r"^stride \(20\) cannot exceed the window length \(15\)$"):
+            WindowDataset.from_videos([video_arrays(n_frames)], window_len=15, stride=20)
 
     def test_width_mismatch_names_video_and_widths(self):
         first = video_arrays(20, audio_dim=6, video_id="a")

@@ -10,7 +10,9 @@ state, then trains one step with its loaded optimizer). A container's packed
 file is damaged either in its header ("manifest", the name of the file that
 header replaced) or in its arrays ("blob"). The "*_header" kinds instead
 replace one number in a packed file's JSON header with an edge value, which
-the checksum over the arrays cannot catch; "state_checkpoint_header" edits the
+the checksum over the arrays cannot catch. Like an older checkpoint's, the
+checkpoint's header also stores the six settings the model and optimizer fix
+as constants, so an edge value lands on them too; "state_checkpoint_header" edits the
 state checkpoint of a two-epoch run, whose header also holds its train config
 and epoch history, and resumes it for one more epoch.
 """
@@ -45,7 +47,7 @@ from emofuse.training import TrainConfig, run_training
 from emofuse.video import ColumnSelection, parse_openface_csv
 
 from conftest import wav_bytes
-from test_model import rewrite_header
+from test_model import CONSTANT_HEADER_KEYS, rewrite_header
 
 CFG = ModelConfig(audio_dim=3, video_dim=4, audio_hidden=(4, 3), video_hidden=(4, 3),
                   head_hidden=4, window_len=5)
@@ -87,9 +89,15 @@ def originals(tmp_path_factory):
                                        rng.random(CFG.video_dim), rng.random(CFG.video_dim) + 0.5)
     model.train_step(*_batch(read_dataset(root / "data")), optimizer)
     save_checkpoint(root / "model.ckpt", model, optimizer)
+    rewrite_header(root / "model.ckpt", _store_constants)
     dataset = read_dataset(root / "data")
     run_training(dataset, dataset, TRAIN, state_path=root / "state.ckpt")
     return root
+
+
+def _store_constants(header):
+    for section, key, constant in CONSTANT_HEADER_KEYS:
+        header[section][key] = constant
 
 
 def _batch(dataset):

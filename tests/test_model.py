@@ -22,7 +22,7 @@ from emofuse.model import (
     standardize,
 )
 from emofuse.nn.layers import softmax, softmax_cross_entropy
-from emofuse.sequencing import AnnotationTrack, remap_label
+from emofuse.sequencing import N_CLASSES, AnnotationTrack, remap_label
 from emofuse.store import read_packed, write_packed
 from emofuse.video import default_selection
 
@@ -44,7 +44,7 @@ TINY = ModelConfig(
 def random_batch(rng, cfg, batch=3):
     audio = rng.standard_normal((batch, cfg.window_len, cfg.audio_dim))
     video = rng.standard_normal((batch, cfg.window_len, cfg.video_dim))
-    labels = rng.integers(0, cfg.n_classes, size=(batch, cfg.window_len))
+    labels = rng.integers(0, N_CLASSES, size=(batch, cfg.window_len))
     mask = np.ones((batch, cfg.window_len))
     return audio, video, labels, mask
 
@@ -231,14 +231,17 @@ def test_negative_seed_is_schema_error():
 
 @pytest.mark.parametrize("field, value", [
     ("dtype", "int32"), ("dtype", "float16"), ("seed", 1.5), ("seed", True),
-    ("dropout", 1.0), ("dropout", -0.1), ("dropout", float("nan")),
-    ("bn_momentum", 2.0), ("bn_momentum", -0.5), ("bn_momentum", float("inf")),
-    ("bn_eps", 0.0), ("bn_eps", -1.0), ("bn_eps", float("nan")), ("bn_eps", 1e39),
 ])
 def test_config_value_outside_its_domain_is_schema_error(field, value):
-    # bn_eps 1e39 is finite as a float64 but overflows the default float32
     with pytest.raises(SchemaError, match=f"^{field} must be"):
         ModelConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["n_classes", "dropout", "bn_momentum", "bn_eps"])
+def test_fixed_architecture_is_not_a_config_field(field):
+    # the 8 classes, dropout 0.25 and the BatchNorm settings are constants of the model
+    with pytest.raises(TypeError):
+        ModelConfig(**{field: 1})
 
 
 class TestVariants:
@@ -378,7 +381,7 @@ class TestCheckpoint:
             video_mean=rng.standard_normal(8).astype(np.float32),
             video_std=rng.random(8).astype(np.float32) + 0.5,
         )
-        opt = RmsProp(learning_rate=2e-4, rho=0.85, eps=1e-6)
+        opt = RmsProp(learning_rate=2e-4)
         audio, video, labels, mask = random_batch(rng, TINY)
         model.train_step(audio, video, labels, mask, opt, seed=0)
 
@@ -386,7 +389,7 @@ class TestCheckpoint:
         save_checkpoint(path, model, optimizer=opt, meta={"note": "test"})
         back, opt2, meta = load_checkpoint(path)
         assert meta == {"note": "test"}
-        assert opt2.learning_rate == 2e-4 and opt2.rho == 0.85
+        assert opt2.learning_rate == 2e-4
 
         # float64 params round through the float32 container
         for k, v in model.parameters().items():
@@ -903,29 +906,43 @@ DAMAGED_CHECKPOINTS = {
 }
 
 
-def set_array_value(path, name, value):
-    """Rewrite the packed file at ``path`` with the first value of array ``name``
-    set to ``value``, under a checksum that matches."""
+def repack(path, edit):
+    """Rewrite the packed file at ``path`` after ``edit(header, {name: (kind, array)})``,
+    under a checksum that matches."""
     header, arrays = read_packed(path)
     del header["blob_sha256"]
     kinds = {e["name"]: e["kind"] for e in header.pop("arrays")}
-    arrays = {n: np.array(a) for n, a in arrays.items()}
-    arrays[name].flat[0] = value
-    write_packed(path, header, [({"name": n, "kind": kinds[n]}, a) for n, a in arrays.items()])
+    entries = {n: (kinds[n], np.array(a)) for n, a in arrays.items()}
+    edit(header, entries)
+    write_packed(path, header, [({"name": n, "kind": k}, a) for n, (k, a) in entries.items()])
+
+
+def set_array_value(path, name, value):
+    """Rewrite the packed file at ``path`` with the first value of array ``name`` set to ``value``."""
+    def edit(header, entries):
+        entries[name][1].flat[0] = value
+
+    repack(path, edit)
 
 
 # header values outside the domain of the type that holds them: (section, key, value)
 REFUSED_HEADER_VALUES = [
     ("config", "dtype", "int32"), ("config", "dtype", "float16"),
-    ("config", "bn_eps", -1.0), ("config", "bn_eps", 0.0), ("config", "bn_eps", float("nan")),
-    ("config", "bn_momentum", 2.0), ("config", "bn_momentum", -0.5),
-    ("config", "dropout", 1.5), ("config", "seed", 1.5), ("config", "seed", -1),
+    ("config", "seed", 1.5), ("config", "seed", -1),
     ("optimizer", "learning_rate", -1.0), ("optimizer", "learning_rate", 0.0),
     ("optimizer", "learning_rate", float("nan")),
-    ("optimizer", "rho", 9.9), ("optimizer", "rho", 1.0), ("optimizer", "rho", -0.1),
-    ("optimizer", "eps", 0.0), ("optimizer", "eps", -1.0),
 ]
 HEADER_IDS = [f"{section}.{key}={value}" for section, key, value in REFUSED_HEADER_VALUES]
+# settings that checkpoints stored before they became constants: (section, key, constant)
+CONSTANT_HEADER_KEYS = [
+    ("config", "n_classes", 8), ("config", "dropout", 0.25), ("config", "bn_momentum", 0.99),
+    ("config", "bn_eps", 1e-5), ("optimizer", "rho", 0.9), ("optimizer", "eps", 1e-7),
+]
+CONSTANT_KEY_IDS = [f"{section}.{key}" for section, key, _ in CONSTANT_HEADER_KEYS]
+# values a stored constant may not take; "other", "negated" and "retyped" derive from the constant
+NOT_THE_CONSTANT = {"other": "other", "negated": "negated", "retyped": "retyped", "0": 0,
+                    "1e308": 1e308, "1e-300": 1e-300, "nan": float("nan"), "inf": float("inf"),
+                    "1e400": 10**400, "true": True, "null": None}
 # stored array values outside their domain: (array, value)
 REFUSED_ARRAY_VALUES = {
     "nan_weight": ("head.dense2.W", float("nan")),
@@ -966,6 +983,19 @@ class TestMalformedCheckpoint:
     def test_header_value_outside_its_domain_is_schema_error(self, trained, section, key, value):
         rewrite_header(trained, lambda h: h[section].update({key: value}))
         with pytest.raises(SchemaError, match=f"^{re.escape(str(trained))}: {key} must be"):
+            load_checkpoint(trained)
+
+    @pytest.mark.parametrize("wrong", list(NOT_THE_CONSTANT.values()), ids=list(NOT_THE_CONSTANT))
+    @pytest.mark.parametrize("section, key, constant", CONSTANT_HEADER_KEYS, ids=CONSTANT_KEY_IDS)
+    def test_stored_constant_loads_only_at_its_value(self, trained, section, key, constant, wrong):
+        rewrite_header(trained, lambda h: h[section].update({key: constant}))
+        model, optimizer, _ = load_checkpoint(trained)
+        assert model.config == TINY and optimizer.learning_rate == 1e-4
+        value = {"other": 5 if key == "n_classes" else 2 * constant, "negated": -constant,
+                 "retyped": float(constant) if key == "n_classes" else str(constant)}.get(wrong, wrong)
+        rewrite_header(trained, lambda h: h[section].update({key: value}))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(trained))}: {section}\\.{key} "
+                                              f"must be {re.escape(repr(constant))}, got "):
             load_checkpoint(trained)
 
     @pytest.mark.parametrize("section, key", [("config", "seed"), ("optimizer", "learning_rate")])

@@ -103,6 +103,15 @@ class TestWindowStarts:
         with pytest.raises(DomainError):
             window_starts(0)
 
+    @pytest.mark.parametrize("n_frames", [40, 15, 3])
+    def test_stride_beyond_window_rejected(self, n_frames):
+        # window_starts(40, 15, 20) would be [0, 20, 25], leaving frames 15-19 uncovered
+        with pytest.raises(DomainError, match=r"stride \(20\) cannot exceed the window length \(15\)"):
+            window_starts(n_frames, 15, 20)
+
+    def test_stride_equal_to_window_abuts_windows(self):
+        assert window_starts(40, 15, 15) == [0, 15, 25]
+
     def test_coverage_and_count_formula_sweep(self):
         for n in range(1, 5001):
             starts = window_starts(n)

@@ -140,11 +140,13 @@ class TestRunTraining:
             TrainConfig(learning_rate=0.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("batch_size", 0), ("batch_size", -3), ("learning_rate", float("nan")),
-        ("learning_rate", float("inf")), ("learning_rate", -1e-4), ("seed", -1),
+        ("batch_size", 0), ("batch_size", -3), ("batch_size", 8.0), ("batch_size", True),
+        ("epochs", 0), ("epochs", 1.5), ("early_stop_patience", -1), ("early_stop_patience", 0.5),
+        ("learning_rate", float("nan")), ("learning_rate", float("inf")), ("learning_rate", -1e-4),
+        ("seed", -1),
     ])
     def test_config_rejects_bad_numbers(self, field, value):
-        with pytest.raises(SchemaError, match=field):
+        with pytest.raises(SchemaError, match=f"^{field} must be"):
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("field, message", [
@@ -298,6 +300,8 @@ class TestDerivedProgress:
 
 class _Stepper:
     """A model stand-in whose every step returns one loss: only the loop's bookkeeping runs."""
+
+    feature_stats = None
 
     def __init__(self, config):
         self.config = config
