@@ -7,8 +7,6 @@ from .audio import (
     extract_chunk_features,
     load_wav,
     mel_filterbank,
-    mel_spectrogram,
-    mfcc,
 )
 from .dataset import WindowDataset, read_dataset, write_dataset
 from .evaluation import EvalReport, evaluate

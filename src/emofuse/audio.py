@@ -220,13 +220,6 @@ def _cached_filterbank(sample_rate: int, cfg: DspConfig):
 _BLOCK = 128
 
 
-def _signal_1d(samples) -> np.ndarray:
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 1 or len(x) < 1:
-        raise DomainError("expected a nonempty 1-D signal")
-    return x
-
-
 def _frame_index(length: int, cfg: DspConfig) -> np.ndarray:
     """[n_frames, n_fft] sample offsets of the centered STFT frames of a chunk.
 
@@ -271,40 +264,19 @@ def _fused_rows(samples, starts, stops, sample_rate, cfg) -> np.ndarray:
     return np.concatenate([mfccs, logmel], axis=1)
 
 
-def stft_power(samples: np.ndarray, cfg: DspConfig) -> np.ndarray:
-    """Centered, reflect-padded Hann STFT power, [n_fft//2+1, n_frames]."""
-    x = _signal_1d(samples)
-    power = _stft_power(x, np.zeros(1, dtype=np.intp), _frame_index(len(x), cfg),
-                        hann_window(cfg.n_fft))
-    return power[0].T
-
-
-def _one_chunk(samples, sample_rate, cfg) -> np.ndarray:
-    x = _signal_1d(samples)
-    return _fused_rows(x, np.zeros(1, dtype=np.intp), np.full(1, len(x)), sample_rate, cfg)[0]
-
-
-def mel_spectrogram(samples: np.ndarray, sample_rate: int, cfg: DspConfig) -> np.ndarray:
-    """Per-chunk log10 mel band energies, shape [n_mels].
-
-    STFT frames are mean-pooled per band before the log, so one chunk yields
-    one vector regardless of its length; the floor keeps all outputs finite.
-    """
-    return _one_chunk(samples, sample_rate, cfg)[cfg.n_mfcc :]
-
-
-def mfcc(samples: np.ndarray, sample_rate: int, cfg: DspConfig) -> np.ndarray:
-    """First n_mfcc coefficients of the orthonormal DCT-II of the log-mel vector."""
-    return _one_chunk(samples, sample_rate, cfg)[: cfg.n_mfcc]
-
-
 def extract_chunk_features(
     signal: AudioSignal,
     boundaries: np.ndarray,
     cfg: DspConfig = DspConfig(),
 ) -> np.ndarray:
     """A float64 [n_chunks, n_mfcc + n_mels] matrix, one row per (start_s, end_s)
-    boundary row: the chunk's MFCCs, then its log-mel spectrum."""
+    boundary row: the chunk's MFCCs, then its log-mel spectrum.
+
+    The log-mel spectrum is log10 of the chunk's mel band energies, floored at
+    ``cfg.log_floor``: its centered, reflect-padded Hann STFT power, mean-pooled
+    over frames, through :func:`mel_filterbank`. The MFCCs are the first
+    n_mfcc coefficients of that vector's orthonormal DCT-II.
+    """
     bounds = np.asarray(boundaries, dtype=np.float64)
     if bounds.size == 0:
         return np.zeros((0, cfg.n_mfcc + cfg.n_mels))

@@ -272,20 +272,12 @@ def _plain_name(path, video_id):
     return video_id
 
 
-def _count(path, video: dict, key: str, minimum: int) -> int:
-    value = video[key]
-    if type(value) is not int or value < minimum:
-        raise SchemaError(f"{path}: video {key} {value!r} is not an integer >= {minimum}")
-    return value
-
-
 def read_dataset(path) -> WindowDataset:
     header, arrays = _read_container(path, "window_dataset")
     with schema_fields(path):
-        w, length = header["n_windows"], header["window_len"]
+        w, length, stride = header["n_windows"], header["window_len"], header["stride"]
         # a record of the stride that cut the windows; coverage is checked from the starts
-        require_number(f"{path}: stride", header["stride"], lambda v: v >= 1, "an integer >= 1",
-                       numbers.Integral)
+        require_number(f"{path}: stride", stride, lambda v: v >= 1, "an integer >= 1", numbers.Integral)
         require_arrays(path, arrays, {
             "audio": (w, length, header["audio_dim"]),
             "video": (w, length, header["video_dim"]),
@@ -293,16 +285,17 @@ def read_dataset(path) -> WindowDataset:
             "start_frames": (w,),
             "pad_counts": (w,),
         })
+        if stride > length:  # window_starts refuses it, so no container from_videos builds has one
+            raise SchemaError(f"{path}: stride {stride} exceeds window_len {length}")
         audio, video, labels, start_frames, pad_counts = (arrays[name] for name in _FIELDS)
         videos, ids = [], set()
         next_offset = 0  # each video's windows directly follow the previous video's
         for v in header["videos"]:
-            entry = VideoEntry(
-                video_id=_plain_name(path, v["video_id"]),
-                n_frames=_count(path, v, "n_frames", 1),
-                window_offset=_count(path, v, "window_offset", 0),
-                window_count=_count(path, v, "window_count", 0),
-            )
+            for key, low in (("n_frames", 1), ("window_offset", 0), ("window_count", 0)):
+                require_number(f"{path}: video {key}", v[key], lambda x: x >= low,
+                               f"an integer >= {low}", numbers.Integral)
+            entry = VideoEntry(_plain_name(path, v["video_id"]), v["n_frames"], v["window_offset"],
+                               v["window_count"])
             if entry.video_id in ids:  # it names the video's prediction file
                 raise SchemaError(f"{path}: video_id {entry.video_id!r} appears twice")
             ids.add(entry.video_id)
@@ -337,6 +330,6 @@ def read_dataset(path) -> WindowDataset:
             pad_counts=pad_counts.astype(np.int64),
             videos=videos,
             window_len=length,
-            stride=header["stride"],
+            stride=stride,
             meta=header.get("meta", {}),
         )

@@ -9,7 +9,7 @@ are not deflated by classes they never contained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,10 +32,6 @@ class EvalReport:
     n_frames: int
     w_f1: float
     w_acc: float
-
-    @property
-    def no_evaluable_frames(self) -> bool:
-        return self.n_evaluated == 0
 
     def summary(self) -> dict:
         return {

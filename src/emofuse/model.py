@@ -146,9 +146,6 @@ class FusionModel:
                 out[f"{layer.name}.running_var"] = layer.running_var
         return out
 
-    def parameter_count(self) -> int:
-        return sum(p.size for p in self.parameters().values())
-
     # -- forward / backward -------------------------------------------------
 
     def _layer_rng(self, layer_name: str, seed: int) -> np.random.Generator:
@@ -344,6 +341,7 @@ def _model_from_header(path, header: dict, arrays: dict) -> tuple[FusionModel, R
     cfg_dict = dict(header["config"])
     cfg_dict.update({k: tuple(cfg_dict[k]) for k in ("audio_hidden", "video_hidden")})
     hyper = header.get("optimizer")
+    hyper = None if hyper is None else dict(hyper)
     try:  # a header value meets the rule its flag meets, and the error names the file
         for section, stored in (("config", cfg_dict), ("optimizer", hyper or {})):
             for key, value in FIXED[section].items():
@@ -351,7 +349,9 @@ def _model_from_header(path, header: dict, arrays: dict) -> tuple[FusionModel, R
                     require_number(f"{section}.{key}", stored[key], lambda v: v == value, repr(value),
                                    type(value))
         config = ModelConfig(**{k: v for k, v in cfg_dict.items() if k not in FIXED["config"]})
-        optimizer = RmsProp(hyper["learning_rate"]) if hyper else None
+        # an unknown key is refused as in config; learning_rate is required, not defaulted
+        rest = {k: v for k, v in (hyper or {}).items() if k not in FIXED["optimizer"]}
+        optimizer = None if hyper is None else RmsProp(rest.pop("learning_rate"), **rest)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     model = FusionModel.__new__(FusionModel)

@@ -1,24 +1,1 @@
-from .layers import (
-    BatchNorm,
-    Dense,
-    Dropout,
-    PReLU,
-    softmax,
-    softmax_cross_entropy,
-    sparse_ce,
-)
-from .optim import RmsProp
-from .recurrent import Gru, Lstm
-
-__all__ = [
-    "BatchNorm",
-    "Dense",
-    "Dropout",
-    "Gru",
-    "Lstm",
-    "PReLU",
-    "RmsProp",
-    "softmax",
-    "softmax_cross_entropy",
-    "sparse_ce",
-]
+"""Numpy layers (``layers``), recurrent cells (``recurrent``) and RMSProp (``optim``)."""

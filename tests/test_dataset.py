@@ -208,6 +208,7 @@ def windows_at(starts, n_frames, pad_counts=None, window_len=5, labels=None):
         pad_counts=np.array(pad_counts or [0] * w, dtype=np.int64),
         videos=[VideoEntry("v", n_frames, 0, w)],
         window_len=window_len,
+        stride=window_len,  # a record only; read_dataset refuses one beyond the window
     )
 
 
@@ -241,7 +242,7 @@ class TestCoverage:
     def test_empty_container_is_coverage_error(self, tmp_path):
         empty = WindowDataset(
             audio=np.zeros((0, 5, 6)), video=np.zeros((0, 5, 8)), labels=np.zeros((0, 5)),
-            start_frames=np.zeros(0), pad_counts=np.zeros(0), videos=[], window_len=5,
+            start_frames=np.zeros(0), pad_counts=np.zeros(0), videos=[], window_len=5, stride=5,
         )
         with pytest.raises(CoverageError, match=r"d: dataset holds no videos$"):
             reread(empty, tmp_path / "d")
@@ -347,11 +348,19 @@ class TestMalformedManifest:
         with pytest.raises(SchemaError, match=r"d: stride must be an integer >= 1, got "):
             read_dataset(tmp_path / "d")
 
-    @pytest.mark.parametrize("stride", [1, 20])
-    def test_any_positive_integer_stride_reads(self, tmp_path, rng, stride):
+    @pytest.mark.parametrize("stride", [1, 15])
+    def test_stride_up_to_the_window_reads(self, tmp_path, rng, stride):
         write_dataset(build_dataset(rng), tmp_path / "d")
         rewrite_header(tmp_path / "d" / PACKED, lambda h: h.update(stride=stride))
         assert read_dataset(tmp_path / "d").stride == stride
+
+    @pytest.mark.parametrize("stride", [16, 20])
+    def test_stride_beyond_the_window_is_schema_error(self, tmp_path, rng, stride):
+        # window_starts refuses such a stride, so no container from_videos builds holds one
+        write_dataset(build_dataset(rng), tmp_path / "d")
+        rewrite_header(tmp_path / "d" / PACKED, lambda h: h.update(stride=stride))
+        with pytest.raises(SchemaError, match=rf"d: stride {stride} exceeds window_len 15$"):
+            read_dataset(tmp_path / "d")
 
     @pytest.mark.parametrize("drop", [("arrays",), ("arrays", "features")])
     def test_frame_features_missing_key_is_schema_error(self, tmp_path, rng, drop):

@@ -35,7 +35,6 @@ class TestBasics:
 
     def test_all_unannotated_truth_yields_explicit_empty_result(self):
         report = evaluate([0, 1, 2], [7, 7, 7])
-        assert report.no_evaluable_frames
         assert report.n_evaluated == 0
         assert report.accuracy is None
         assert report.macro_f1 is None
@@ -91,7 +90,7 @@ class TestInvariants:
             report = evaluate(pred, truth, w_f1=0.67, w_acc=0.33)
             want = metric_oracle(pred, truth, 0.67, 0.33)
             if want is None:
-                assert report.no_evaluable_frames
+                assert report.n_evaluated == 0
                 continue
             assert Fraction(report.accuracy).limit_denominator(10**9) == want["accuracy"]
             assert report.macro_f1 == pytest.approx(float(want["macro_f1"]), abs=1e-12)

@@ -49,6 +49,10 @@ def random_batch(rng, cfg, batch=3):
     return audio, video, labels, mask
 
 
+def parameter_count(model):
+    return sum(p.size for p in model.parameters().values())
+
+
 def closed_form_count(audio_dim, video_dim, mode="fused", recurrent="gru",
                       audio_hidden=(128, 64), video_hidden=(256, 64), head_hidden=64,
                       n_classes=8):
@@ -139,16 +143,16 @@ class TestForward:
 class TestParameterCount:
     def test_closed_form_at_openface_width(self):
         model = FusionModel(ModelConfig(video_dim=714))
-        assert model.parameter_count() == closed_form_count(168, 714) == 968840
+        assert parameter_count(model) == closed_form_count(168, 714) == 968840
 
     @pytest.mark.parametrize("mode", ["audio_only", "video_only"])
     def test_single_modality_counts(self, mode):
         model = FusionModel(ModelConfig(mode=mode, video_dim=714))
-        assert model.parameter_count() == closed_form_count(168, 714, mode=mode)
+        assert parameter_count(model) == closed_form_count(168, 714, mode=mode)
 
     def test_lstm_counts(self):
         model = FusionModel(ModelConfig(recurrent="lstm", video_dim=100))
-        assert model.parameter_count() == closed_form_count(168, 100, recurrent="lstm")
+        assert parameter_count(model) == closed_form_count(168, 100, recurrent="lstm")
 
 
 class TestTrainStep:
@@ -903,6 +907,14 @@ DAMAGED_CHECKPOINTS = {
                       r"missing array stats\.audio_mean$"),
     "accumulators_without_optimizer": (lambda h: h.update(optimizer=None),
                                        r"unexpected array optimizer\.audio\.bn1\.beta$"),
+    # the optimizer section is exact, as config is: no unknown key, no defaulted learning_rate
+    "optimizer_unknown_key": (lambda h: h["optimizer"].update(momentum=0.9),
+                              r"\.ckpt: missing or malformed field .*unexpected keyword argument "
+                              r"'momentum'$"),
+    "optimizer_without_learning_rate": (lambda h: h.update(optimizer={"rho": 0.9}),
+                                        r"\.ckpt: missing or malformed field 'learning_rate'$"),
+    "optimizer_empty": (lambda h: h.update(optimizer={}),
+                        r"\.ckpt: missing or malformed field 'learning_rate'$"),
 }
 
 
