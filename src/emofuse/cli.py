@@ -29,8 +29,8 @@ from .dataset import (
 )
 from .errors import EmofuseError, ParseError, SchemaError, schema_fields
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
-from .model import load_checkpoint, predict_dataset
-from .sequencing import parse_annotations
+from .model import RECURRENT_KINDS, load_checkpoint, predict_dataset
+from .sequencing import WINDOW_LEN, WINDOW_STRIDE, parse_annotations
 from .store import json_object, write_atomic, write_json
 from .training import TrainConfig, run_training
 
@@ -125,18 +125,16 @@ def cmd_ingest_video(args) -> int:
 
 
 def _collect_videos(args) -> list[tuple[str, str, str]]:
-    """(video_id, audio_container, video_container) triples, sorted by id."""
+    """(annotation_path, audio_container, video_container) triples, in annotation file name order."""
     if os.path.isfile(args.annotations):
-        track_id = os.path.splitext(os.path.basename(args.annotations))[0]
-        return [(track_id, args.audio, args.video)]
+        return [(args.annotations, args.audio, args.video)]
     triples = []
     for name in sorted(os.listdir(args.annotations)):
         if not name.endswith(".txt"):
             continue
         vid = os.path.splitext(name)[0]
-        triples.append(
-            (vid, os.path.join(args.audio, vid), os.path.join(args.video, vid))
-        )
+        triples.append((os.path.join(args.annotations, name), os.path.join(args.audio, vid),
+                        os.path.join(args.video, vid)))
     if not triples:
         raise FileNotFoundError(f"no .txt annotation files under {args.annotations}")
     return triples
@@ -146,13 +144,8 @@ def cmd_build_dataset(args) -> int:
     triples = _collect_videos(args)
 
     def assemble(triple):
-        vid, audio_dir, video_dir = triple
-        ann_path = (
-            args.annotations
-            if os.path.isfile(args.annotations)
-            else os.path.join(args.annotations, vid + ".txt")
-        )
-        track = parse_annotations(ann_path, video_id=vid)
+        ann_path, audio_dir, video_dir = triple
+        track = parse_annotations(ann_path)
         audio_feats, audio_header = read_frame_features(audio_dir, modality="audio")
         video_feats, video_header = read_frame_features(video_dir, modality="video")
         return (track, audio_feats, video_feats,
@@ -352,16 +345,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bimodal (audio + facial features) frame-level expression recognition",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    dsp, train = audio_mod.DspConfig(), TrainConfig()  # the defaults the flags show
 
     p = sub.add_parser("extract-audio", help="WAV + annotations -> per-frame 168-dim audio features")
     p.add_argument("--wav", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-fft", type=int, default=2048)
-    p.add_argument("--hop", type=int, default=512)
-    p.add_argument("--floor", type=float, default=1e-10)
-    p.add_argument("--n-mels", type=int, default=128)
-    p.add_argument("--n-mfcc", type=int, default=40)
+    p.add_argument("--n-fft", type=int, default=dsp.n_fft)
+    p.add_argument("--hop", type=int, default=dsp.hop_length)
+    p.add_argument("--floor", type=float, default=dsp.log_floor)
+    p.add_argument("--n-mels", type=int, default=dsp.n_mels)
+    p.add_argument("--n-mfcc", type=int, default=dsp.n_mfcc)
     p.set_defaults(func=cmd_extract_audio)
 
     p = sub.add_parser("ingest-video", help="OpenFace CSV -> per-frame video features")
@@ -375,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--video", required=True)
     p.add_argument("--annotations", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, default=15)
-    p.add_argument("--stride", type=int, default=10)
+    p.add_argument("--window", type=int, default=WINDOW_LEN)
+    p.add_argument("--stride", type=int, default=WINDOW_STRIDE)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_build_dataset)
 
@@ -384,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--val", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("audio", "video", "fused"), default="fused")
-    p.add_argument("--recurrent", choices=("gru", "lstm"), default="gru")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--patience", type=int, default=5)
+    p.add_argument("--mode", choices=_MODE_FLAG, default="fused")
+    p.add_argument("--recurrent", choices=RECURRENT_KINDS, default=train.recurrent)
+    p.add_argument("--epochs", type=int, default=train.epochs)
+    p.add_argument("--batch", type=int, default=train.batch_size)
+    p.add_argument("--lr", type=float, default=train.learning_rate)
+    p.add_argument("--seed", type=int, default=train.seed)
+    p.add_argument("--patience", type=int, default=train.early_stop_patience)
     p.add_argument("--exclude-class7", action="store_true",
                    help="drop unannotated (class 7) timesteps from the loss")
     p.add_argument("--standardize", action="store_true",

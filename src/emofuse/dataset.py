@@ -118,6 +118,12 @@ class WindowDataset:
     stride: int = WINDOW_STRIDE
     meta: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # a record of the stride that cut the windows; coverage is checked from the starts
+        require_number("stride", self.stride, lambda v: v >= 1, "an integer >= 1", numbers.Integral)
+        if self.stride > self.window_len:  # window_starts refuses it too
+            raise SchemaError(f"stride {self.stride} exceeds window_len {self.window_len}")
+
     @property
     def n_windows(self) -> int:
         return self.audio.shape[0]
@@ -275,9 +281,7 @@ def _plain_name(path, video_id):
 def read_dataset(path) -> WindowDataset:
     header, arrays = _read_container(path, "window_dataset")
     with schema_fields(path):
-        w, length, stride = header["n_windows"], header["window_len"], header["stride"]
-        # a record of the stride that cut the windows; coverage is checked from the starts
-        require_number(f"{path}: stride", stride, lambda v: v >= 1, "an integer >= 1", numbers.Integral)
+        w, length = header["n_windows"], header["window_len"]
         require_arrays(path, arrays, {
             "audio": (w, length, header["audio_dim"]),
             "video": (w, length, header["video_dim"]),
@@ -285,8 +289,6 @@ def read_dataset(path) -> WindowDataset:
             "start_frames": (w,),
             "pad_counts": (w,),
         })
-        if stride > length:  # window_starts refuses it, so no container from_videos builds has one
-            raise SchemaError(f"{path}: stride {stride} exceeds window_len {length}")
         audio, video, labels, start_frames, pad_counts = (arrays[name] for name in _FIELDS)
         videos, ids = [], set()
         next_offset = 0  # each video's windows directly follow the previous video's
@@ -322,14 +324,17 @@ def read_dataset(path) -> WindowDataset:
             held = np.minimum(frames[sl], e.n_frames - 1)
             for modality, x in (("audio", audio), ("video", video)):
                 _require_finite(where, modality, x[sl], held)
-        return WindowDataset(
-            audio=audio,
-            video=video,
-            labels=labels.astype(np.int64),
-            start_frames=start_frames.astype(np.int64),
-            pad_counts=pad_counts.astype(np.int64),
-            videos=videos,
-            window_len=length,
-            stride=stride,
-            meta=header.get("meta", {}),
-        )
+        try:  # the stride meets the rule it meets when a dataset is built
+            return WindowDataset(
+                audio=audio,
+                video=video,
+                labels=labels.astype(np.int64),
+                start_frames=start_frames.astype(np.int64),
+                pad_counts=pad_counts.astype(np.int64),
+                videos=videos,
+                window_len=length,
+                stride=header["stride"],
+                meta=header.get("meta", {}),
+            )
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None

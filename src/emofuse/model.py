@@ -26,7 +26,8 @@ from .nn.recurrent import Gru, Lstm
 from .sequencing import N_CLASSES
 from .store import read_packed, require_arrays, write_packed
 
-MODES = ("fused", "audio_only", "video_only")
+# the branches each mode runs, in the order their outputs feed the head
+MODES = {"fused": ("audio", "video"), "audio_only": ("audio",), "video_only": ("video",)}
 RECURRENT_KINDS = ("gru", "lstm")
 INFER_WINDOWS = 32  # windows per inference forward, whatever the caller's batch
 STD_FLOOR = 1e-8
@@ -91,60 +92,40 @@ class FusionModel:
         self.dtype = np.dtype(config.dtype)
         self.feature_stats: FeatureStats | None = None
         rec = Gru if config.recurrent == "gru" else Lstm
-
-        self.audio_stack = []
-        self.video_stack = []
-        if config.mode in ("fused", "audio_only"):
-            self.audio_stack = self._branch("audio", config.audio_dim, config.audio_hidden, rec, rng)
-        if config.mode in ("fused", "video_only"):
-            self.video_stack = self._branch("video", config.video_dim, config.video_hidden, rec, rng)
-
-        head_in = 0
-        if self.audio_stack:
-            head_in += config.audio_hidden[-1]
-        if self.video_stack:
-            head_in += config.video_hidden[-1]
+        self.branches = {name: self._branch(name, rec, rng) for name in MODES[config.mode]}
+        head_in = sum(getattr(config, f"{name}_hidden")[-1] for name in self.branches)
         self.head = [
             Dense(head_in, config.head_hidden, rng, self.dtype, name="head.dense1"),
             PReLU(config.head_hidden, dtype=self.dtype, name="head.prelu"),
             Dense(config.head_hidden, N_CLASSES, rng, self.dtype, name="head.dense2"),
         ]
-        self._layers = self.audio_stack + self.video_stack + self.head
+        self._layers = [layer for stack in self.branches.values() for layer in stack] + self.head
 
-    def _branch(self, prefix, in_dim, hidden, rec_cls, rng):
+    def _branch(self, name, rec_cls, rng):
         layers = []
-        dims = [in_dim, *hidden]
-        for i in range(len(hidden)):
-            h = dims[i + 1]
-            layers.append(rec_cls(dims[i], h, rng, self.dtype, name=f"{prefix}.rnn{i + 1}"))
-            layers.append(BatchNorm(h, BN_MOMENTUM, BN_EPS, self.dtype, name=f"{prefix}.bn{i + 1}"))
-            layers.append(PReLU(h, dtype=self.dtype, name=f"{prefix}.prelu{i + 1}"))
-            layers.append(Dropout(DROPOUT, name=f"{prefix}.drop{i + 1}"))
+        dims = [getattr(self.config, f"{name}_dim"), *getattr(self.config, f"{name}_hidden")]
+        for i, h in enumerate(dims[1:]):
+            layers.append(rec_cls(dims[i], h, rng, self.dtype, name=f"{name}.rnn{i + 1}"))
+            layers.append(BatchNorm(h, BN_MOMENTUM, BN_EPS, self.dtype, name=f"{name}.bn{i + 1}"))
+            layers.append(PReLU(h, dtype=self.dtype, name=f"{name}.prelu{i + 1}"))
+            layers.append(Dropout(DROPOUT, name=f"{name}.drop{i + 1}"))
         return layers
 
     # -- parameter plumbing -------------------------------------------------
 
+    def _named(self, arrays) -> dict[str, np.ndarray]:
+        """Every layer's ``arrays(layer)`` entries, keyed ``<layer name>.<entry>``."""
+        return {f"{layer.name}.{k}": a for layer in self._layers for k, a in arrays(layer).items()}
+
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for layer in self._layers:
-            for pname, arr in layer.params.items():
-                out[f"{layer.name}.{pname}"] = arr
-        return out
+        return self._named(lambda layer: layer.params)
 
     def gradients(self) -> dict[str, np.ndarray]:
-        out = {}
-        for layer in self._layers:
-            for pname, arr in layer.grads.items():
-                out[f"{layer.name}.{pname}"] = arr
-        return out
+        return self._named(lambda layer: layer.grads)
 
     def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for layer in self._layers:
-            if isinstance(layer, BatchNorm):
-                out[f"{layer.name}.running_mean"] = layer.running_mean
-                out[f"{layer.name}.running_var"] = layer.running_var
-        return out
+        return self._named(lambda layer: {k: getattr(layer, k) for k in ("running_mean", "running_var")}
+                           if isinstance(layer, BatchNorm) else {})
 
     # -- forward / backward -------------------------------------------------
 
@@ -161,26 +142,13 @@ class FusionModel:
                 x = layer.forward(x, training=training)
         return x
 
-    def _stack_backward(self, stack, dy, input_grad=True):
-        """Backpropagate through ``stack``. With ``input_grad=False`` its first
-        layer, a recurrent cell fed by data, skips its input gradient."""
-        for k in range(len(stack) - 1, -1, -1):
-            if k == 0 and not input_grad:
-                return stack[0].backward(dy, input_grad=False)
-            dy = stack[k].backward(dy)
-        return dy
-
-    def _branch_inputs(self, audio, video) -> list[tuple[list, np.ndarray]]:
-        """``(stack, [B, T, dim] input)`` for each branch the mode uses, standardized
+    def _branch_inputs(self, audio, video) -> list[np.ndarray]:
+        """The [B, T, dim] input of each branch in ``branches``, standardized
         with ``feature_stats`` when the model carries them."""
         out = []
-        stats = self.feature_stats
-        for name, stack, x, dim in (
-            ("audio", self.audio_stack, audio, self.config.audio_dim),
-            ("video", self.video_stack, video, self.config.video_dim),
-        ):
-            if not stack:
-                continue
+        stats, given = self.feature_stats, {"audio": audio, "video": video}
+        for name in self.branches:
+            x, dim = given[name], getattr(self.config, f"{name}_dim")
             if x is None:
                 raise ShapeError(f"model mode requires {name} input")
             if stats is not None:
@@ -190,16 +158,15 @@ class FusionModel:
                 x = x[None]
             if x.shape[-1] != dim:
                 raise ShapeError(f"{name} dim {x.shape[-1]} != model {dim}")
-            out.append((stack, x))
-        if len({x.shape[:2] for _, x in out}) > 1:
-            raise ShapeError(f"audio and video batches differ: {[x.shape[:2] for _, x in out]}")
+            out.append(x)
+        if len({x.shape[:2] for x in out}) > 1:
+            raise ShapeError(f"audio and video batches differ: {[x.shape[:2] for x in out]}")
         return out
 
-    def _run_branches(self, branches, training, seed):
-        parts = [self._run_stack(stack, x, training, seed) for stack, x in branches]
-        fused = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        self._split = None if len(parts) == 1 else parts[0].shape[-1]
-        return self._run_stack(self.head, fused, training, seed)
+    def _run_branches(self, inputs, training, seed):
+        stacks = self.branches.values()
+        parts = [self._run_stack(stack, x, training, seed) for stack, x in zip(stacks, inputs)]
+        return self._run_stack(self.head, np.concatenate(parts, axis=-1), training, seed)
 
     def logits(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
         """Per-timestep unnormalized class scores, shape [B, T, N_CLASSES].
@@ -209,14 +176,14 @@ class FusionModel:
         counts, so a fixed slice size keeps each window's scores independent
         of the windows it is batched with.
         """
-        branches = self._branch_inputs(audio, video)
+        inputs = self._branch_inputs(audio, video)
         if training:
-            return self._run_branches(branches, True, seed)
-        B, T = branches[0][1].shape[:2]
+            return self._run_branches(inputs, True, seed)
+        B, T = inputs[0].shape[:2]
         out = np.empty((B, T, N_CLASSES), dtype=self.dtype)
         for lo in range(0, B, INFER_WINDOWS):
             n = min(INFER_WINDOWS, B - lo)
-            part = [(stack, _fixed_rows(x[lo : lo + n])) for stack, x in branches]
+            part = [_fixed_rows(x[lo : lo + n]) for x in inputs]
             out[lo : lo + n] = self._run_branches(part, False, seed)[:n]
         return out
 
@@ -225,12 +192,16 @@ class FusionModel:
         return softmax(self.logits(audio, video, training, seed))
 
     def backward_from_logits(self, dlogits):
-        dfused = self._stack_backward(self.head, dlogits)
-        if self._split is None:
-            self._stack_backward(self.audio_stack or self.video_stack, dfused, input_grad=False)
-        else:
-            self._stack_backward(self.audio_stack, dfused[..., : self._split], input_grad=False)
-            self._stack_backward(self.video_stack, dfused[..., self._split :], input_grad=False)
+        """Backpropagate to every parameter; a branch's first layer, a recurrent
+        cell fed by data, skips its input gradient."""
+        dy = dlogits
+        for layer in reversed(self.head):
+            dy = layer.backward(dy)
+        ends = np.cumsum([getattr(self.config, f"{name}_hidden")[-1] for name in self.branches])[:-1]
+        for stack, dy in zip(self.branches.values(), np.split(dy, ends, axis=-1)):
+            for layer in reversed(stack[1:]):
+                dy = layer.backward(dy)
+            stack[0].backward(dy, input_grad=False)
 
     def train_step(
         self,

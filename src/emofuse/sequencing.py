@@ -10,6 +10,7 @@ tail frames uncovered.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,9 @@ def remap_label(raw) -> np.ndarray:
     return np.where(raw == -1, UNANNOTATED_CLASS, raw)
 
 
-def parse_annotations(path, video_id: str | None = None) -> AnnotationTrack:
-    """Read one integer label per line; a non-numeric first line is a header."""
-    if video_id is None:
-        video_id = _stem(path)
+def parse_annotations(path) -> AnnotationTrack:
+    """Read one integer label per line; a non-numeric first line is a header.
+    The track's ``video_id`` is the file name without its extension."""
     labels = []
     with open(path, "r", encoding="utf-8-sig") as fh, utf8_text(path):
         for line_no, line in enumerate(fh, start=1):
@@ -61,12 +61,10 @@ def parse_annotations(path, video_id: str | None = None) -> AnnotationTrack:
             if value < -1 or value > 6:
                 raise DomainError(f"{path}: line {line_no}: label {value} outside {{-1..6}}")
             labels.append(value)
-    return AnnotationTrack(labels=labels, video_id=video_id)
+    return AnnotationTrack(labels=labels, video_id=_stem(path))
 
 
 def _stem(path) -> str:
-    import os
-
     return os.path.splitext(os.path.basename(str(path)))[0]
 
 

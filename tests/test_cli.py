@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emofuse
+from emofuse import cli
+from emofuse.audio import DspConfig
 from emofuse.cli import _prediction_lines, main
 from emofuse.dataset import (
     PACKED,
@@ -21,8 +24,10 @@ from emofuse.dataset import (
     write_dataset,
     write_frame_features,
 )
-from emofuse.model import FusionModel, ModelConfig, RmsProp, load_checkpoint, save_checkpoint
+from emofuse.errors import SchemaError
+from emofuse.model import MODES, FusionModel, ModelConfig, RmsProp, load_checkpoint, save_checkpoint
 from emofuse.sequencing import AnnotationTrack
+from emofuse.training import TrainConfig
 from emofuse.video import META_COLUMNS, default_selection
 
 from conftest import wav_bytes
@@ -128,6 +133,31 @@ class TestExtractAudio:
         assert rc == 1
         assert one_error_line(capsys, "domain")
         assert not (tmp_path / "x").exists()
+
+
+class TestFlagDefaults:
+    """A flag left out takes the library's default; the pipeline fixture passes only required flags."""
+
+    def test_extract_audio_builds_the_default_dsp_config(self, pipeline):
+        _, header = read_frame_features(pipeline["audio"])
+        assert header["meta"]["dsp"] == asdict(DspConfig())
+
+    def test_train_builds_the_default_train_config(self, tiny_training, tmp_path, monkeypatch):
+        seen = []
+
+        def stop(train_set, val_set, config, **kwargs):
+            seen.append(config)
+            raise SchemaError("stopped before training")
+
+        monkeypatch.setattr(cli, "run_training", stop)
+        ds = str(tiny_training["dataset"])
+        assert main(["train", "--train", ds, "--val", ds, "--out", str(tmp_path / "run")]) == 1
+        assert seen == [TrainConfig()]
+
+
+def test_mode_vocabularies_match_the_model():
+    # a new mode needs a --mode flag value and a row name in the report table
+    assert sorted(cli._MODE_FLAG.values()) == sorted(cli._FEATURES) == sorted(MODES)
 
 
 class TestIngestVideo:
@@ -451,7 +481,7 @@ class TestTrainCli:
                      "--patience", "0"]) == 0
         model, _, _ = load_checkpoint(root / "audio_run" / "best.ckpt")
         assert model.config.mode == "audio_only"
-        assert not model.video_stack
+        assert list(model.branches) == ["audio"]
 
     def test_lstm_flag(self, tiny_training):
         root = tiny_training["root"]

@@ -208,7 +208,7 @@ def windows_at(starts, n_frames, pad_counts=None, window_len=5, labels=None):
         pad_counts=np.array(pad_counts or [0] * w, dtype=np.int64),
         videos=[VideoEntry("v", n_frames, 0, w)],
         window_len=window_len,
-        stride=window_len,  # a record only; read_dataset refuses one beyond the window
+        stride=window_len,  # a record only; the constructor refuses one beyond the window
     )
 
 
@@ -361,6 +361,19 @@ class TestMalformedManifest:
         rewrite_header(tmp_path / "d" / PACKED, lambda h: h.update(stride=stride))
         with pytest.raises(SchemaError, match=rf"d: stride {stride} exceeds window_len 15$"):
             read_dataset(tmp_path / "d")
+
+    @pytest.mark.parametrize("stride, message", [
+        ({}, "stride 10 exceeds window_len 5"),  # the default stride, WINDOW_STRIDE
+        ({"stride": 0}, "stride must be an integer >= 1, got 0"),
+    ], ids=["default", "zero"])
+    def test_hand_built_bad_stride_is_refused_before_writing(self, tmp_path, stride, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            write_dataset(WindowDataset(
+                audio=np.zeros((1, 5, 3)), video=np.zeros((1, 5, 4)), labels=np.zeros((1, 5)),
+                start_frames=np.zeros(1), pad_counts=np.zeros(1), videos=[VideoEntry("v", 5, 0, 1)],
+                window_len=5, **stride,
+            ), tmp_path / "d")
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("drop", [("arrays",), ("arrays", "features")])
     def test_frame_features_missing_key_is_schema_error(self, tmp_path, rng, drop):

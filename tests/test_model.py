@@ -12,6 +12,8 @@ from emofuse.dataset import VideoEntry, WindowDataset
 from emofuse.errors import CorruptionError, DivergenceError, DomainError, SchemaError, ShapeError
 from emofuse.model import (
     INFER_WINDOWS,
+    MODES,
+    RECURRENT_KINDS,
     FeatureStats,
     FusionModel,
     ModelConfig,
@@ -190,9 +192,12 @@ class TestTrainStep:
         with pytest.raises(DivergenceError):
             model.train_step(audio, video, labels, mask, RmsProp(), seed=0)
 
-    def test_full_model_gradient_spot_check(self, rng):
-        model = FusionModel(TINY)
-        audio, video, labels, mask = random_batch(rng, TINY, batch=2)
+    @pytest.mark.parametrize("recurrent", RECURRENT_KINDS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_full_model_gradient_spot_check(self, rng, mode, recurrent):
+        cfg = ModelConfig(**{**TINY.__dict__, "mode": mode, "recurrent": recurrent})
+        model = FusionModel(cfg)
+        audio, video, labels, mask = random_batch(rng, cfg, batch=2)
         mask[1, -2:] = 0.0  # exercise the loss mask too
         seed = 13
 
@@ -254,7 +259,7 @@ class TestVariants:
                           audio_hidden=(5, 4), video_hidden=(6, 4), head_hidden=4,
                           window_len=5)
         model = FusionModel(cfg)
-        assert not model.video_stack
+        assert list(model.branches) == ["audio"]
         probs = model.forward(rng.standard_normal((2, 5, 6)), None)
         assert probs.shape == (2, 5, 8)
         assert model.head[0].in_dim == 4  # head consumes just the audio branch
@@ -267,11 +272,11 @@ class TestVariants:
         audio, _, _, _ = random_batch(rng, TINY)
         x_f = audio.copy()
         x_a = audio.copy()
-        for layer_f, layer_a in zip(fused.audio_stack, audio_only.audio_stack):
+        for layer_f, layer_a in zip(fused.branches["audio"], audio_only.branches["audio"]):
             for k in layer_f.params:
                 np.testing.assert_array_equal(layer_f.params[k], layer_a.params[k])
-        out_f = fused._run_stack(fused.audio_stack, x_f, True, seed=5)
-        out_a = audio_only._run_stack(audio_only.audio_stack, x_a, True, seed=5)
+        out_f = fused._run_stack(fused.branches["audio"], x_f, True, seed=5)
+        out_a = audio_only._run_stack(audio_only.branches["audio"], x_a, True, seed=5)
         np.testing.assert_array_equal(out_f, out_a)
 
     def test_lstm_variant_runs(self, rng):
@@ -293,6 +298,7 @@ def one_video(rng, cfg, starts, n_frames, pad_counts=None):
         pad_counts=np.array(pad_counts or [0] * w, dtype=np.int64),
         videos=[VideoEntry("v", n_frames, 0, w)],
         window_len=cfg.window_len,
+        stride=cfg.window_len,
     )
 
 
