@@ -196,14 +196,9 @@ def cmd_train(args) -> int:
     )
     state_path = os.path.join(args.out, "checkpoint.ckpt")
     best_path = os.path.join(args.out, "best.ckpt")
-    model, report = run_training(
-        train_set,
-        val_set,
-        config,
-        state_path=state_path,
-        best_path=best_path,
-        resume_from=args.resume,
-    )
+    with np.errstate(all="ignore"):  # a loss that overflows to NaN ends in one error line
+        model, report = run_training(train_set, val_set, config, state_path=state_path,
+                                     best_path=best_path, resume_from=args.resume)
 
     log = "".join(
         f"epoch {r['epoch']} train_loss {r['train_loss']:.6f} "
@@ -232,6 +227,8 @@ def cmd_train(args) -> int:
 
 def _parse_weights(text: str) -> tuple[float, float]:
     try:
+        if "_" in text or not text.isascii():  # float() takes "0_5" and non-ASCII digits
+            raise ValueError
         w_f1, w_acc = (float(p) for p in text.split(","))
     except ValueError:
         raise ParseError(f"weights must be 'w_f1,w_acc', got {text!r}") from None

@@ -67,8 +67,6 @@ def _read_container(path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
 def write_frame_features(path, features: np.ndarray, modality: str, meta: dict | None = None):
     """Persist an [n_frames, dim] feature matrix for one video."""
     features = np.asarray(features)
-    if features.ndim != 2:
-        raise SchemaError(f"frame features must be 2-D, got shape {features.shape}")
     _write_container(path, {
         "kind": "frame_features",
         "modality": modality,

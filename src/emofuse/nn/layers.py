@@ -41,12 +41,6 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
         self._cache = None
 
-    def forward(self, x, training=False, rng=None):
-        raise NotImplementedError
-
-    def backward(self, dy):
-        raise NotImplementedError
-
     def _take_cache(self):
         if self._cache is None:
             raise StateError(f"{self.name or type(self).__name__}: backward without forward")

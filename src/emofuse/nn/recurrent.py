@@ -54,14 +54,6 @@ def _batch_major(a):
     return np.ascontiguousarray(a.transpose(1, 0, 2))
 
 
-def _upstream(dh_seq, shape, dtype, name):
-    """The upstream gradient as [B,T,H] in ``dtype``, checked against ``shape``."""
-    dh_seq = np.asarray(dh_seq, dtype=dtype)
-    if dh_seq.shape != shape:
-        raise ShapeError(f"{name}: upstream gradient shape {dh_seq.shape}")
-    return dh_seq
-
-
 class _Recurrent(Layer):
     """Gate-stacked params ``W`` [G*H,in], ``U`` [G*H,H] and ``b`` [G*H], gates in
     ``GATES`` order; ``rng=None`` leaves the weights zero."""
@@ -120,7 +112,7 @@ class Gru(_Recurrent):
         x, h_all, zr_all, hc_all = self._take_cache()
         T, B, H = hc_all.shape
         Uzr, Uh = self.params["U"][: 2 * H], self.params["U"][2 * H :]
-        dh_seq = _upstream(dh_seq, (B, T, H), x.dtype, self.name)
+        dh_seq = np.asarray(dh_seq, dtype=x.dtype)
 
         da = np.empty((B, T, 3 * H), dtype=x.dtype)  # pre-activations z, r, hc
         dh = np.zeros((B, H), dtype=x.dtype)
@@ -181,7 +173,7 @@ class Lstm(_Recurrent):
         T, B, _ = gates.shape
         U = self.params["U"]
         H = self.hidden_dim
-        dh_seq = _upstream(dh_seq, (B, T, H), x.dtype, self.name)
+        dh_seq = np.asarray(dh_seq, dtype=x.dtype)
 
         da = np.empty((B, T, 4 * H), dtype=x.dtype)  # pre-activations i, f, o, g
         dh = np.zeros((B, H), dtype=x.dtype)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,23 +42,21 @@ def remap_label(raw) -> np.ndarray:
 
 
 def parse_annotations(path) -> AnnotationTrack:
-    """Read one integer label per line; a non-numeric first line is a header.
-    The track's ``video_id`` is the file name without its extension."""
+    """Read one label per line, an optional ``-`` then ASCII digits; any other
+    first line is a header. The track's ``video_id`` is the file name without
+    its extension."""
     labels = []
     with open(path, "r", encoding="utf-8-sig") as fh, utf8_text(path):
         for line_no, line in enumerate(fh, start=1):
-            text = line.strip()
+            text = line.strip(" \t\n\r\v\f")  # str.strip() also drops "\x1c" and no-break spaces
             if not text:
                 continue
-            try:
-                value = int(text)
-            except ValueError:
+            if not re.fullmatch(r"-?[0-9]+", text):  # int() takes "+1", "1_0", non-ASCII digits
                 if line_no == 1:
                     logger.info("%s: skipping header line %r", path, text)
                     continue
-                raise ParseError(
-                    f"{path}: line {line_no}: non-numeric label {text!r}"
-                ) from None
+                raise ParseError(f"{path}: line {line_no}: label {text!r} is not an ASCII integer")
+            value = int(text)
             if value < -1 or value > 6:
                 raise DomainError(f"{path}: line {line_no}: label {value} outside {{-1..6}}")
             labels.append(value)

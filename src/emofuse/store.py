@@ -101,6 +101,8 @@ def read_packed(path) -> tuple[dict, dict[str, np.ndarray]]:
             raise CorruptionError(f"{path}: blob checksum mismatch")
         for entry in header["arrays"]:
             name, lo, n = entry["name"], entry["offset"], entry["nbytes"]
+            if name in arrays:
+                raise SchemaError(f"{path}: array {name} appears twice")
             if not all(type(v) is int and v >= 0 for v in (lo, n, *entry["shape"])):
                 raise SchemaError(f"{path}: array {name} offset {lo!r}, nbytes {n!r} or shape "
                                   f"{entry['shape']!r} holds a value that is not an integer >= 0")

@@ -239,7 +239,7 @@ def run_training(
                 )
                 losses.append(loss)
         except DivergenceError:
-            logger.error("epoch %d: training diverged, keeping last good state", epoch + 1)
+            logger.info("epoch %d: training diverged, keeping last good state", epoch + 1)
             report.diverged = True
             break
 

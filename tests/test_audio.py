@@ -221,6 +221,11 @@ class TestMelFilterbank:
         with pytest.raises(DomainError):
             mel_filterbank(16000, cfg)
 
+    @pytest.mark.parametrize("fmin, fmax", [(8000.0, None), (3000.0, 3000.0), (4000.0, 2000.0)])
+    def test_fmin_not_below_fmax_rejected(self, fmin, fmax):
+        with pytest.raises(DomainError, match=r"^fmin \S+ must be below fmax"):
+            mel_filterbank(16000, DspConfig(fmin=fmin, fmax=fmax))
+
 
 class TestMfcc:
     def test_constant_logmel_is_impulse_at_zero(self):

@@ -19,8 +19,9 @@ def test_evaluate_short_traced_smoke_run():
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0 and result["attempted"] >= 2
     metrics = result["metrics"]
-    assert metrics["nn.recurrent.Gru.calls"]["value"] > 0
-    assert metrics["model.load_checkpoint.s"]["value"] > 0
+    for name in ("nn.recurrent.Gru.calls", "model.load_checkpoint.s", "model.forward.ms",
+                 "model.forward.calls"):
+        assert metrics[name]["value"] > 0, name
 
 
 def test_train_gru_traced_smoke_run():
@@ -38,7 +39,7 @@ def test_train_gru_traced_smoke_run():
     assert result["failed"] == 0 and result["attempted"] >= 2
     metrics = result["metrics"]
     for name in ("nn.layers.PReLU.forward.ms", "nn.layers.BatchNorm.backward.ms",
-                 "nn.optim.RmsProp.step.ms"):
+                 "nn.optim.RmsProp.step.ms", "training.validation.s", "model.save_checkpoint.s"):
         assert metrics[name]["value"] > 0, name
 
 

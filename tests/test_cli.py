@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import shutil
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -125,13 +127,30 @@ class TestExtractAudio:
 
     @pytest.mark.parametrize("flag,value", [("--floor", "nan"), ("--floor", "inf"),
                                             ("--n-mfcc", "-1"), ("--n-fft", "1"),
-                                            ("--n-fft", "2"), ("--n-fft", "252")])
+                                            ("--n-fft", "2"), ("--n-fft", "252"),
+                                            ("--n-fft", "0"), ("--hop", "0"), ("--n-mels", "0")])
     def test_bad_dsp_setting_is_domain_error(self, pipeline, capsys, tmp_path, flag, value):
         rc = main(["extract-audio", "--wav", str(pipeline["wav"]),
                    "--annotations", str(pipeline["ann"]), "--out", str(tmp_path / "x"),
                    flag, value])
         assert rc == 1
         assert one_error_line(capsys, "domain")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("fmt, message", [
+        (struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)[:14], "truncated fmt chunk"),
+        (struct.pack("<HHIIHH", 1, 0, 8000, 0, 0, 16), "invalid channel count or sample rate"),
+        (struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16), "invalid channel count or sample rate"),
+    ], ids=["truncated_fmt", "zero_channels", "zero_rate"])
+    def test_bad_fmt_chunk_is_format_error(self, pipeline, capsys, tmp_path, fmt, message):
+        body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                + b"data" + struct.pack("<I", 4) + bytes(4))
+        wav = tmp_path / "bad.wav"
+        wav.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+        rc = main(["extract-audio", "--wav", str(wav), "--annotations", str(pipeline["ann"]),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: format: {wav}: {message}"]
         assert not (tmp_path / "x").exists()
 
 
@@ -264,6 +283,16 @@ class TestIngestVideo:
         assert rc == 1
         assert one_error_line(capsys, "parse")
 
+    def test_empty_column_manifest_is_schema_error(self, pipeline, capsys, tmp_path):
+        manifest = tmp_path / "cols.txt"
+        manifest.write_text("# no columns\n\n")
+        rc = main(["ingest-video", "--csv", str(pipeline["csv"]), "--columns", str(manifest),
+                   "--out", str(tmp_path / "v")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: schema: {manifest}: column manifest is empty"]
+        assert not (tmp_path / "v").exists()
+
     def test_row_count_reported(self, pipeline, capsys, tmp_path):
         rc = main(["ingest-video", "--csv", str(pipeline["csv"]), "--out", str(tmp_path / "v")])
         assert rc == 0
@@ -331,6 +360,37 @@ class TestBuildDataset:
         assert one_error_line(capsys, "domain")
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("flag", ["--window", "--stride"])
+    def test_window_or_stride_below_one_is_domain_error(self, pipeline, capsys, tmp_path, flag):
+        rc = main(["build-dataset", "--audio", str(pipeline["audio"]), "--video", str(pipeline["video"]),
+                   "--annotations", str(pipeline["ann"]), "--out", str(tmp_path / "d"), flag, "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: domain: length and stride must be positive"]
+        assert not (tmp_path / "d").exists()
+
+    def test_annotation_directory_without_txt_files_is_file_error(self, pipeline, capsys, tmp_path):
+        (tmp_path / "ann").mkdir()
+        (tmp_path / "ann" / "vid.csv").write_text("frame\n")
+        rc = main(["build-dataset", "--audio", str(pipeline["root"]), "--video", str(pipeline["root"]),
+                   "--annotations", str(tmp_path / "ann"), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: file: no .txt annotation files under {tmp_path / 'ann'}"]
+        assert not (tmp_path / "d").exists()
+
+    def test_missing_feature_container_is_schema_error(self, pipeline, capsys, tmp_path):
+        # the audio directory holds no container named after the annotation file
+        (tmp_path / "ann").mkdir()
+        shutil.copy(pipeline["ann"], tmp_path / "ann")
+        (tmp_path / "audio").mkdir()
+        rc = main(["build-dataset", "--audio", str(tmp_path / "audio"), "--video", str(pipeline["root"]),
+                   "--annotations", str(tmp_path / "ann"), "--out", str(tmp_path / "d")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: schema: {tmp_path / 'audio' / 'vid'}: no {PACKED}; not a container"]
+        assert not (tmp_path / "d").exists()
+
     def test_non_utf8_annotations_is_parse_error(self, pipeline, capsys, tmp_path):
         ann = tmp_path / "vid.txt"
         ann.write_bytes(pipeline["ann"].read_bytes().replace(b"\n", b"\n\xb7", 1))
@@ -395,6 +455,21 @@ class TestMalformedBuildInputs:
         assert err.endswith(f"{os.path.join(tmp_path, modality, 'b')}: {message}\n")
         assert not (tmp_path / "d").exists()
 
+    def test_jobs_stray_files_and_blank_lines_change_no_byte(self, tmp_path, rng):
+        # two threads, a file among the annotations that is not .txt and blank
+        # annotation lines all leave the container one thread writes without them
+        videos = {v: (rng.standard_normal((n, 6)), rng.standard_normal((n, 3)))
+                  for v, n in (("a", 17), ("b", 9))}
+        (tmp_path / "one").mkdir()
+        assert build_from_arrays(tmp_path / "one", videos) == 0
+        two = tmp_path / "two"
+        shutil.copytree(tmp_path / "one", two, ignore=shutil.ignore_patterns("d"))
+        (two / "ann" / "notes.md").write_text("not an annotation file\n")
+        (two / "ann" / "a.txt").write_text("\n" + "0\n\n" * 17)
+        assert main(["build-dataset", "--audio", str(two / "audio"), "--video", str(two / "video"),
+                     "--annotations", str(two / "ann"), "--out", str(two / "d"), "--jobs", "2"]) == 0
+        assert (two / "d" / PACKED).read_bytes() == (tmp_path / "one" / "d" / PACKED).read_bytes()
+
     def test_swapped_modalities_is_schema_error(self, tmp_path, capsys, rng):
         rc = build_from_arrays(
             tmp_path, {"clip": (rng.standard_normal((4, 6)), rng.standard_normal((4, 3)))},
@@ -452,6 +527,18 @@ class TestTrainCli:
         summary = json.loads(s1)
         assert summary["config"]["learning_rate"] == 1e-4
         assert len(summary["history"]) == 2
+
+    def test_divergence_is_one_error_line_after_the_last_good_epoch(self, tiny_training, tmp_path,
+                                                                     capsys):
+        ds, out = str(tiny_training["dataset"]), tmp_path / "run"
+        rc = main(["train", "--train", ds, "--val", ds, "--epochs", "3", "--lr", "1e30",
+                   "--patience", "0", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: divergence: training loss became non-finite"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["diverged"] is True and summary["epochs_run"] == 1
+        assert (out / "train_log.txt").read_text().startswith("epoch 1 ")
 
     def test_resume_writes_the_full_history(self, tiny_training, tmp_path):
         ds = str(tiny_training["dataset"])
@@ -895,6 +982,20 @@ class TestEvaluateCli:
         first = lines[0].split(",")
         assert first[0] == "0" and first[1] == "3" and len(first) == 10
 
+    def test_no_evaluable_frames_is_reported(self, tmp_path, capsys, rng):
+        # every frame unannotated (class 7): nothing is scored, and the report says so
+        track = AnnotationTrack([-1] * 15, "clip")
+        dataset = WindowDataset.from_videos([(track, rng.standard_normal((15, 168)),
+                                              rng.standard_normal((15, 3)))])
+        write_dataset(dataset, tmp_path / "d")
+        save_checkpoint(tmp_path / "m.ckpt", FusionModel(ModelConfig(video_dim=3)))
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "m.ckpt"), "--dataset",
+                     str(tmp_path / "d"), "--out", str(tmp_path / "eval")]) == 0
+        report = "mode: fused (gru)\nframes evaluated: 0 of 15\nno evaluable frames\n"
+        assert capsys.readouterr().out == report
+        assert (tmp_path / "eval" / "report.txt").read_text() == report
+        assert json.loads((tmp_path / "eval" / "eval_summary.json").read_text())["combined"] is None
+
     def test_weights_parsed_into_report(self, tiny_training):
         root = tiny_training["root"]
         ds = str(tiny_training["dataset"])
@@ -980,13 +1081,16 @@ class TestMalformedEvaluateInputs:
         return main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(dataset),
                      "--out", str(out), *extra])
 
-    @pytest.mark.parametrize("weights", ["x", "1,2,3", "0.5"])
+    # float() would read "0_5" as 5.0 and "\u0663" (ARABIC-INDIC DIGIT THREE) as 3.0
+    @pytest.mark.parametrize("weights", ["x", "1,2,3", "0.5", "0_5,1", "0.5,0.5_0", "\u0663,1",
+                                         "0.5,\uff11"])
     def test_bad_weights_is_parse_error(self, tiny_training, untrained, tmp_path, capsys, weights):
         rc = self.run_evaluate(untrained, tiny_training["dataset"], tmp_path / "out",
                                "--weights", weights)
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: parse:")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("weights", ["nan,1", "inf,0", "0.5,-inf"])
     def test_non_finite_weights_is_parse_error(self, tiny_training, untrained, tmp_path, capsys,
@@ -1108,8 +1212,6 @@ class TestMalformedEvaluateInputs:
     @pytest.mark.parametrize("stride", [math.nan, -1, 0, 9.9, 1.5, True])
     def test_stride_not_a_positive_integer_is_schema_error(self, tiny_training, untrained,
                                                            tmp_path, capsys, stride):
-        import shutil
-
         broken, out = tmp_path / "broken", tmp_path / "out"
         shutil.copytree(tiny_training["dataset"], broken)
         rewrite_header(broken / PACKED, lambda h: h.update(stride=stride))

@@ -314,6 +314,14 @@ class TestMalformedManifest:
         with pytest.raises(SchemaError):
             read_dataset(tmp_path / "d")
 
+    def test_repeated_array_is_schema_error(self, tmp_path, rng):
+        # a later entry of one name would replace the earlier one unseen
+        write_dataset(build_dataset(rng), tmp_path / "d")
+        rewrite_header(tmp_path / "d" / PACKED, lambda h: h["arrays"].append(
+            next(e for e in h["arrays"] if e["name"] == "labels")))
+        with pytest.raises(SchemaError, match=f"{PACKED}: array labels appears twice$"):
+            read_dataset(tmp_path / "d")
+
     @pytest.mark.parametrize("key", ["arrays", "n_windows", "videos"])
     def test_dataset_missing_key_is_schema_error(self, tmp_path, rng, key):
         write_dataset(build_dataset(rng), tmp_path / "d")

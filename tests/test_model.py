@@ -142,6 +142,14 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
 
+    @pytest.mark.parametrize("missing", ["audio", "video"])
+    def test_missing_branch_input_rejected(self, rng, missing):
+        audio, video, _, _ = random_batch(rng, TINY)
+        inputs = {"audio": audio, "video": video, missing: None}
+        with pytest.raises(ShapeError, match=f"^model mode requires {missing} input$"):
+            FusionModel(TINY).forward(inputs["audio"], inputs["video"])
+
+
 class TestParameterCount:
     def test_closed_form_at_openface_width(self):
         model = FusionModel(ModelConfig(video_dim=714))
@@ -165,6 +173,16 @@ class TestTrainStep:
         opt = RmsProp()
         opt.learning_rate = 0.0  # below RmsProp's domain, which refuses it at construction
         model.train_step(audio, video, labels, mask, opt, seed=0)
+        for k, v in model.parameters().items():
+            np.testing.assert_array_equal(v, before[k])
+
+    def test_fully_masked_batch_is_shape_error(self, rng):
+        # no position to average the loss over; the training loop skips such a batch
+        model = FusionModel(TINY)
+        before = {k: v.copy() for k, v in model.parameters().items()}
+        audio, video, labels, mask = random_batch(rng, TINY)
+        with pytest.raises(ShapeError, match="mask excludes every position"):
+            model.train_step(audio, video, labels, np.zeros_like(mask), RmsProp(), seed=0)
         for k, v in model.parameters().items():
             np.testing.assert_array_equal(v, before[k])
 
@@ -921,6 +939,10 @@ DAMAGED_CHECKPOINTS = {
                                         r"\.ckpt: missing or malformed field 'learning_rate'$"),
     "optimizer_empty": (lambda h: h.update(optimizer={}),
                         r"\.ckpt: missing or malformed field 'learning_rate'$"),
+    # a later entry of one name would replace the earlier one unseen
+    "array_repeated": (lambda h: h["arrays"].append(next(e for e in h["arrays"]
+                                                         if e["name"] == "head.dense2.b")),
+                       r"\.ckpt: array head\.dense2\.b appears twice$"),
 }
 
 
@@ -1062,6 +1084,12 @@ class TestMalformedCheckpoint:
 
         rewrite_header(ckpt, edit)
         with pytest.raises(SchemaError, match=r"array head\.dense2\.b "):
+            load_checkpoint(ckpt)
+
+    def test_array_entry_past_the_blob_is_corruption(self, ckpt):
+        # the checksum covers the blob, not where an entry points into it
+        rewrite_header(ckpt, edit_entry("head.dense2.b", "offset", lambda lo: lo + 10**6))
+        with pytest.raises(CorruptionError, match=r"array head\.dense2\.b extends past blob$"):
             load_checkpoint(ckpt)
 
     def test_undecodable_header_is_corruption(self, ckpt):

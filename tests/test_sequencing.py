@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -55,10 +57,15 @@ class TestParseAnnotations:
         p.write_bytes(b"\xef\xbb\xbf3\n1\n-1\n")
         assert parse_annotations(p).labels == [3, 1, -1]
 
-    def test_non_numeric_later_line_fails(self, tmp_path):
+    # int() would read "0_1" as 1, "\u0663" (ARABIC-INDIC DIGIT THREE) as 3 and "+2" as 2,
+    # and str.strip() would drop the separator and the no-break space
+    @pytest.mark.parametrize("label", ["what", "0_1", "\u0663", "+2", "1.0", "- 1", "3\x1c",
+                                       "\u00a04"])
+    def test_non_numeric_later_line_fails(self, tmp_path, label):
         p = tmp_path / "v.txt"
-        p.write_text("0\nwhat\n")
-        with pytest.raises(ParseError):
+        p.write_text(f"0\n{label}\n", encoding="utf-8")
+        message = f"v.txt: line 2: label {label!r} is not an ASCII integer"
+        with pytest.raises(ParseError, match=re.escape(message) + "$"):
             parse_annotations(p)
 
     def test_out_of_range_label(self, tmp_path):
