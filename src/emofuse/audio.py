@@ -65,6 +65,10 @@ class DspConfig:
             )
         if not (math.isfinite(self.log_floor) and self.log_floor > 0):
             raise DomainError(f"log_floor must be finite and positive, got {self.log_floor}")
+        if not (math.isfinite(self.fmin) and self.fmin >= 0):
+            raise DomainError(f"fmin must be finite and non-negative, got {self.fmin}")
+        if self.fmax is not None and not math.isfinite(self.fmax):
+            raise DomainError(f"fmax must be finite, got {self.fmax}")
 
     def resolved_fmax(self, sample_rate: int) -> float:
         fmax = sample_rate / 2 if self.fmax is None else self.fmax
@@ -207,13 +211,29 @@ def mel_filterbank(sample_rate: int, cfg: DspConfig) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_filterbank(sample_rate: int, cfg: DspConfig):
-    """Read-only CSR ``mel_filterbank(...).T``; ``power @ fb`` adds each band's bins in order."""
-    import scipy.sparse  # loaded by feature extraction only, not by train or evaluate
-    fb = scipy.sparse.csr_array(mel_filterbank(sample_rate, cfg).T)
-    for part in (fb.data, fb.indices, fb.indptr):
+def _band_table(sample_rate: int, cfg: DspConfig):
+    """Read-only ``(inverse, steps)`` of ``mel_filterbank(sample_rate, cfg)``: with
+    the bands sorted widest first, step k holds the k-th nonzero bin and weight
+    of each of the n_k bands wider than k; ``inverse`` restores the band order."""
+    fb = mel_filterbank(sample_rate, cfg)
+    order = np.argsort(-np.count_nonzero(fb, axis=1), kind="stable")
+    band, bin_ = np.nonzero(fb[order])  # by band, each band's bins in ascending order
+    weight = fb[order[band], bin_, None]
+    rank = np.arange(len(band)) - np.searchsorted(band, band)  # k of each bin in its band
+    steps = tuple((bin_[rank == k], weight[rank == k]) for k in range(rank.max(initial=-1) + 1))
+    inverse = np.argsort(order)
+    for part in (inverse, *(a for step in steps for a in step)):
         part.flags.writeable = False
-    return fb
+    return inverse, steps
+
+
+def _dct2_ortho(x, n_out: int) -> np.ndarray:
+    """The first ``n_out`` orthonormal DCT-II coefficients of each row of ``x``, one
+    matrix product per row, so a row does not depend on the rows that share the call."""
+    n = x.shape[-1]
+    basis = np.cos(np.pi / n * (np.arange(n)[:, None] + 0.5) * np.arange(n_out)) * math.sqrt(2 / n)
+    basis[:, :1] = math.sqrt(1 / n)
+    return np.matmul(x[:, None, :], basis)[:, 0]
 
 
 # chunks per rFFT call; caps the frame buffer at ~6 MB for the default DspConfig
@@ -245,10 +265,10 @@ def _fused_rows(samples, starts, stops, sample_rate, cfg) -> np.ndarray:
 
     Chunks are grouped by length so each group shares one frame index, and
     each block of up to ``_BLOCK`` chunks takes one rFFT and one frame mean.
+    A band's energy adds ``weight * power`` over its nonzero bins in bin order,
+    starting from 0, so a row depends on its own chunk alone.
     """
-    import scipy.fft  # loaded by feature extraction only, as scipy.sparse is
-
-    fb = _cached_filterbank(sample_rate, cfg)
+    inverse, steps = _band_table(sample_rate, cfg)
     window = hann_window(cfg.n_fft)
     lengths = stops - starts
     band = np.empty((len(starts), cfg.n_mels))
@@ -257,10 +277,13 @@ def _fused_rows(samples, starts, stops, sample_rate, cfg) -> np.ndarray:
         rows = np.flatnonzero(lengths == length)
         for lo in range(0, len(rows), _BLOCK):
             block = rows[lo : lo + _BLOCK]
-            power = _stft_power(samples, starts[block], frame_index, window).mean(axis=1)
-            band[block] = power @ fb
+            power = _stft_power(samples, starts[block], frame_index, window).mean(axis=1).T
+            acc = np.zeros((cfg.n_mels, len(block)))
+            for bins, weights in steps:
+                acc[: len(bins)] += power[bins] * weights
+            band[block] = acc[inverse].T
     logmel = np.log10(np.maximum(band, cfg.log_floor))
-    mfccs = scipy.fft.dct(logmel, type=2, norm="ortho", axis=-1)[:, : cfg.n_mfcc]
+    mfccs = _dct2_ortho(logmel, cfg.n_mfcc)
     return np.concatenate([mfccs, logmel], axis=1)
 
 
@@ -274,8 +297,9 @@ def extract_chunk_features(
 
     The log-mel spectrum is log10 of the chunk's mel band energies, floored at
     ``cfg.log_floor``: its centered, reflect-padded Hann STFT power, mean-pooled
-    over frames, through :func:`mel_filterbank`. The MFCCs are the first
-    n_mfcc coefficients of that vector's orthonormal DCT-II.
+    over frames, through :func:`mel_filterbank`, each band summing its bins in
+    bin order. The MFCCs are the first n_mfcc coefficients of that vector's
+    orthonormal DCT-II.
     """
     bounds = np.asarray(boundaries, dtype=np.float64)
     if bounds.size == 0:

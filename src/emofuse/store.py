@@ -49,7 +49,8 @@ def json_object(path, text, what: str) -> dict:
 
 def write_atomic(path, chunks):
     """Write ``chunks`` to a temp file beside ``path``, fsync it, then rename it
-    onto ``path``: a failure at any point leaves the previous file intact."""
+    onto ``path``: a failure at any point leaves the previous file intact. The
+    directory is fsynced after the rename, so the rename itself is durable."""
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
@@ -64,6 +65,11 @@ def write_atomic(path, chunks):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    fd = os.open(directory or os.curdir, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def write_json(path, value):

@@ -226,6 +226,16 @@ class TestMelFilterbank:
         with pytest.raises(DomainError, match=r"^fmin \S+ must be below fmax"):
             mel_filterbank(16000, DspConfig(fmin=fmin, fmax=fmax))
 
+    @pytest.mark.parametrize("fmin", [float("nan"), float("inf"), -float("inf"), -1000.0, -1e-300])
+    def test_fmin_not_finite_and_non_negative_rejected(self, fmin):
+        with pytest.raises(DomainError, match=r"^fmin must be finite and non-negative"):
+            DspConfig(fmin=fmin)
+
+    @pytest.mark.parametrize("fmax", [float("nan"), float("inf"), -float("inf")])
+    def test_fmax_not_finite_rejected(self, fmax):
+        with pytest.raises(DomainError, match=r"^fmax must be finite"):
+            DspConfig(fmax=fmax)
+
 
 class TestMfcc:
     def test_constant_logmel_is_impulse_at_zero(self):
@@ -240,9 +250,7 @@ class TestMfcc:
     def test_dct_basis_vector_against_direct_sum(self):
         e0 = np.zeros(128)
         e0[0] = 1.0
-        import scipy.fft
-
-        got = scipy.fft.dct(e0, type=2, norm="ortho")
+        got = audio._dct2_ortho(e0[None], 128)[0]
         want = dct2_ortho_direct(e0)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -257,10 +265,8 @@ class TestMfcc:
         np.testing.assert_allclose(got, want, atol=1e-6)
 
     def test_parseval_before_truncation(self, rng):
-        import scipy.fft
-
         x = rng.standard_normal(128)
-        y = scipy.fft.dct(x, type=2, norm="ortho")
+        y = audio._dct2_ortho(x[None], 128)[0]
         assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
 
@@ -337,6 +343,19 @@ def _check_rows_against_oracle(sig, bounds, cfg, feats):
         assert np.abs(row[: cfg.n_mfcc] - mfcc_want).max() < 1e-6, i
 
 
+def table_filterbank(table, n_fft):
+    """The dense [n_mels, n_fft//2+1] filterbank an ``audio._band_table`` holds,
+    checking that each band's bins ascend from step to step."""
+    inverse, steps = table
+    dense = np.zeros((len(inverse), n_fft // 2 + 1))
+    last = np.full(len(inverse), -1)
+    for bins, weights in steps:
+        assert (bins > last[: len(bins)]).all()
+        last[: len(bins)] = bins
+        dense[np.arange(len(bins)), bins] = weights[:, 0]
+    return dense[inverse]
+
+
 class TestBatchedExtraction:
     def test_blocks_of_two_lengths_shorter_than_half_fft(self, rng):
         sig = AudioSignal(samples=rng.standard_normal(4000), sample_rate=8000)
@@ -366,34 +385,51 @@ class TestBatchedExtraction:
             sig = AudioSignal(samples=rng.standard_normal(sr // 10), sample_rate=sr)
             bounds = chunk_boundaries(sig.duration_s, 7)
             _check_rows_against_oracle(sig, bounds, cfg, extract_chunk_features(sig, bounds, cfg))
-            # the cached operator is the transposed filterbank, exactly
-            np.testing.assert_array_equal(audio._cached_filterbank(sr, cfg).toarray().T,
+            # the cached table holds the filterbank, exactly
+            np.testing.assert_array_equal(table_filterbank(audio._band_table(sr, cfg), cfg.n_fft),
                                           mel_filterbank(sr, cfg))
-        assert audio._cached_filterbank(8000, TINY) is audio._cached_filterbank(8000, TINY)
-        assert audio._cached_filterbank(8000, TINY) is not audio._cached_filterbank(16000, TINY)
-        assert audio._cached_filterbank(8000, TINY) is not audio._cached_filterbank(8000, other)
+        assert audio._band_table(8000, TINY) is audio._band_table(8000, TINY)
+        assert audio._band_table(8000, TINY) is not audio._band_table(16000, TINY)
+        assert audio._band_table(8000, TINY) is not audio._band_table(8000, other)
 
     def test_cached_filterbank_is_read_only(self):
-        fb = audio._cached_filterbank(8000, TINY)
-        assert not any(a.flags.writeable for a in (fb.data, fb.indices, fb.indptr))
-        band, bin_ = fb.nonzero()
+        inverse, steps = table = audio._band_table(8000, TINY)
+        parts = [inverse, *(a for step in steps for a in step)]
+        assert isinstance(steps, tuple) and not any(a.flags.writeable for a in parts)
         with pytest.raises(ValueError):
-            fb[band[0], bin_[0]] = 1.0
+            steps[0][1][0] = 1.0
         with pytest.raises(ValueError):
-            fb *= 2.0
+            inverse[:] = 0
         public = mel_filterbank(8000, TINY)
         public += 1.0  # the public builder returns a fresh, writable array
-        np.testing.assert_array_equal(fb.toarray().T, mel_filterbank(8000, TINY))
+        np.testing.assert_array_equal(table_filterbank(table, TINY.n_fft), mel_filterbank(8000, TINY))
 
-    def test_band_energies_match_the_dense_filterbank(self, rng):
-        sr, cfg = 16000, DspConfig()
-        starts = rng.integers(0, sr, size=40)
-        frame_index = audio._frame_index(1280, cfg)
-        power = audio._stft_power(rng.standard_normal(2 * sr), starts, frame_index,
-                                  audio.hann_window(cfg.n_fft)).mean(axis=1)
-        dense = power @ mel_filterbank(sr, cfg).T
-        np.testing.assert_allclose(power @ audio._cached_filterbank(sr, cfg), dense,
-                                   rtol=1e-12, atol=0)
+    @pytest.mark.parametrize("cfg", [DspConfig(), SMALL], ids=["default", "small"])
+    def test_band_energies_match_the_dense_filterbank(self, rng, cfg):
+        """Each band sums ``weight * power`` over its nonzero bins in bin order, from 0,
+        bit for bit; at SMALL 14 of the 128 bands hold no bin and stay at the floor.
+        An infinite power reaches the bands that hold its bin as inf, never as NaN."""
+        sr = 16000
+        samples = rng.standard_normal(2 * sr)
+        samples[-1280:] *= 1e200  # its power overflows to inf in every bin
+        starts = np.append(rng.integers(0, sr, size=40), 2 * sr - 1280)
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = audio._stft_power(samples, starts, audio._frame_index(1280, cfg),
+                                      audio.hann_window(cfg.n_fft)).mean(axis=1)
+            logmel = extract_chunk_features(AudioSignal(samples, sr),
+                                            np.c_[starts, starts + 1280] / sr, cfg)[:, cfg.n_mfcc :]
+        assert np.isinf(power[-1]).all() and np.isfinite(power[:-1]).all()
+        fb = mel_filterbank(sr, cfg)
+        want = np.zeros((len(power), cfg.n_mels))
+        for band, weights in enumerate(fb):
+            for b in np.flatnonzero(weights):
+                want[:, band] += weights[b] * power[:, b]
+        np.testing.assert_array_equal(logmel, np.log10(np.maximum(want, cfg.log_floor)))
+        np.testing.assert_allclose(want[:-1], power[:-1] @ fb.T, rtol=1e-12, atol=0)
+        empty = ~fb.any(axis=1)
+        assert empty.sum() == (14 if cfg == SMALL else 0)
+        assert (logmel[:, empty] == np.log10(cfg.log_floor)).all()
+        assert (logmel[-1] == np.where(empty, np.log10(cfg.log_floor), np.inf)).all()
 
 
 @settings(max_examples=30, deadline=None)

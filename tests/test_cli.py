@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import pathlib
 import shutil
 import struct
 import subprocess
@@ -1280,12 +1282,35 @@ def _fresh_python(*args):
                           env={**os.environ, "PYTHONPATH": src})
 
 
-def test_cli_import_leaves_scipy_sparse_unloaded():
-    """Only feature extraction loads scipy (scipy.fft and scipy.sparse), so the
-    other commands' processes pay neither its start-up time nor its memory."""
-    for module in ("emofuse", "emofuse.cli"):
-        code = f"import sys, {module}; print([m for m in sys.modules if m.startswith('scipy')])"
-        assert _fresh_python("-c", code).stdout.strip() == "[]", module
+def test_extract_audio_in_a_fresh_process_loads_no_scipy(pipeline, tmp_path):
+    """emofuse needs numpy alone: feature extraction, the one command that once
+    used scipy, runs without loading any scipy module."""
+    code = ("import sys; from emofuse.cli import main; rc = main(sys.argv[1:]); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')), rc)")
+    run = _fresh_python("-c", code, "extract-audio", "--wav", str(pipeline["wav"]),
+                        "--annotations", str(pipeline["ann"]), "--out", str(tmp_path / "audio"))
+    assert run.stdout.splitlines()[-1] == "[] 0"
+
+
+def imported_packages(path):
+    """The top-level package of each absolute import in ``path``, and each string
+    constant that names a scipy module, as ``importlib.import_module`` would take it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found |= {"scipy"} & {node.value.split(".")[0]}
+    return found
+
+
+def test_no_module_imports_scipy():
+    src = pathlib.Path(emofuse.__file__).parent
+    modules = sorted(src.rglob("*.py"))
+    assert len(modules) > 10 and "numpy" in imported_packages(src / "audio.py")
+    assert [p.name for p in modules if "scipy" in imported_packages(p)] == []
 
 
 def test_extract_audio_in_a_fresh_process_writes_the_in_process_bytes(pipeline, tmp_path):

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import shutil
+import stat
 import tempfile
 
 import numpy as np
@@ -145,6 +146,30 @@ def test_failed_write_json_keeps_previous_file(tmp_path, monkeypatch, fail_at):
     monkeypatch.undo()
     assert path.read_bytes() == good
     assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "bare_name"])
+def test_write_atomic_syncs_the_directory_after_the_rename(tmp_path, monkeypatch, relative):
+    """The file is synced before its rename and its directory after it, so the
+    rename itself survives a crash (Pillai et al., OSDI 2014)."""
+    events, fsync, replace = [], os.fsync, os.replace
+
+    def record_fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", "directory" if stat.S_ISDIR(st.st_mode) else "file", st.st_ino))
+        fsync(fd)
+
+    def record_replace(src, dst):
+        events.append(("replace", os.path.basename(dst)))
+        replace(src, dst)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(store.os, "fsync", record_fsync)
+    monkeypatch.setattr(store.os, "replace", record_replace)
+    store.write_json("x.json" if relative else tmp_path / "x.json", {"a": 1})
+    monkeypatch.undo()
+    assert events == [("fsync", "file", (tmp_path / "x.json").stat().st_ino),
+                      ("replace", "x.json"), ("fsync", "directory", tmp_path.stat().st_ino)]
 
 
 # the settings the fixtures store that are now constants, which a save no longer writes
