@@ -45,8 +45,6 @@ class DspConfig:
     hop_length: int = 512
     n_mels: int = MEL_DIM
     n_mfcc: int = MFCC_DIM
-    fmin: float = 0.0
-    fmax: float | None = None  # None -> Nyquist at use time
     log_floor: float = 1e-10
 
     def __post_init__(self):
@@ -65,18 +63,6 @@ class DspConfig:
             )
         if not (math.isfinite(self.log_floor) and self.log_floor > 0):
             raise DomainError(f"log_floor must be finite and positive, got {self.log_floor}")
-        if not (math.isfinite(self.fmin) and self.fmin >= 0):
-            raise DomainError(f"fmin must be finite and non-negative, got {self.fmin}")
-        if self.fmax is not None and not math.isfinite(self.fmax):
-            raise DomainError(f"fmax must be finite, got {self.fmax}")
-
-    def resolved_fmax(self, sample_rate: int) -> float:
-        fmax = sample_rate / 2 if self.fmax is None else self.fmax
-        if fmax > sample_rate / 2:
-            raise DomainError(f"fmax {fmax} exceeds Nyquist {sample_rate / 2}")
-        if self.fmin >= fmax:
-            raise DomainError(f"fmin {self.fmin} must be below fmax {fmax}")
-        return fmax
 
 
 # --------------------------------------------------------------------------
@@ -195,13 +181,11 @@ def mel_to_hz(m):
 
 
 def mel_filterbank(sample_rate: int, cfg: DspConfig) -> np.ndarray:
-    """Triangular mel filterbank, [n_mels, n_fft//2+1], peak weight 1."""
-    fmax = cfg.resolved_fmax(sample_rate)
+    """Triangular mel filterbank, [n_mels, n_fft//2+1], peak weight 1, spanning
+    0 Hz to the Nyquist frequency."""
     n_bins = cfg.n_fft // 2 + 1
     bin_freqs = np.arange(n_bins, dtype=np.float64) * sample_rate / cfg.n_fft
-    edges = mel_to_hz(
-        np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(fmax), cfg.n_mels + 2)
-    )
+    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2), cfg.n_mels + 2))
     lower = edges[:-2][:, None]
     center = edges[1:-1][:, None]
     upper = edges[2:][:, None]
@@ -299,11 +283,10 @@ def extract_chunk_features(
     ``cfg.log_floor``: its centered, reflect-padded Hann STFT power, mean-pooled
     over frames, through :func:`mel_filterbank`, each band summing its bins in
     bin order. The MFCCs are the first n_mfcc coefficients of that vector's
-    orthonormal DCT-II.
+    orthonormal DCT-II. A chunk whose row is not finite (as when its samples are so
+    large that their power overflows) is a :class:`DomainError`.
     """
     bounds = np.asarray(boundaries, dtype=np.float64)
-    if bounds.size == 0:
-        return np.zeros((0, cfg.n_mfcc + cfg.n_mels))
     if bounds.ndim != 2 or bounds.shape[1] != 2:
         raise ShapeError(f"boundaries must be [n_chunks, 2], got {bounds.shape}")
     start_s, end_s = bounds[:, 0], bounds[:, 1]
@@ -320,4 +303,10 @@ def extract_chunk_features(
     a = np.clip(np.rint(start_s * signal.sample_rate).astype(np.intp), 0, n - 1)
     b = np.clip(np.rint(end_s * signal.sample_rate).astype(np.intp), a + 1, n)
     samples = np.asarray(signal.samples, dtype=np.float64)
-    return _fused_rows(samples, a, b, signal.sample_rate, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _fused_rows(samples, a, b, signal.sample_rate, cfg)
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"chunk {i} [{start_s[i]}, {end_s[i]}) has non-finite features")
+    return rows

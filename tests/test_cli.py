@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import math
@@ -162,6 +163,19 @@ class TestFlagDefaults:
     def test_extract_audio_builds_the_default_dsp_config(self, pipeline):
         _, header = read_frame_features(pipeline["audio"])
         assert header["meta"]["dsp"] == asdict(DspConfig())
+
+    def test_every_dsp_field_is_set_by_an_extract_audio_flag(self, pipeline, tmp_path):
+        """DspConfig holds only what extract-audio's DSP flags set: a run with every such
+        flag at half its default moves every field of meta.dsp, one field per flag."""
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices["extract-audio"]
+        flags = [a for a in sub._actions if a.option_strings and not a.required and a.dest != "help"]
+        args = [arg for a in flags for arg in (a.option_strings[0], str(a.type(a.default / 2)))]
+        assert main(["extract-audio", "--wav", str(pipeline["wav"]), "--annotations",
+                     str(pipeline["ann"]), "--out", str(tmp_path / "x"), *args]) == 0
+        _, header = read_frame_features(tmp_path / "x")
+        dsp, default = header["meta"]["dsp"], asdict(DspConfig())
+        assert len(dsp) == len(flags) and all(dsp[k] != default[k] for k in default)
 
     def test_train_builds_the_default_train_config(self, tiny_training, tmp_path, monkeypatch):
         seen = []
