@@ -20,7 +20,7 @@ from emofuse.errors import (
     UnsupportedAudioError,
 )
 
-from oracles import dct2_ortho_direct, mel_spectrogram_direct, mfcc_direct
+from oracles import dct2_ortho_direct, mel_spectrogram_direct, mel_weights_direct, mfcc_direct
 
 SMALL = DspConfig(n_fft=256, hop_length=64)
 
@@ -206,6 +206,13 @@ class TestDspConfig:
     def test_n_fft_with_a_bin_per_mel_band_is_accepted(self, n_fft, n_mels):
         assert DspConfig(n_fft=n_fft, n_mels=n_mels, n_mfcc=1).n_mels == n_mels
 
+    @pytest.mark.parametrize("field", ["fmin", "fmax"])
+    def test_band_edges_are_not_settable(self, field):
+        """The mel band is fixed at 0 Hz to Nyquist: a band edge passed by name is a
+        TypeError, not a setting that is silently dropped."""
+        with pytest.raises(TypeError, match=field):
+            DspConfig(**{field: 100.0})
+
 
 class TestMelFilterbank:
     def test_rows_nonempty_and_nonnegative(self):
@@ -215,6 +222,16 @@ class TestMelFilterbank:
             assert fb.shape == (n_mels, n_fft // 2 + 1)
             assert (fb >= 0).all()
             assert (fb.sum(axis=1) > 0).all()
+
+    @pytest.mark.parametrize("sr", [8000, 16000, 22050, 44100, 48000])
+    def test_band_runs_from_zero_hz_to_nyquist(self, sr):
+        """The default filterbank is the scalar-loop one whose band edges are 0 Hz and
+        the Nyquist frequency, so the 0 Hz bin carries no weight in any band."""
+        cfg = DspConfig()
+        fb = mel_filterbank(sr, cfg)
+        want = mel_weights_direct(sr, cfg.n_fft, cfg.n_mels, 0.0, sr / 2)
+        np.testing.assert_allclose(fb, want, rtol=0, atol=1e-12)
+        assert (fb[:, 0] == 0).all()
 
 
 class TestMfcc:
@@ -298,6 +315,24 @@ class TestExtractChunkFeatures:
         np.testing.assert_array_equal(  # the chunks before it are unaffected
             extract_chunk_features(AudioSignal(samples, 8000), bounds[:4]),
             extract_chunk_features(AudioSignal(samples[:5000], 8000), bounds[:4]))
+
+    @pytest.mark.parametrize("span, held", [((0, 100), [0]), ((2100, 2200), [1, 2]),
+                                            ((7900, 8000), [6])], ids=["first", "middle", "last"])
+    def test_first_non_finite_chunk_is_named(self, rng, span, held):
+        """Whichever chunks hold the overflowing samples, the error names the first of
+        them by index and span, and every other chunk's row is the unscaled signal's."""
+        clean = rng.standard_normal(8000) * 0.1
+        samples = clean.copy()
+        samples[span[0] : span[1]] *= 1e200
+        bounds = chunk_boundaries(1.0, 7)
+        first = held[0]
+        with pytest.raises(DomainError, match=rf"^chunk {first} \[{bounds[first, 0]}, "
+                                              rf"{bounds[first, 1]}\) has non-finite features$"):
+            extract_chunk_features(AudioSignal(samples, 8000), bounds)
+        others = np.setdiff1d(np.arange(len(bounds)), held)
+        np.testing.assert_array_equal(
+            extract_chunk_features(AudioSignal(samples, 8000), bounds[others]),
+            extract_chunk_features(AudioSignal(clean, 8000), bounds[others]))
 
     def test_empty_signal_is_domain_error(self):
         empty = AudioSignal(samples=np.zeros(0), sample_rate=8000)

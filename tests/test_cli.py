@@ -460,7 +460,13 @@ class TestMalformedBuildInputs:
          "meta.dsp differs from the first video's"),
         ("video", {"columns": ["AU01_r"]}, {"columns": ["AU02_r"]},
          "meta.columns differs from the first video's"),
-    ], ids=["non_object_meta", "mixed_dsp", "mixed_columns"])
+        # containers written when DspConfig still held the band edges fmin and fmax
+        ("audio", {"dsp": {**asdict(DspConfig()), "fmin": 0.0, "fmax": None}},
+         {"dsp": asdict(DspConfig())}, "meta.dsp differs from the first video's"),
+        ("audio", {"dsp": asdict(DspConfig())},
+         {"dsp": {**asdict(DspConfig()), "fmin": 0.0, "fmax": None}},
+         "meta.dsp differs from the first video's"),
+    ], ids=["non_object_meta", "mixed_dsp", "mixed_columns", "older_dsp_first", "older_dsp_second"])
     def test_meta_is_schema_error(self, tmp_path, capsys, rng, modality, first, second, message):
         videos = {v: (rng.standard_normal((4, 6)), rng.standard_normal((4, 3))) for v in "ab"}
         rc = build_from_arrays(tmp_path, videos, meta={("a", modality): first,
