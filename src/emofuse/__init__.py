@@ -23,7 +23,6 @@ from .sequencing import AnnotationTrack, parse_annotations, remap_label, window_
 from .training import TrainConfig, TrainReport, fit_stats, run_training
 from .video import (
     ColumnSelection,
-    VideoFrameFeatures,
     default_selection,
     load_column_manifest,
     parse_openface_csv,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ from .errors import (
 
 MFCC_DIM = 40
 MEL_DIM = 128
-FUSED_DIM = MFCC_DIM + MEL_DIM
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,10 @@ class DspConfig:
     log_floor: float = 1e-10
 
     def __post_init__(self):
+        for name in ("n_fft", "hop_length", "n_mels", "n_mfcc"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
         if self.n_fft < 1 or self.hop_length < 1:
             raise DomainError("n_fft and hop_length must be positive")
         if self.n_mels < 1:

@@ -27,7 +27,7 @@ from .dataset import (
     write_dataset,
     write_frame_features,
 )
-from .errors import EmofuseError, ParseError, SchemaError, schema_fields
+from .errors import DivergenceError, EmofuseError, ParseError, SchemaError, schema_fields
 from .evaluation import DEFAULT_W_ACC, DEFAULT_W_F1, evaluate
 from .model import RECURRENT_KINDS, load_checkpoint, predict_dataset
 from .sequencing import WINDOW_LEN, WINDOW_STRIDE, parse_annotations
@@ -98,12 +98,11 @@ def cmd_ingest_video(args) -> int:
         selection = video_mod.load_column_manifest(args.columns)
     else:
         selection = video_mod.default_selection()
-    records = video_mod.parse_openface_csv(args.csv, selection)
-    matrix = np.stack([r.features for r in records])  # float32 rows
-    n_invalid = sum(1 for r in records if not r.valid)
+    table = video_mod.parse_openface_csv(args.csv, selection)
+    n_invalid = int(np.count_nonzero(~table.valid))
     write_frame_features(
         args.out,
-        matrix,
+        table.features,
         modality="video",
         meta={
             "video_id": os.path.splitext(os.path.basename(args.csv))[0],
@@ -113,8 +112,8 @@ def cmd_ingest_video(args) -> int:
         },
     )
     print(
-        f"parsed {len(records)} rows ({n_invalid} invalid) into "
-        f"{matrix.shape[1]}-dim features at {args.out}"
+        f"parsed {len(table)} rows ({n_invalid} invalid) into "
+        f"{table.features.shape[1]}-dim features at {args.out}"
     )
     return 0
 
@@ -211,8 +210,7 @@ def cmd_train(args) -> int:
     write_json(os.path.join(args.out, "summary.json"), summary)
 
     if report.diverged:
-        print("error: divergence: training loss became non-finite", file=sys.stderr)
-        return 1
+        raise DivergenceError("training loss became non-finite")
     print(
         f"trained {config.mode} ({config.recurrent}) for {len(report.records)} epochs; "
         f"best val combined {report.best.val_combined:.4f} at epoch {report.best.epoch}"

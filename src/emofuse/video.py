@@ -35,14 +35,6 @@ class ColumnSelection:
             raise SchemaError(f"duplicate columns in selection: {dupes}")
 
 
-@dataclass(frozen=True)
-class VideoFrameFeatures:
-    frame_index: int
-    features: np.ndarray
-    valid: bool
-    confidence: float
-
-
 def load_column_manifest(path) -> ColumnSelection:
     """Read a column manifest: one name per line, '#' comments, blanks skipped."""
     names = []
@@ -63,11 +55,15 @@ def default_selection() -> ColumnSelection:
         return load_column_manifest(path)
 
 
-def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatures]:
+def parse_openface_csv(path, selection: ColumnSelection) -> np.recarray:
     """Extract the selected columns from every data row, ordered by frame.
 
-    Rows whose ``success`` flag is 0 are kept but marked invalid and
-    zero-filled so downstream frame counts still match the annotations.
+    Returns one record per data row, in a stable sort by ``frame_index``:
+    ``features`` (float32, one per selected column), ``valid``, ``confidence``
+    (1.0 without that column) and ``frame_index`` (the frame cell truncated
+    toward zero, or 1..n without that column). Rows whose ``success`` flag
+    is 0 are kept but marked invalid and zero-filled so downstream frame
+    counts still match the annotations.
     The data rows are read in one pass of numpy's C ``loadtxt``: every row
     must hold one plain number per header column. A file that pass refuses,
     or one with a non-finite checked cell, raises :class:`ParseError` naming
@@ -84,21 +80,20 @@ def parse_openface_csv(path, selection: ColumnSelection) -> list[VideoFrameFeatu
     if data is None or len(data) == 0 or data.shape[1] != width:
         _refuse(path, selection)
     n = len(data)
-    valid = data[:, success_col] != 0 if success_col is not None else np.ones(n, dtype=bool)
-    with np.errstate(over="ignore"):  # beyond float32 -> inf, rejected below
-        features = data[:, take].astype(np.float32)
-    features[~valid] = 0.0
     meta = data[:, [c for c in (success_col, conf_col, frame_col) if c is not None]]
-    if not (np.isfinite(meta).all() and np.isfinite(features).all()):
+    frames = np.trunc(data[:, frame_col]) if frame_col is not None else np.arange(1.0, n + 1)
+    order = np.argsort(frames, kind="stable")  # float64: a frame cell of 1e300 sorts last
+    row = np.dtype([("features", np.float32, (len(take),)), ("valid", bool),
+                    ("confidence", np.float64), ("frame_index", np.float64)], align=True)
+    valid = data[order, success_col] != 0 if success_col is not None else np.ones(n, dtype=bool)
+    confidence = data[order, conf_col] if conf_col is not None else np.ones(n)
+    with np.errstate(over="ignore"):  # beyond float32 -> inf, rejected below
+        table = np.rec.fromarrays([data[np.ix_(order, take)], valid, confidence, frames[order]],
+                                  dtype=row)
+    table.features[~table.valid] = 0.0
+    if not (np.isfinite(meta).all() and np.isfinite(table.features).all()):
         _refuse(path, selection, read_every_row=True)
-    frames = data[:, frame_col].tolist() if frame_col is not None else range(1, n + 1)
-    confidence = data[:, conf_col].tolist() if conf_col is not None else [1.0] * n
-    records = [
-        VideoFrameFeatures(frame_index=int(f), features=x, valid=v, confidence=c)
-        for f, x, v, c in zip(frames, features, valid.tolist(), confidence)
-    ]
-    records.sort(key=lambda r: r.frame_index)
-    return records
+    return table
 
 
 def _loadtxt(lines) -> np.ndarray:

@@ -14,12 +14,12 @@ out.
 
 import csv
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
 from emofuse.errors import ParseError, SchemaError
-from emofuse.video import VideoFrameFeatures
 
 
 def hann_direct(n):
@@ -109,6 +109,9 @@ def mfcc_direct(samples, sample_rate, n_fft, hop, n_mels, n_mfcc, fmin, fmax, fl
 # --------------------------------------------------------------------------
 
 
+OpenfaceRow = namedtuple("OpenfaceRow", "frame_index features valid confidence")
+
+
 def openface_cells(path, selection):
     """``float()`` on each checked cell of each row read by ``csv``.
 
@@ -161,7 +164,7 @@ def openface_cells(path, selection):
                     for c, x in zip(names, feats):
                         if not math.isfinite(x):
                             raise bad(c, "non-finite")
-                records.append(VideoFrameFeatures(frame, feats, valid, confidence))
+                records.append(OpenfaceRow(frame, feats, valid, confidence))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from None
     if not records:

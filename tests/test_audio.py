@@ -206,6 +206,20 @@ class TestDspConfig:
     def test_n_fft_with_a_bin_per_mel_band_is_accepted(self, n_fft, n_mels):
         assert DspConfig(n_fft=n_fft, n_mels=n_mels, n_mfcc=1).n_mels == n_mels
 
+    @pytest.mark.parametrize("field, value", [("n_fft", 256.5), ("hop_length", 64.5),
+                                              ("n_mels", 40.0), ("n_mfcc", True),
+                                              ("n_fft", "2048"), ("hop_length", False)])
+    def test_integer_settings_refuse_other_types(self, field, value):
+        """A float, a bool or a string for a count is refused by name, not found later
+        as a numpy error or a silently narrower row."""
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            DspConfig(**{field: value})
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = DspConfig(n_fft=np.int64(512), hop_length=np.int32(128), n_mels=np.int16(40),
+                        n_mfcc=np.uint8(13))
+        assert (cfg.n_fft, cfg.hop_length, cfg.n_mels, cfg.n_mfcc) == (512, 128, 40, 13)
+
     @pytest.mark.parametrize("field", ["fmin", "fmax"])
     def test_band_edges_are_not_settable(self, field):
         """The mel band is fixed at 0 Hz to Nyquist: a band edge passed by name is a

@@ -190,6 +190,36 @@ class TestParseOpenfaceCsv:
         assert [r.frame_index for r in records] == [1, 2]
         assert records[0].features[0] == 1.0
 
+    def test_rows_sort_by_truncated_frame_with_ties_in_file_order(self, tmp_path,
+                                                                 small_selection):
+        # pose_Rx holds each row's place in the file; 2.7 and 2.2 both truncate to 2
+        path = tmp_path / "of.csv"
+        frames = ["3", "2.7", "1e300", "2.2", "1"]
+        write_csv(path, ["frame", "success", "pose_Rx", "pose_Ry", "AU01_r"],
+                  [[f, 1, i, 0.0, 0.0] for i, f in enumerate(frames)])
+        records = parse_openface_csv(path, small_selection)
+        assert [int(r.frame_index) for r in records] == [1, 2, 2, 3, int(1e300)]
+        assert [float(r.features[0]) for r in records] == [4.0, 1.0, 3.0, 0.0, 2.0]
+
+    def test_rows_are_one_aligned_record_table(self, tmp_path, small_selection):
+        path = tmp_path / "of.csv"
+        write_csv(path, ["frame", "success", "pose_Rx", "pose_Ry", "AU01_r"],
+                  [[2, 0, 1.0, 1.0, 1.0], [1, 1, 2.0, 2.0, 2.0]])
+        table = parse_openface_csv(path, small_selection)
+        assert isinstance(table, np.recarray) and table.dtype.isalignedstruct
+        assert table.dtype.names == ("features", "valid", "confidence", "frame_index")
+        assert table.features.dtype == np.float32 and table.features.shape == (2, 3)
+        assert table.valid.tolist() == [True, False]
+        assert table.confidence.tolist() == [1.0, 1.0]
+
+    def test_rows_without_a_frame_column_keep_file_order(self, tmp_path, small_selection):
+        path = tmp_path / "of.csv"
+        write_csv(path, ["success", "pose_Rx", "pose_Ry", "AU01_r"],
+                  [[1, x, 0.0, 0.0] for x in (3.0, 1.0, 2.0)])
+        records = parse_openface_csv(path, small_selection)
+        assert [int(r.frame_index) for r in records] == [1, 2, 3]
+        assert [float(r.features[0]) for r in records] == [3.0, 1.0, 2.0]
+
     def test_values_roundtrip_at_float32(self, tmp_path, small_selection, rng):
         values = rng.standard_normal(3) * 100
         path = tmp_path / "of.csv"
@@ -291,7 +321,8 @@ class TestParseOpenfaceCsv:
         records = parse_openface_csv(path, default_selection())
         assert [r.valid for r in records] == [True, False, True, True]
         # the records' features are rows of one float32 matrix
-        assert {id(r.features.base) for r in records} == {id(records[0].features.base)}
+        assert records.features.dtype == np.float32 and records.features.shape == (4, 709)
+        assert all(np.shares_memory(r.features, records.features) for r in records)
         np.testing.assert_array_equal(records[0].features, np.float32(rows[0][5:]))
 
 
@@ -356,8 +387,8 @@ def _outcome(parse, path):
         records = parse(path, SELECTION)
     except EmofuseError as exc:
         return type(exc), str(exc)
-    return [(repr((r.frame_index, r.valid, r.confidence)), r.features.dtype, r.features.tobytes())
-            for r in records]
+    return [(repr((int(r.frame_index), bool(r.valid), float(r.confidence))), r.features.dtype,
+             r.features.tobytes()) for r in records]
 
 
 def _row(message):
