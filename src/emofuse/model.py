@@ -154,10 +154,8 @@ class FusionModel:
             if stats is not None:
                 x = standardize(x, getattr(stats, f"{name}_mean"), getattr(stats, f"{name}_std"))
             x = np.asarray(x, dtype=self.dtype)
-            if x.ndim == 2:
-                x = x[None]
-            if x.shape[-1] != dim:
-                raise ShapeError(f"{name} dim {x.shape[-1]} != model {dim}")
+            if x.ndim != 3 or x.shape[-1] != dim:
+                raise ShapeError(f"{name} input has shape {x.shape}, not [B, T, {dim}]")
             out.append(x)
         if len({x.shape[:2] for x in out}) > 1:
             raise ShapeError(f"audio and video batches differ: {[x.shape[:2] for x in out]}")
@@ -169,7 +167,8 @@ class FusionModel:
         return self._run_stack(self.head, np.concatenate(parts, axis=-1), training, seed)
 
     def logits(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
-        """Per-timestep unnormalized class scores, shape [B, T, N_CLASSES].
+        """Per-timestep unnormalized class scores, shape [B, T, N_CLASSES], of
+        [B, T, dim] ``audio`` and ``video`` windows (a mode's unused one may be None).
 
         Inference runs in slices of ``INFER_WINDOWS`` windows, the last one
         zero-padded. BLAS sums a GEMM row differently at different row

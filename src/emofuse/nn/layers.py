@@ -62,8 +62,6 @@ class Dense(Layer):
         }
 
     def forward(self, x, training=False, rng=None):
-        if x.shape[-1] != self.in_dim:
-            raise ShapeError(f"{self.name}: expected last dim {self.in_dim}, got {x.shape}")
         self._cache = x if training else None
         return x @ self.params["W"].T + self.params["b"]
 
@@ -106,7 +104,8 @@ class PReLU(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: zero with prob ``rate``, scale survivors by 1/(1-rate)."""
+    """Inverted dropout: zero with prob ``rate``, scale survivors by 1/(1-rate).
+    A training forward draws its mask from the ``rng`` it is given."""
 
     def __init__(self, rate, name="dropout"):
         super().__init__(name)
@@ -116,11 +115,6 @@ class Dropout(Layer):
         self._cache = None
         if not training:
             return x
-        if self.rate == 0.0:
-            self._cache = True  # an all-keep mask
-            return x
-        if rng is None:
-            raise StateError(f"{self.name}: training-mode dropout needs an rng")
         keep = rng.random(x.shape) >= self.rate
         self._cache = keep
         y = x * keep
@@ -129,8 +123,6 @@ class Dropout(Layer):
 
     def backward(self, dy):
         keep = self._take_cache()
-        if keep is True:
-            return dy
         dx = dy * keep
         dx /= 1.0 - self.rate
         return dx
@@ -211,16 +203,14 @@ def sparse_ce(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(picked, np.finfo(probs.dtype).tiny))
 
 
-def softmax_cross_entropy(logits, labels, mask=None):
-    """Mean sparse CE over (masked) positions and its gradient wrt logits.
+def softmax_cross_entropy(logits, labels, mask):
+    """Mean sparse CE over the positions ``mask`` counts and its gradient wrt logits.
 
     Returns (loss, dlogits, probs); dlogits is (probs - onehot) / n_counted,
     zeroed wherever mask is 0.
     """
     probs = softmax(logits)
     losses = sparse_ce(probs, labels)
-    if mask is None:
-        mask = np.ones(losses.shape, dtype=logits.dtype)
     mask = mask.astype(logits.dtype)
     total = mask.sum()
     if total == 0:

@@ -28,9 +28,6 @@ class RmsProp:
             acc *= RHO
             buf = g * g
             buf *= 1.0 - RHO
-            if acc.dtype.itemsize < buf.dtype.itemsize:
-                # float32 state read back for float64 grads: the sum widens it
-                acc = self.acc[name] = acc.astype(buf.dtype)
             acc += buf
             den = acc + EPS
             np.sqrt(den, out=den)

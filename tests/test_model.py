@@ -95,13 +95,14 @@ class TestForward:
         assert (probs >= 0).all()
 
     def test_single_window_output_shape(self, rng):
+        # one window is a batch of one: an unbatched [T, dim] window is refused
         cfg = ModelConfig(audio_dim=168, video_dim=32, audio_hidden=(16, 8),
                           video_hidden=(16, 8), head_hidden=8)
         model = FusionModel(cfg)
-        probs = model.forward(
-            rng.standard_normal((15, 168)), rng.standard_normal((15, 32))
-        )
-        assert probs.shape == (1, 15, 8)
+        audio, video = rng.standard_normal((1, 15, 168)), rng.standard_normal((1, 15, 32))
+        assert model.forward(audio, video).shape == (1, 15, 8)
+        with pytest.raises(ShapeError, match=r"^audio input has shape \(15, 168\), not \[B, T, 168\]$"):
+            model.forward(audio[0], video)
 
     def test_fresh_model_loss_near_log8(self, rng):
         cfg = ModelConfig(audio_dim=168, video_dim=32, window_len=15)
@@ -347,7 +348,7 @@ class TestPredictVideo:
         model = FusionModel(TINY)
         ds = one_video(rng, TINY, [0], n_frames=5)
         labels, probs = predict_one(model, ds)
-        direct = model.forward(ds.audio[0], ds.video[0])[0]
+        direct = model.forward(ds.audio[:1], ds.video[:1])[0]
         np.testing.assert_allclose(probs, direct, atol=1e-12)
         np.testing.assert_array_equal(labels, np.argmax(direct, axis=1))
 
@@ -356,8 +357,8 @@ class TestPredictVideo:
         model = FusionModel(cfg)
         ds = one_video(rng, cfg, [0, 2], n_frames=6)
         _, probs = predict_one(model, ds)
-        p0 = model.forward(ds.audio[0], ds.video[0])[0]
-        p1 = model.forward(ds.audio[1], ds.video[1])[0]
+        p0 = model.forward(ds.audio[:1], ds.video[:1])[0]
+        p1 = model.forward(ds.audio[1:2], ds.video[1:2])[0]
         np.testing.assert_allclose(probs[2], (p0[2] + p1[0]) / 2.0, atol=1e-12)
         np.testing.assert_allclose(probs[0], p0[0], atol=1e-12)
 
@@ -385,7 +386,7 @@ class TestPredictVideo:
         ds = one_video(rng, TINY, [0], n_frames=3, pad_counts=[2])
         labels, probs = predict_one(model, ds)
         assert labels.shape == (3,)
-        full = model.forward(ds.audio[0], ds.video[0])[0]
+        full = model.forward(ds.audio[:1], ds.video[:1])[0]
         np.testing.assert_allclose(probs, full[:3], atol=1e-12)
 
     def test_argmax_tie_breaks_to_lowest_class(self, rng):
@@ -884,7 +885,7 @@ class TestBatchInvariance:
             assert np.array_equal(model.forward(audio[:batch], video[:batch]), full[:batch]), batch
         perm = rng.permutation(n)
         assert np.array_equal(model.forward(audio[perm], video[perm]), full[perm])
-        assert np.array_equal(model.forward(audio[n - 1], video[n - 1])[0], full[n - 1])
+        assert np.array_equal(model.forward(audio[n - 1 :], video[n - 1 :])[0], full[n - 1])
 
     def test_training_forward_is_one_batch(self, rng):
         # BatchNorm batch statistics span the whole batch in training mode
@@ -1084,6 +1085,18 @@ class TestMalformedCheckpoint:
 
         rewrite_header(ckpt, edit)
         with pytest.raises(SchemaError, match=r"array head\.dense2\.b "):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("shape", [[2**32, 2**32], [2**62, 4]])
+    def test_shape_whose_size_wraps_int64_is_schema_error(self, ckpt, shape):
+        # np.prod of either shape wraps to 0, which an nbytes of 0 would match
+        def edit(header):
+            (entry,) = [e for e in header["arrays"] if e["name"] == "head.dense2.b"]
+            entry.update(shape=shape, nbytes=0)
+
+        rewrite_header(ckpt, edit)
+        with pytest.raises(SchemaError, match=rf"array head\.dense2\.b nbytes 0 does not match "
+                                              rf"shape \[{shape[0]}, {shape[1]}\]$"):
             load_checkpoint(ckpt)
 
     def test_array_entry_past_the_blob_is_corruption(self, ckpt):

@@ -1,10 +1,14 @@
 """README's ``## Library use`` block runs as written, so the documented library
 surface cannot lose a name without a test failing."""
 
+import ast
+import inspect
 import re
 from pathlib import Path
 
 import numpy as np
+
+import emofuse
 
 from conftest import wav_bytes
 from test_cli import make_openface_csv
@@ -30,3 +34,11 @@ def test_library_use_block_runs(tmp_path, monkeypatch, capsys):
     exec(compile(library_use_block(), str(README), "exec"), {})
     (line,) = capsys.readouterr().out.splitlines()
     assert line.startswith("clip {'accuracy': ")
+
+
+def test_package_root_exports_exactly_the_library_use_names():
+    (imported,) = [node for node in ast.walk(ast.parse(library_use_block()))
+                   if isinstance(node, ast.ImportFrom) and node.module == "emofuse"]
+    public = {name for name, value in vars(emofuse).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == {alias.name for alias in imported.names}
