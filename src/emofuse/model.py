@@ -12,9 +12,13 @@ Single-modality variants keep one branch and a dense(64->64) head input;
 
 from __future__ import annotations
 
+import contextvars
 import numbers
+import os
 import zlib
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +38,8 @@ STD_FLOOR = 1e-8
 DROPOUT = 0.25
 BN_MOMENTUM = 0.99
 BN_EPS = 1e-5
+# runs every branch but the last; no mode has more than two. Its thread starts at the first submit
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="emofuse-branch")
 
 
 @dataclass(frozen=True)
@@ -71,6 +77,33 @@ class FeatureStats:
 
 def standardize(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
     return (features - mean) / np.maximum(std, STD_FLOOR)
+
+
+def _concurrently(calls) -> list:
+    """Each of ``calls``' results, in order. Every call but the last runs on
+    the worker thread in a copy of the caller's context, so numpy's
+    ``errstate`` holds there too; the last runs here. All calls finish before
+    any error propagates, and of several errors the earliest call's is raised.
+    A process allowed one CPU runs the calls in turn on this thread."""
+    # where the OS keeps no affinity mask (macOS), a process may use every CPU
+    allowed = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if len(calls) == 1 or allowed == 1:
+        return [call() for call in calls]
+    pooled = [_WORKER.submit(contextvars.copy_context().run, call) for call in calls[:-1]]
+    try:
+        last = calls[-1]()
+    finally:
+        wait(pooled)
+        results = [f.result() for f in pooled]  # raises the earliest pooled call's error
+    return [*results, last]
+
+
+def _backward_stack(stack, dy):
+    """Backpropagate ``dy`` through a branch's layers; its first layer, a
+    recurrent cell fed by data, skips its input gradient."""
+    for layer in reversed(stack[1:]):
+        dy = layer.backward(dy)
+    stack[0].backward(dy, input_grad=False)
 
 
 def _fixed_rows(x: np.ndarray) -> np.ndarray:
@@ -163,7 +196,8 @@ class FusionModel:
 
     def _run_branches(self, inputs, training, seed):
         stacks = self.branches.values()
-        parts = [self._run_stack(stack, x, training, seed) for stack, x in zip(stacks, inputs)]
+        parts = _concurrently([partial(self._run_stack, stack, x, training, seed)
+                               for stack, x in zip(stacks, inputs)])
         return self._run_stack(self.head, np.concatenate(parts, axis=-1), training, seed)
 
     def logits(self, audio, video, training: bool = False, seed: int = 0) -> np.ndarray:
@@ -191,16 +225,13 @@ class FusionModel:
         return softmax(self.logits(audio, video, training, seed))
 
     def backward_from_logits(self, dlogits):
-        """Backpropagate to every parameter; a branch's first layer, a recurrent
-        cell fed by data, skips its input gradient."""
+        """Backpropagate to every parameter, the branches concurrently."""
         dy = dlogits
         for layer in reversed(self.head):
             dy = layer.backward(dy)
         ends = np.cumsum([getattr(self.config, f"{name}_hidden")[-1] for name in self.branches])[:-1]
-        for stack, dy in zip(self.branches.values(), np.split(dy, ends, axis=-1)):
-            for layer in reversed(stack[1:]):
-                dy = layer.backward(dy)
-            stack[0].backward(dy, input_grad=False)
+        _concurrently([partial(_backward_stack, stack, dy)
+                       for stack, dy in zip(self.branches.values(), np.split(dy, ends, axis=-1))])
 
     def train_step(
         self,

@@ -31,9 +31,11 @@ import importlib.util
 import os
 import sys
 import threading
+from collections import Counter
 
 # (module, function, statement text) -> why no test runs it. Keyed by text,
-# not line number, so an entry survives edits elsewhere in its module.
+# not line number, so an entry survives edits elsewhere in its module; a text
+# that recurs in its function carries its ordinal there, "<text>  [2]".
 ALLOWED: dict[tuple[str, str, str], str] = {}
 
 # (module, function, statement text) -> "<entry>: <how>", the exported entry
@@ -45,9 +47,11 @@ LIBRARY_ONLY: dict[tuple[str, str, str], str] = {
     ("emofuse.audio", "extract_chunk_features",
      'raise ShapeError(f"boundaries must be [n_chunks, 2], got {bounds.shape}")'):
         "extract_chunk_features: boundaries not of chunk_boundaries' [n, 2] shape",
-    ("emofuse.audio", "extract_chunk_features", "i = int(np.argmax(bad))"):
-        "extract_chunk_features: a boundary row outside the signal, or a chunk whose power "
-        "overflows float64; chunk_boundaries tiles the signal, and no WAV sample is that large",
+    ("emofuse.audio", "extract_chunk_features", "i = int(np.argmax(bad))  [1]"):
+        "extract_chunk_features: a boundary row outside the signal; chunk_boundaries tiles it",
+    ("emofuse.audio", "extract_chunk_features", "i = int(np.argmax(bad))  [2]"):
+        "extract_chunk_features: a chunk whose power overflows float64; a WAV's decoded "
+        "samples stay within float32 range",
     ("emofuse.audio", "extract_chunk_features", "raise RangeError("):
         "extract_chunk_features: a boundary row outside the signal",
     ("emofuse.audio", "extract_chunk_features",
@@ -154,7 +158,9 @@ def _ran(stmt, lines) -> bool:
 def statements():
     """``(absolute path, (module, function, text), statement)`` for each
     function-body statement under ``src/emofuse``, in file and line order;
-    ``text`` is the statement's first line, the key ``ALLOWED`` uses."""
+    ``text`` is the statement's first line, the key ``ALLOWED`` uses. When that
+    line recurs in the function, each occurrence's text ends in its ordinal
+    there, ``"<line>  [n]"``, so no two statements share a key."""
     for directory, _, files in sorted(os.walk(_SRC)):
         for file in sorted(f for f in files if f.endswith(".py")):
             path = os.path.join(directory, file)
@@ -162,8 +168,14 @@ def statements():
                 source = fh.read()
             module = os.path.relpath(path[: -len(".py")], os.path.dirname(_SRC))
             module = module.replace(os.sep, ".").removesuffix(".__init__")
-            for function, stmt in _body_statements(ast.parse(source)):
-                text = ast.get_source_segment(source, stmt).splitlines()[0]
+            found = [(function, ast.get_source_segment(source, stmt).splitlines()[0], stmt)
+                     for function, stmt in _body_statements(ast.parse(source))]
+            repeats = Counter((function, text) for function, text, _ in found)
+            seen = Counter()
+            for function, text, stmt in found:
+                if repeats[function, text] > 1:
+                    seen[function, text] += 1
+                    text = f"{text}  [{seen[function, text]}]"
                 yield path, (module, function, text), stmt
 
 
