@@ -38,8 +38,6 @@ STD_FLOOR = 1e-8
 DROPOUT = 0.25
 BN_MOMENTUM = 0.99
 BN_EPS = 1e-5
-# runs every branch but the last; no mode has more than two. Its thread starts at the first submit
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="emofuse-branch")
 
 
 @dataclass(frozen=True)
@@ -79,16 +77,24 @@ def standardize(features: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.n
     return (features - mean) / np.maximum(std, STD_FLOOR)
 
 
+def _new_worker():
+    """Bind ``_WORKER``, the one-thread executor that runs every branch but the
+    last (no mode has more than two); its thread starts at the first submit. A
+    forked child inherits the parent's executor but not its thread, so it binds
+    a new one."""
+    global _WORKER
+    _WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="emofuse-branch")
+
+
+_new_worker()
+os.register_at_fork(after_in_child=_new_worker)
+
+
 def _concurrently(calls) -> list:
     """Each of ``calls``' results, in order. Every call but the last runs on
     the worker thread in a copy of the caller's context, so numpy's
     ``errstate`` holds there too; the last runs here. All calls finish before
-    any error propagates, and of several errors the earliest call's is raised.
-    A process allowed one CPU runs the calls in turn on this thread."""
-    # where the OS keeps no affinity mask (macOS), a process may use every CPU
-    allowed = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if len(calls) == 1 or allowed == 1:
-        return [call() for call in calls]
+    any error propagates, and of several errors the earliest call's is raised."""
     pooled = [_WORKER.submit(contextvars.copy_context().run, call) for call in calls[:-1]]
     try:
         last = calls[-1]()

@@ -36,7 +36,13 @@ from collections import Counter
 # (module, function, statement text) -> why no test runs it. Keyed by text,
 # not line number, so an entry survives edits elsewhere in its module; a text
 # that recurs in its function carries its ordinal there, "<text>  [2]".
-ALLOWED: dict[tuple[str, str, str], str] = {}
+ALLOWED: dict[tuple[str, str, str], str] = {
+    ("emofuse.model", "_new_worker", "global _WORKER"): "a declaration, which executes no line",
+    ("emofuse.model", "_new_worker",
+     '_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="emofuse-branch")'):
+        "runs at import, before tracing starts, and in a forked child, whose lines no trace "
+        "records; test_a_child_forked_after_a_fused_forward_runs_one covers the child",
+}
 
 # (module, function, statement text) -> "<entry>: <how>", the exported entry
 # whose library caller alone reaches the statement and how. Keyed like ALLOWED.

@@ -1,9 +1,11 @@
 """A fused model runs its audio branch on a worker thread and its video branch
 on the caller's. These tests pin that this changes no output byte, that the
 worker runs under the caller's numpy error state, and that a failing branch
-returns only once both have finished, with the audio branch's error first."""
+returns only once both have finished, with the audio branch's error first;
+and that a process forked after a fused forward gets a worker of its own."""
 
 import os
+import signal
 import threading
 import time
 import warnings
@@ -20,11 +22,6 @@ from test_model import TINY, random_batch
 
 # float32 at the paper's audio width: windows of 3e38 overflow a branch's first projection
 F32 = ModelConfig(**{**TINY.__dict__, "dtype": "float32", "audio_dim": 168, "video_dim": 168})
-
-
-def cpus(monkeypatch, n):
-    """Make the process report ``n`` allowed CPUs; one runs the branches inline."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def run_every_command(pipeline, out):  # noqa: F811
@@ -48,20 +45,19 @@ def run_every_command(pipeline, out):  # noqa: F811
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def test_every_output_byte_is_the_one_cpu_runs(pipeline, tmp_path, monkeypatch):  # noqa: F811
+def test_every_output_byte_is_the_serial_runs(pipeline, tmp_path, monkeypatch):  # noqa: F811
     submitted, submit = [], model._WORKER.submit
     monkeypatch.setattr(model._WORKER, "submit", lambda *a: submitted.append(a) or submit(*a))
     out = tmp_path / "run"
-    cpus(monkeypatch, 2)
     threaded = run_every_command(pipeline, out)
     assert submitted
     out.rename(tmp_path / "threaded")
-    cpus(monkeypatch, 1)
+    monkeypatch.setattr(model, "_concurrently", lambda calls: [call() for call in calls])
     submitted.clear()
-    inline = run_every_command(pipeline, out)
+    serial = run_every_command(pipeline, out)
     assert submitted == []
-    assert len(threaded) == 24 and threaded.keys() == inline.keys()
-    assert [name for name, data in threaded.items() if data != inline[name]] == []
+    assert len(threaded) == 24 and threaded.keys() == serial.keys()
+    assert [name for name, data in threaded.items() if data != serial[name]] == []
 
 
 def delayed(monkeypatch, layer, delay=0.0, error=None):
@@ -81,7 +77,6 @@ def delayed(monkeypatch, layer, delay=0.0, error=None):
 
 
 def test_the_worker_thread_runs_the_audio_branch(monkeypatch, rng):
-    cpus(monkeypatch, 2)
     net = FusionModel(TINY)
     threads = {name: delayed(monkeypatch, stack[0]) for name, stack in net.branches.items()}
     net.forward(*random_batch(rng, TINY)[:2])
@@ -89,15 +84,13 @@ def test_the_worker_thread_runs_the_audio_branch(monkeypatch, rng):
     assert len(threads["audio"]) == 1 and threads["audio"][0] is not threading.current_thread()
 
 
-def test_the_callers_errstate_raises_in_the_worker(monkeypatch, rng):
-    cpus(monkeypatch, 2)
+def test_the_callers_errstate_raises_in_the_worker(rng):
     audio, video = random_batch(rng, F32)[:2]
     with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
         FusionModel(F32).forward(np.full_like(audio, 3e38), video)
 
 
-def test_the_callers_errstate_silences_the_worker(monkeypatch, rng):
-    cpus(monkeypatch, 2)
+def test_the_callers_errstate_silences_the_worker(rng):
     audio, video = random_batch(rng, F32)[:2]
     with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
         warnings.simplefilter("always")
@@ -106,7 +99,6 @@ def test_the_callers_errstate_silences_the_worker(monkeypatch, rng):
 
 
 def test_a_failing_call_returns_after_the_worker_finishes(monkeypatch, rng):
-    cpus(monkeypatch, 2)
     net = FusionModel(F32)
     audio, video = random_batch(rng, F32)[:2]
     with monkeypatch.context() as patch:
@@ -121,9 +113,31 @@ def test_a_failing_call_returns_after_the_worker_finishes(monkeypatch, rng):
 
 @pytest.mark.parametrize("slow", ["audio", "video"])
 def test_when_both_branches_fail_the_audio_error_is_raised(monkeypatch, rng, slow):
-    cpus(monkeypatch, 2)
     net = FusionModel(TINY)
     for name, stack in net.branches.items():
         delayed(monkeypatch, stack[0], 0.2 if name == slow else 0.0, LookupError(name))
     with pytest.raises(LookupError, match="^audio$"):
         net.forward(*random_batch(rng, TINY)[:2])
+
+
+def test_a_child_forked_after_a_fused_forward_runs_one(rng):
+    """The child inherits the executor but not its thread; without a new
+    executor its first fused forward would wait for the missing thread forever."""
+    net = FusionModel(TINY)
+    audio, video = random_batch(rng, TINY)[:2]
+    expected = net.forward(audio, video)  # starts the worker thread
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os._exit(0 if np.array_equal(net.forward(audio, video), expected) else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
